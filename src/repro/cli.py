@@ -84,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-party",
-        help="host one protocol party for a tcp-transport run (spawned by "
-             "the coordinator; exits when the run ends)",
+        help="host one protocol party for a tcp-transport run, started by "
+             "hand (the coordinator forks its own parties); exits when the "
+             "run ends",
     )
     serve.add_argument("--connect", required=True, metavar="HOST:PORT",
                        help="coordinator address to dial")

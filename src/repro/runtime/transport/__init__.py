@@ -1,10 +1,11 @@
 """Loopback TCP deployment transport for the framework.
 
-Each party runs in its own OS process (``repro serve-party``) and talks
-to a coordinator over asyncio TCP sockets speaking the existing v2 wire
-framing; see :mod:`.frames` for the frame protocol, :mod:`.host` for
-the party-side driver and :mod:`.coordinator` for the router,
-supervision, recovery and result assembly.
+Each party runs in its own OS process and talks to a coordinator over
+asyncio TCP sockets speaking the existing v2 wire framing; see
+:mod:`.frames` for the frame protocol, :mod:`.host` for the party-side
+driver, :mod:`.launcher` for the warm process that forks every party of
+a run, and :mod:`.coordinator` for the router, supervision, recovery
+and result assembly.
 
 Submodules are imported lazily — the transport pulls in
 :mod:`repro.core`, which must stay importable without this package.

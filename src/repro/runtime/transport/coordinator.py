@@ -1,16 +1,16 @@
 """Coordinator of the loopback TCP deployment transport.
 
 Replaces the lockstep engine loop with event-driven delivery: the
-coordinator listens on a loopback socket, spawns one ``repro
-serve-party`` OS process per party (so every party's compute runs on its
-own core, overlapped with every other party's compute and with IO),
-authenticates each connection with a per-run session token, ships each
-party its :class:`~repro.runtime.transport.frames.PartySpec`, and then
-acts as a **pure star router**: a MSG frame from party *s* to party *d*
-is forwarded verbatim — payload bytes untouched — while the coordinator
-records the routing header into the run transcript.  Per-source routing
-tasks preserve per-channel FIFO order (TCP's guarantee, extended across
-the star hop).
+coordinator listens on a loopback socket, has one OS process per party
+forked by the run's warm :mod:`.launcher` (so every party's compute runs
+on its own core, overlapped with every other party's compute and with
+IO), authenticates each connection with a per-run session token, ships
+each party its :class:`~repro.runtime.transport.frames.PartySpec`, and
+then acts as a **pure star router**: a MSG frame from party *s* to party
+*d* is forwarded verbatim — payload bytes untouched — while the
+coordinator records the routing header into the run transcript.
+Per-source routing tasks preserve per-channel FIFO order (TCP's
+guarantee, extended across the star hop).
 
 The wall-clock supervisor (:mod:`.deadlines`) converts missed deadlines
 into the same typed :class:`~repro.runtime.errors.PartyTimeout` the
@@ -36,7 +36,7 @@ import pickle
 import secrets
 import signal
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.parties import INITIATOR_ID
 from repro.runtime.channels import WireStats
@@ -55,6 +55,7 @@ from repro.runtime.transport.frames import (
     TransportError,
     TransportSettings,
 )
+from repro.runtime.transport.launcher import Launcher, PartyProcess
 
 #: Fault kinds applied at the *sender* (they kill the sending process).
 SENDER_KINDS = ("crash", "kill_restart")
@@ -140,9 +141,12 @@ class Coordinator:
                 None, manager.resume_state, active
             )
         rejoins = 0
+        # One launcher forks the parties of every attempt; the run ends
+        # only once it has reaped every party and exited.
+        launcher = await Launcher.start(self.token)
         try:
             while True:
-                run = _Attempt(self, active, known, attempt)
+                run = _Attempt(self, launcher, active, known, attempt)
                 try:
                     result = await run.execute()
                 except (PartyTimeout, ProtocolAbort) as failure:
@@ -170,6 +174,7 @@ class Coordinator:
                 result.rejoins += rejoins
                 return result
         finally:
+            await launcher.close()
             if manager is not None:
                 manager.close()
 
@@ -177,9 +182,11 @@ class Coordinator:
 class _Attempt:
     """One distributed attempt: spawn, route, supervise, collect."""
 
-    def __init__(self, coordinator: Coordinator, active: List[int],
-                 known_betas: Dict[int, int], attempt: int):
+    def __init__(self, coordinator: Coordinator, launcher: Launcher,
+                 active: List[int], known_betas: Dict[int, int],
+                 attempt: int):
         self.coord = coordinator
+        self.launcher = launcher
         self.config = coordinator.config
         self.settings = coordinator.settings
         self.active = list(active)
@@ -201,7 +208,7 @@ class _Attempt:
             "mode": self.config.wire,
         })
         self.connections: Dict[int, _Connection] = {}
-        self.processes: Dict[int, asyncio.subprocess.Process] = {}
+        self.processes: Dict[int, PartyProcess] = {}
         self.incarnations: Dict[int, int] = {pid: 0 for pid in self.party_ids}
         self.bundles: Dict[int, ResultBundle] = {}
         self.betas: Dict[int, Optional[int]] = {}
@@ -215,7 +222,6 @@ class _Attempt:
         self._respawning: set = set()
         self._connected_once: set = set()
         self._fault_deaths: Dict[int, int] = {}
-        self._tasks: List[asyncio.Task] = []
         self._interrupted: Optional[str] = None
         self._rng_blobs = self._fork_rngs()
         self._fault_seed = _fork_seed(coordinator.framework._rng, attempt)
@@ -275,49 +281,28 @@ class _Attempt:
 
     # -- process management -------------------------------------------------
 
-    async def _spawn(self, pid: int, incarnation: int) -> None:
-        import repro
-
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)
-        ))
-        env = dict(os.environ)
-        env["REPRO_TRANSPORT_TOKEN"] = self.coord.token
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root + (os.pathsep + existing if existing else "")
+    def _spawn(self, pid: int, incarnation: int) -> None:
+        self.processes[pid] = self.launcher.spawn(
+            f"{self._host}:{self._port}", pid, incarnation
         )
-        process = await asyncio.create_subprocess_exec(
-            sys.executable, "-m", "repro", "serve-party",
-            "--connect", f"{self._host}:{self._port}",
-            "--party-id", str(pid),
-            "--incarnation", str(incarnation),
-            env=env,
-        )
-        self.processes[pid] = process
         self.incarnations[pid] = incarnation
 
-    async def _respawn(self, pid: int) -> None:
+    def _respawn(self, pid: int) -> None:
         """Bring a dead party back with a bumped incarnation."""
+        old = self.processes.get(pid)
+        if old is not None:
+            old.kill()
+        connection = self.connections.pop(pid, None)
+        if connection is not None:
+            connection.close()
+        _debug(f"respawning P{pid} as incarnation "
+               f"{self.incarnations[pid] + 1}")
         try:
-            old = self.processes.get(pid)
-            if old is not None and old.returncode is None:
-                try:
-                    old.kill()
-                except ProcessLookupError:
-                    pass
-            connection = self.connections.pop(pid, None)
-            if connection is not None:
-                connection.close()
-            _debug(f"respawning P{pid} as incarnation "
-                   f"{self.incarnations[pid] + 1}")
-            await self._spawn(pid, self.incarnations[pid] + 1)
-        # repro-lint: ignore[R-EXCEPT] -- not swallowed: converted into
-        # the attempt's typed failure via _fail.
-        except Exception as exc:
-            # A respawn that dies silently would strand the whole
+            self._spawn(pid, self.incarnations[pid] + 1)
+        except TransportError as exc:
+            # A respawn that fails silently would strand the whole
             # attempt in a wait-for-rejoin that can never finish.
-            self._fail(TransportError(f"respawn of party {pid} failed: {exc}"))
+            self._fail(exc)
 
     # -- the attempt --------------------------------------------------------
 
@@ -340,13 +325,17 @@ class _Attempt:
         supervisor_task = asyncio.create_task(self._supervise())
         try:
             for pid in self.party_ids:
-                await self._spawn(pid, 0)
+                self._spawn(pid, 0)
             await self._done.wait()
             if self._interrupted is not None:
                 # Teardown (in finally) broadcasts SHUTDOWN: every party
                 # writes a final checkpoint and closes its socket
                 # cleanly instead of dying mid-round.
                 raise KeyboardInterrupt(self._interrupted)
+            if self.launcher.failure is not None:
+                # Checked here too: the parties may all finish before
+                # the next supervision tick notices the launcher died.
+                self._fail(self.launcher.failure)
             if self._failure is not None:
                 raise _AttemptFailed(self._failure)
             return self._assemble()
@@ -387,17 +376,13 @@ class _Attempt:
         except Exception:
             pass
         for process in self.processes.values():
-            if process.returncode is None:
-                try:
-                    await asyncio.wait_for(
-                        process.wait(), timeout=2 * self.settings.tick_s + 1.0
-                    )
-                except asyncio.TimeoutError:
-                    try:
-                        process.kill()
-                    except ProcessLookupError:
-                        pass
-                    await process.wait()
+            try:
+                await asyncio.wait_for(
+                    process.wait(), timeout=2 * self.settings.tick_s + 1.0
+                )
+            except asyncio.TimeoutError:
+                process.kill()
+                await process.wait()
 
     async def _broadcast_json(self, ftype: int,
                               payload: Dict[str, Any]) -> None:
@@ -447,26 +432,37 @@ class _Attempt:
         connection.send(frames.pack_json(frames.WELCOME, {
             "ok": True, "attempt": self.attempt,
         }))
+        if self._all_connected.is_set():
+            self._start(connection)  # a rejoin: the attempt is running
+            return
         if all(p in self.connections for p in self.party_ids):
+            # The barrier falls.  Every party gets its SPEC in this one
+            # step, before any routing task runs: a handler woken
+            # through the event would send its SPEC only some loop turns
+            # later, and a fast peer's first MSG could overtake it.
             self._all_connected.set()
-        if not self._all_connected.is_set():
-            try:
-                # Generous budget: cold interpreter starts contend for
-                # CPU, and a genuinely dead sibling is caught much
-                # earlier by _check_processes.  This bound only reclaims
-                # the handler when a sibling hangs *in startup* forever.
-                await asyncio.wait_for(
-                    self._all_connected.wait(),
-                    timeout=60.0 + 4 * self.settings.timeout_s,
-                )
-            except asyncio.TimeoutError:
-                # A sibling never came up; _check_processes will blame
-                # it.  Dropping this connection keeps the barrier honest.
-                writer.close()
-                self.connections.pop(pid, None)
-                return
+            for other in list(self.connections.values()):
+                self._start(other)
+            return
+        try:
+            # Generous budget: party start-ups contend for CPU, and a
+            # genuinely dead sibling is caught much earlier by
+            # _check_processes.  This bound only reclaims the handler
+            # when a sibling hangs *in startup* forever.
+            await asyncio.wait_for(
+                self._all_connected.wait(),
+                timeout=60.0 + 4 * self.settings.timeout_s,
+            )
+        except asyncio.TimeoutError:
+            # A sibling never came up; _check_processes will blame it.
+            # Dropping this connection keeps the barrier honest.
+            writer.close()
+            self.connections.pop(pid, None)
+
+    def _start(self, connection: _Connection) -> None:
+        """Ship a connected party its spec and start routing its frames."""
         connection.send(frames.pack_pickle(
-            frames.SPEC, self._spec_for(pid, incarnation)
+            frames.SPEC, self._spec_for(connection.pid, connection.incarnation)
         ))
         connection.task = asyncio.create_task(self._route_from(connection))
 
@@ -500,6 +496,7 @@ class _Attempt:
         if ftype == frames.MSG:
             header, _ = frames.split_msg(body)
             self._route_msg(connection, header, body)
+            self.supervisor.note_progress(now)
         elif ftype == frames.STATUS:
             status = frames.decode_json(body)
             if "lost_from" in status:
@@ -597,9 +594,7 @@ class _Attempt:
             self._fault_deaths[pid] = self._fault_deaths.get(pid, 0) + 1
             self.supervisor.note_crashed(pid, phase, restarting=True)
             self._respawning.add(pid)
-            self._tasks.append(
-                asyncio.get_running_loop().create_task(self._respawn(pid))
-            )
+            self._respawn(pid)
             return
         # A plain crash can never complete the run — surface the same
         # typed timeout the in-process supervisor raises at quiescence.
@@ -624,7 +619,7 @@ class _Attempt:
             # SIGKILL'd mid-run but its journal survives: rejoin it.
             self.supervisor.note_crashed(pid, None, restarting=True)
             self._respawning.add(pid)
-            await self._respawn(pid)
+            self._respawn(pid)
             return
         self._fail(PartyTimeout(pid, phase=None))
 
@@ -666,24 +661,29 @@ class _Attempt:
             ping = frames.pack_json(frames.PING, {"t": now})
             for connection in list(self.connections.values()):
                 connection.send(ping)
-            failure = self.supervisor.check(now)
+            failure: Optional[ProtocolError] = self.supervisor.check(now)
             if failure is None:
                 failure = self._check_processes()
             if failure is not None:
                 # Last chance to harvest β for the recovery restart.
                 harvest = frames.pack_json(frames.HARVEST, {})
+                blamed = getattr(failure, "blamed", None)
                 for connection in list(self.connections.values()):
-                    if connection.pid != failure.blamed:
+                    if connection.pid != blamed:
                         connection.send(harvest)
                 await self._drain_all()
                 await asyncio.sleep(2 * self.settings.tick_s)
                 self._fail(failure)
                 return
 
-    def _check_processes(self) -> Optional[PartyTimeout]:
+    def _check_processes(self) -> Optional[ProtocolError]:
         """Catch a child that died without a word (crash on startup,
         OOM-kill with no checkpoint dir): its exit would otherwise be
-        invisible — no STATUS ever arrives, so no deadline expires."""
+        invisible — no STATUS ever arrives, so no deadline expires.  A
+        dead launcher fails the attempt outright: nobody is left to
+        reap, kill or respawn a party."""
+        if self.launcher.failure is not None:
+            return self.launcher.failure
         for pid, process in self.processes.items():
             if (process.returncode is None
                     or pid in self.bundles

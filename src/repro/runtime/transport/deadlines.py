@@ -11,6 +11,11 @@ wall clock:
 * the deadline adapts to *measured* traffic: an EWMA over inter-frame
   gaps per party plus an EWMA of ping RTT, so a deadline is never
   tighter than the loopback (or LAN) can physically meet;
+* a deadline measures time *without progress*: every routed protocol
+  message restarts every wait's clock, the wall-clock counterpart of
+  the engine expiring deadlines only over rounds in which nothing was
+  delivered.  A party waiting on a long chain of others is not overdue
+  while the chain moves;
 * blame priority on expiry mirrors the engine: a crashed party first,
   then a sender reported as lost (retransmits exhausted), then the
   party being waited on.
@@ -44,6 +49,7 @@ class WallClockSupervisor:
         self.gap_ewma: Optional[float] = None
         self.rtt_ewma: Optional[float] = None
         self._last_frame: Dict[int, float] = {}
+        self._progress_at: Optional[float] = None
         # pid -> (blocked since, waited-on src, tag, phase)
         self.blocked: Dict[int, Tuple[float, Optional[int], str, str]] = {}
         self.lost: Dict[int, int] = {}      # reported-lost sender -> count
@@ -76,6 +82,11 @@ class WallClockSupervisor:
                      tag: str, phase: str, now: float) -> None:
         self.blocked[pid] = (now, waiting_src, tag, phase)
 
+    def note_progress(self, now: float) -> None:
+        """A protocol message was routed: the run advanced, so every
+        wait's clock restarts at ``now``."""
+        self._progress_at = now
+
     def note_lost(self, src: int) -> None:
         self.lost[src] = self.lost.get(src, 0) + 1
 
@@ -103,6 +114,8 @@ class WallClockSupervisor:
         """Expire overdue waits; ``None`` while everyone is within deadline."""
         deadline = self.deadline_s()
         for pid, (since, waiting_src, tag, phase) in sorted(self.blocked.items()):
+            if self._progress_at is not None:
+                since = max(since, self._progress_at)
             overdue = now - since >= deadline
             # Waiting on a corpse is hopeless *unless* the corpse is
             # being respawned — then the wait is exactly what a rejoin

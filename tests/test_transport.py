@@ -13,6 +13,7 @@ sockets here: parties die as OS processes and rejoin over fresh
 connections from their durable checkpoints.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -24,12 +25,18 @@ import pytest
 
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.gain import AttributeSchema, InitiatorInput
+from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
 from repro.runtime.errors import PartyTimeout
 from repro.runtime.faults import FaultSpec
+from repro.runtime.transport import coordinator, frames
 from repro.runtime.transport.coordinator import run_distributed
-from repro.runtime.transport.frames import TransportSettings
+from repro.runtime.transport.deadlines import WallClockSupervisor
+from repro.runtime.transport.frames import TransportError, TransportSettings
+from repro.runtime.transport.launcher import Launcher
 from tests.conftest import make_participants
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Equivalence cohort size — large enough that coalescing, interning
 #: and round scheduling all diverge from the trivial case.
@@ -259,6 +266,195 @@ class TestFaults:
         assert result.ranks == fault_baseline
 
 
+# -- the party launcher ------------------------------------------------------
+
+def _lifecycle_probe(scenario):
+    """Run one scenario, then report what is left of its processes.
+
+    Runs in a fresh interpreter (see :func:`_probe`), so the only child
+    this process ever had is the run's launcher and ``os.waitpid(-1)``
+    speaks for the run alone."""
+    spawned = []
+    launchers = []
+    spawn = Launcher.spawn
+
+    def recording_spawn(self, *args, **kwargs):
+        handle = spawn(self, *args, **kwargs)
+        spawned.append(handle)
+        if self not in launchers:
+            launchers.append(self)
+        return handle
+
+    Launcher.spawn = recording_spawn
+    group = DLGroup.random(48, rng=SeededRNG(101))
+    settings = TransportSettings(timeout_s=40.0)
+    started = time.monotonic()
+    if scenario == "launcher-death":
+        route = coordinator._Attempt._route_msg
+
+        def route_then_kill_launcher(attempt, *args):
+            if attempt.launcher.returncode is None:
+                os.kill(attempt.launcher.pid, signal.SIGKILL)
+            return route(attempt, *args)
+
+        coordinator._Attempt._route_msg = route_then_kill_launcher
+        try:
+            run_distributed(fault_build(group), settings=settings)
+            outcome = "no error"
+        except TransportError as exc:
+            outcome = f"TransportError: {exc}"
+    elif scenario == "success":
+        result = run_distributed(build(group, N_FAULT), settings=settings)
+        outcome = f"attempts={result.attempts}"
+    elif scenario == "timeout":
+        try:
+            run_distributed(
+                fault_build(group, recovery=False),
+                [FaultSpec(kind="crash", party=2, phase="chain")],
+                settings=settings,
+            )
+            outcome = "no timeout"
+        except PartyTimeout as exc:
+            outcome = f"PartyTimeout blamed={exc.blamed}"
+    else:
+        with tempfile.TemporaryDirectory() as checkpoint_dir:
+            result = run_distributed(
+                fault_build(group, checkpoint_dir=checkpoint_dir),
+                [FaultSpec(kind="kill_restart", party=2, phase="chain")],
+                settings=settings,
+            )
+        outcome = f"rejoins={result.rejoins}"
+    elapsed_s = time.monotonic() - started
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        children_left = True
+    except ChildProcessError:
+        children_left = False
+
+    def exists(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    return {
+        "outcome": outcome,
+        "elapsed_s": elapsed_s,
+        "launcher_returncodes": [launcher.returncode for launcher in launchers],
+        "party_returncodes": [handle.returncode for handle in spawned],
+        "still_exist": [h.pid for h in spawned
+                        if h.pid is not None and exists(h.pid)],
+        "children_left": children_left,
+    }
+
+
+def _probe(scenario):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), ROOT])
+    code = ("import json, sys; from tests.test_transport import "
+            "_lifecycle_probe; print(json.dumps(_lifecycle_probe(sys.argv[1])))")
+    completed = subprocess.run(
+        [sys.executable, "-c", code, scenario], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=180,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+class TestLauncher:
+    @pytest.mark.parametrize("scenario, outcome, spawns", [
+        ("success", "attempts=1", N_FAULT + 1),
+        ("timeout", "PartyTimeout blamed=2", N_FAULT + 1),
+        ("rejoin", "rejoins=1", N_FAULT + 2),
+    ])
+    def test_every_process_reaped_when_run_returns(self, scenario, outcome,
+                                                   spawns):
+        """One launcher per run; once ``run_distributed`` returns or
+        raises, it and every party it forked (the killed first life of
+        a rejoined party included) have exited and been reaped."""
+        report = _probe(scenario)
+        assert report["outcome"] == outcome
+        assert report["launcher_returncodes"] == [0]
+        assert len(report["party_returncodes"]) == spawns
+        assert None not in report["party_returncodes"]
+        assert report["still_exist"] == []
+        assert report["children_left"] is False
+
+    def test_launcher_death_fails_the_attempt(self):
+        """SIGKILL the launcher on the first relayed message: the attempt
+        ends with a typed TransportError, which recovery does not retry,
+        well before any deadline, instead of waiting on parties nobody
+        can reap or respawn."""
+        report = _probe("launcher-death")
+        assert report["outcome"].startswith("TransportError: party launcher")
+        assert report["elapsed_s"] < 40.0
+        assert report["launcher_returncodes"] == [-signal.SIGKILL]
+        assert report["children_left"] is False
+
+
+class TestStartupBarrier:
+    def test_no_message_overtakes_a_spec(self, small_dl_group, monkeypatch):
+        """The coordinator may be descheduled just after the startup
+        barrier falls, while a party that has its SPEC already sends.
+        Every party must still get its SPEC before any peer's MSG;
+        otherwise its handshake reads a MSG and it dies at start-up."""
+        send = coordinator._Connection.send
+        stalled = []
+
+        def send_then_stall(connection, data):
+            send(connection, data)
+            if data[4] == frames.SPEC and not stalled:
+                stalled.append(connection.pid)
+                time.sleep(0.5)
+
+        monkeypatch.setattr(coordinator._Connection, "send", send_then_stall)
+        result = run_distributed(build(small_dl_group, N_FAULT),
+                                 settings=TransportSettings(timeout_s=30.0))
+        assert stalled
+        assert result.ranks == build(small_dl_group, N_FAULT).run().ranks
+
+
+# -- wall-clock deadlines ----------------------------------------------------
+
+class TestWallClockDeadline:
+    def test_overdue_only_after_deadline_without_progress(self):
+        """P0 waits on P1 while others' messages are routed: each routed
+        message restarts the wait's clock, so it expires only ``deadline``
+        seconds after the last progress, and then blames P1."""
+        supervisor = WallClockSupervisor(6.0, adaptive=False)
+        supervisor.note_blocked(0, 1, "submit", "submission", 0.0)
+        supervisor.note_progress(5.0)
+        supervisor.note_progress(10.0)
+        assert supervisor.check(10.5) is None
+        assert supervisor.check(15.9) is None
+        timeout = supervisor.check(16.0)
+        assert isinstance(timeout, PartyTimeout)
+        assert timeout.blamed == 1
+        assert timeout.phase == "submission"
+        assert timeout.waiting == {0: "submit"}
+
+    def test_overdue_after_deadline_with_no_progress_at_all(self):
+        supervisor = WallClockSupervisor(6.0, adaptive=False)
+        supervisor.note_progress(1.0)
+        supervisor.note_blocked(0, 1, "submit", "submission", 2.0)
+        assert supervisor.check(7.9) is None
+        assert supervisor.check(8.0).blamed == 1
+
+    def test_progress_does_not_hide_a_crashed_party(self):
+        """Blame priority is unchanged: a wait on a dead, non-restarting
+        party fails at once, whatever else is moving."""
+        supervisor = WallClockSupervisor(6.0, adaptive=False)
+        supervisor.note_blocked(0, 1, "submit", "submission", 0.0)
+        supervisor.note_crashed(3, "chain")
+        supervisor.note_progress(0.5)
+        assert supervisor.check(1.0) is None
+        supervisor.note_blocked(2, 3, "chain", "chain", 1.0)
+        timeout = supervisor.check(1.0)
+        assert timeout.blamed == 3
+        assert timeout.phase == "chain"
+
+
 # -- graceful shutdown -------------------------------------------------------
 
 class TestGracefulShutdown:
@@ -268,24 +464,28 @@ class TestGracefulShutdown:
         cleanly, and the CLI reports an interruption (exit 130), not a
         blame verdict against whichever party said BYE first."""
         env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src")
+        env["PYTHONPATH"] = os.path.join(ROOT, "src")
+        checkpoints = tmp_path / "checkpoints"
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "demo", "--participants", "8",
              "--seed", "7", "--transport", "tcp",
-             "--listen", "127.0.0.1:0"],
+             "--listen", "127.0.0.1:0", "--checkpoint-dir", str(checkpoints)],
             cwd=str(tmp_path), env=env, start_new_session=True,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         try:
-            time.sleep(3.0)  # let the cohort spawn and start the run
+            # Signal once the run is observably in flight: a party has
+            # its spec and has opened its journal.
+            deadline = time.monotonic() + 120
+            while not list(checkpoints.glob("attempt-*/party-*/journal.log")):
+                assert process.poll() is None, "run ended before any journal"
+                assert time.monotonic() < deadline, "no party journal appeared"
+                time.sleep(0.005)
             os.killpg(os.getpgid(process.pid), signal.SIGINT)
             output, _ = process.communicate(timeout=60)
         finally:
             if process.poll() is None:
                 os.killpg(os.getpgid(process.pid), signal.SIGKILL)
                 process.wait()
-        if process.returncode == 0:
-            pytest.skip("run finished before the signal landed")
         assert process.returncode == 130, output
         assert "interrupted" in output

@@ -82,20 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("report", help="print all recorded benchmark results")
 
-    serve = sub.add_parser(
-        "serve-party",
-        help="host one protocol party for a tcp-transport run, started by "
-             "hand (the coordinator forks its own parties); exits when the "
-             "run ends",
-    )
-    serve.add_argument("--connect", required=True, metavar="HOST:PORT",
-                       help="coordinator address to dial")
-    serve.add_argument("--party-id", type=int, required=True,
-                       help="party to host (0 = initiator)")
-    serve.add_argument("--incarnation", type=int, default=0,
-                       help="rejoin generation (0 = first life; set by the "
-                            "coordinator on kill-and-rejoin respawns)")
-
     plan = sub.add_parser("plan", help="estimate a deployment's cost at scale")
     plan.add_argument("-n", "--participants", type=int, default=25)
     plan.add_argument("-m", "--attributes", type=int, default=10)
@@ -308,14 +294,6 @@ def _run_framework(framework, args):
     return framework.run(resume=args.resume)
 
 
-def cmd_serve_party(args, out) -> int:
-    from repro.runtime.transport import serve_party
-
-    return serve_party(
-        args.connect, args.party_id, incarnation=args.incarnation
-    )
-
-
 def cmd_games(args, out) -> int:
     from repro.analysis.games import (
         FrameworkGame, broken_encryptor_factory, estimate_advantage,
@@ -460,7 +438,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "curves": cmd_curves,
         "report": cmd_report,
         "plan": cmd_plan,
-        "serve-party": cmd_serve_party,
     }
     return handlers[args.command](args, out)
 

@@ -13,22 +13,14 @@ Submodules are imported lazily — the transport pulls in
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.runtime.transport.frames import TransportError, TransportSettings
 
-__all__ = ["TransportError", "TransportSettings", "run_distributed",
-           "serve_party"]
+__all__ = ["TransportError", "TransportSettings", "run_distributed"]
 
 
 def run_distributed(framework: Any, faults: Any = None, **kwargs: Any) -> Any:
     from repro.runtime.transport.coordinator import run_distributed as impl
 
     return impl(framework, faults, **kwargs)
-
-
-def serve_party(connect: str, party_id: int, incarnation: int = 0,
-                token: Optional[str] = None) -> int:
-    from repro.runtime.transport.host import serve_party as impl
-
-    return impl(connect, party_id, incarnation=incarnation, token=token)

@@ -141,10 +141,11 @@ class Coordinator:
                 None, manager.resume_state, active
             )
         rejoins = 0
-        # One launcher forks the parties of every attempt; the run ends
-        # only once it has reaped every party and exited.
-        launcher = await Launcher.start(self.token)
+        launcher: Optional[Launcher] = None
         try:
+            # One launcher forks the parties of every attempt; the run
+            # ends only once it has reaped every party and exited.
+            launcher = await Launcher.start(self.token)
             while True:
                 run = _Attempt(self, launcher, active, known, attempt)
                 try:
@@ -174,9 +175,13 @@ class Coordinator:
                 result.rejoins += rejoins
                 return result
         finally:
-            await launcher.close()
-            if manager is not None:
-                manager.close()
+            try:
+                if launcher is not None:
+                    code = await launcher.close()
+                    _debug(f"party launcher exited with code {code}")
+            finally:
+                if manager is not None:
+                    manager.close()
 
 
 class _Attempt:
@@ -334,7 +339,7 @@ class _Attempt:
                 raise KeyboardInterrupt(self._interrupted)
             if self.launcher.failure is not None:
                 # Checked here too: the parties may all finish before
-                # the next supervision tick notices the launcher died.
+                # the next supervision tick notices the launcher failed.
                 self._fail(self.launcher.failure)
             if self._failure is not None:
                 raise _AttemptFailed(self._failure)
@@ -680,8 +685,9 @@ class _Attempt:
         """Catch a child that died without a word (crash on startup,
         OOM-kill with no checkpoint dir): its exit would otherwise be
         invisible — no STATUS ever arrives, so no deadline expires.  A
-        dead launcher fails the attempt outright: nobody is left to
-        reap, kill or respawn a party."""
+        launcher that died or could not fork fails the attempt outright:
+        the fault is the host's, not a party's, and nobody may be left
+        to reap, kill or respawn a party."""
         if self.launcher.failure is not None:
             return self.launcher.failure
         for pid, process in self.processes.items():

@@ -138,7 +138,7 @@ class TransportSettings:
 
 @dataclass
 class PartySpec:
-    """Everything one ``serve-party`` process needs to run its party.
+    """Everything one party process needs to run its party.
 
     Built by the coordinator per attempt; contains only *this* party's
     input — the transport never ships one party's secret to another.

@@ -1,6 +1,6 @@
 """Party-side runtime of the loopback TCP deployment transport.
 
-One ``serve-party`` process hosts one protocol party.  The process
+One party process hosts one protocol party.  The process
 connects to the coordinator, authenticates with the session token,
 receives its :class:`~repro.runtime.transport.frames.PartySpec`, builds
 the party exactly as the in-process framework would (same RNG fork, same

@@ -1,9 +1,9 @@
 """Party launcher of the loopback TCP transport: one warm process forks
 every party of a run.
 
-A party started cold (``python -m repro serve-party``) pays for a fresh
-interpreter and the library's imports before it can dial the
-coordinator, once per party.  The launcher pays that once per run.
+A party started as its own interpreter pays for interpreter start-up and
+the library's imports before it can dial the coordinator, once per
+party.  The launcher pays that once per run.
 :meth:`Launcher.start` runs a fresh ``sys.executable`` with the caller's
 environment plus the run's session token.  The launcher imports the
 party side (:mod:`repro.runtime.transport.host`) and answers each spawn
@@ -13,8 +13,10 @@ handling, keeps the inherited stdout/stderr, runs the unchanged
 return code.
 
 The launcher is single-threaded and runs no event loop: it blocks in
-``select`` on its control socket and a SIGCHLD wake-up pipe.  It reaps
-every child and reports the party, OS pid and exit code.  Kills go
+``select`` on its control socket and a SIGCHLD wake-up pipe.  It reports
+each child's OS pid when it forks it and its exit code when it reaps
+it.  A fork that fails is reported as such, and the coordinator fails
+the attempt instead of blaming the party.  Kills go
 through it too, because it owns each pid until it has reaped it (a pid
 signalled from outside might by then name another process).  Ctrl-C
 reaches the whole process group, so the launcher ignores SIGINT and
@@ -30,13 +32,14 @@ Control messages are JSON objects, one per line::
 
     coordinator -> launcher   {"op": "spawn", "id", "connect", "party", "incarnation"}
                               {"op": "kill", "id"}
-    launcher -> coordinator   {"event": "exited", "id", "party", "pid", "returncode"}
+    launcher -> coordinator   {"event": "started", "id", "pid"}
+                              {"event": "exited", "id", "returncode"}
+                              {"event": "fork_failed", "id", "error"}
 """
 
 from __future__ import annotations
 
 import asyncio
-import importlib
 import json
 import os
 import select
@@ -44,23 +47,21 @@ import signal
 import socket
 import sys
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.runtime.transport.frames import TransportError
 
-#: What every party runs, imported once in the launcher before the first
-#: fork (host imports the wire codec lazily, at a party's first message).
-PARTY_MODULES = ("repro.runtime.transport.host", "repro.runtime.wire")
-
 
 class PartyProcess:
-    """Coordinator-side handle on one forked party: the ``returncode``,
-    ``wait()`` and ``kill()`` of :class:`asyncio.subprocess.Process`.
+    """Coordinator-side handle on one forked party: the ``pid``,
+    ``returncode``, ``wait()`` and ``kill()`` of
+    :class:`asyncio.subprocess.Process`.
 
-    ``pid`` and ``returncode`` are set once the launcher has reaped the
-    child; a negative ``returncode`` is the signal that ended it.  If
-    the launcher dies first, :meth:`wait` returns with ``returncode``
-    still ``None``: nobody is left to reap the child.
+    ``pid`` is set once the launcher has forked the child, and
+    ``returncode`` once it has reaped it; a negative ``returncode`` is
+    the signal that ended it.  If the fork fails or the launcher dies
+    first, :meth:`wait` returns with ``returncode`` still ``None``:
+    there is no child, or nobody is left to reap it.
     """
 
     def __init__(self, launcher: "Launcher", ident: int):
@@ -75,12 +76,9 @@ class PartyProcess:
         return self.returncode
 
     def kill(self) -> None:
-        if not self._settled.is_set():
-            self.launcher.kill(self)
+        self.launcher.kill(self)
 
-    def _settle(self, pid: Optional[int],
-                returncode: Optional[int]) -> None:
-        self.pid = pid
+    def _settle(self, returncode: Optional[int]) -> None:
         self.returncode = returncode
         self._settled.set()
 
@@ -96,9 +94,9 @@ class Launcher:
         self._live: Dict[int, PartyProcess] = {}
         self._next_ident = 0
         self._closing = False
-        #: Set when the launcher died while the coordinator still
-        #: needed it: every later spawn raises it, and the attempt in
-        #: flight fails with it.
+        #: Set when the launcher could not fork a party or died while
+        #: the coordinator still needed it: every later spawn raises
+        #: it, and the attempt in flight fails with it.
         self.failure: Optional[TransportError] = None
         self._reports = asyncio.get_running_loop().create_task(
             self._read_reports()
@@ -136,10 +134,6 @@ class Launcher:
         """The launcher's own OS pid."""
         return self._process.pid
 
-    @property
-    def returncode(self) -> Optional[int]:
-        return self._process.returncode
-
     def spawn(self, connect: str, party: int,
               incarnation: int) -> PartyProcess:
         """Fork one ``serve_party(connect, party, incarnation)`` child."""
@@ -157,9 +151,9 @@ class Launcher:
         if handle.ident in self._live:
             self._send({"op": "kill", "id": handle.ident})
 
-    async def close(self) -> None:
+    async def close(self) -> int:
         """Close the control channel, then wait for the launcher to reap
-        every child, report it and exit."""
+        every child, report it and exit; returns its exit code."""
         self._closing = True
         try:
             self._writer.write_eof()
@@ -167,7 +161,7 @@ class Launcher:
             pass  # already gone; the report reader has seen EOF
         await self._reports
         self._writer.close()
-        await self._process.wait()
+        return await self._process.wait()
 
     def _send(self, request: Dict[str, Any]) -> None:
         self._writer.write(json.dumps(request, sort_keys=True).encode() + b"\n")
@@ -184,23 +178,42 @@ class Launcher:
         self._lose()
 
     def _on_report(self, report: Dict[str, Any]) -> None:
-        handle = self._live.pop(int(report["id"]), None)
+        event, ident = report["event"], int(report["id"])
+        if event == "started":
+            handle = self._live.get(ident)
+            if handle is not None:
+                handle.pid = int(report["pid"])
+            return
+        returncode: Optional[int] = None
+        if event == "fork_failed":
+            # A host out of processes or memory is no party's fault:
+            # fail the attempt rather than let recovery exclude one.
+            self._fail(TransportError(
+                f"party launcher (pid {self.pid}) cannot fork a party: "
+                f"{report['error']}"
+            ))
+        else:
+            returncode = int(report["returncode"])
+        handle = self._live.pop(ident, None)
         if handle is not None:
-            pid = report.get("pid")
-            handle._settle(None if pid is None else int(pid),
-                           int(report["returncode"]))
+            handle._settle(returncode)
 
     def _lose(self) -> None:
-        """Single writer of ``failure``: the control channel is gone, so
-        no report will ever settle the children still pending."""
+        """The control channel is gone, so no report will ever settle
+        the children still pending."""
         if not self._closing:
-            self.failure = TransportError(
+            self._fail(TransportError(
                 f"party launcher (pid {self.pid}) exited mid-run"
-            )
+            ))
         pending = list(self._live.values())
         self._live.clear()
         for handle in pending:
-            handle._settle(None, None)
+            handle._settle(None)
+
+    def _fail(self, failure: TransportError) -> None:
+        """Single writer of ``failure``; the first cause wins."""
+        if self.failure is None:
+            self.failure = failure
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +240,8 @@ class _LauncherLoop:
         self.control = control
         self.serve_party = serve_party
         self.wake_r, self.wake_w = os.pipe()
-        self.children: Dict[int, Tuple[int, int]] = {}  # pid -> (id, party)
-        self.pids: Dict[int, int] = {}                    # id -> pid
+        self.children: Dict[int, int] = {}  # pid -> id
+        self.pids: Dict[int, int] = {}      # id -> pid
 
     def serve(self) -> int:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -265,18 +278,17 @@ class _LauncherLoop:
     def _handle(self, request: Dict[str, Any]) -> None:
         ident = int(request["id"])
         if request.get("op") == "spawn":
-            party = int(request["party"])
             try:
-                pid = self._fork(str(request["connect"]), party,
+                pid = self._fork(str(request["connect"]),
+                                 int(request["party"]),
                                  int(request["incarnation"]))
-            except OSError as exc:
-                print(f"party launcher: cannot fork party {party}: {exc}",
-                      file=sys.stderr, flush=True)
-                self._report({"event": "exited", "id": ident,
-                              "party": party, "pid": None, "returncode": 1})
+            except OSError as exc:  # EAGAIN, ENOMEM: the host, not the party
+                self._report({"event": "fork_failed", "id": ident,
+                              "error": str(exc)})
                 return
-            self.children[pid] = (ident, party)
+            self.children[pid] = ident
             self.pids[ident] = pid
+            self._report({"event": "started", "id": ident, "pid": pid})
         elif request.get("op") == "kill":
             pid = self.pids.get(ident)
             if pid is not None:  # not reaped yet, so the pid is still ours
@@ -326,15 +338,12 @@ class _LauncherLoop:
                 return
             if pid == 0:
                 return
-            entry = self.children.pop(pid, None)
-            if entry is None:
+            ident = self.children.pop(pid, None)
+            if ident is None:
                 continue
-            ident, party = entry
             del self.pids[ident]
-            self._report({
-                "event": "exited", "id": ident, "party": party, "pid": pid,
-                "returncode": os.waitstatus_to_exitcode(status),
-            })
+            self._report({"event": "exited", "id": ident,
+                          "returncode": os.waitstatus_to_exitcode(status)})
 
     def _report(self, event: Dict[str, Any]) -> None:
         try:
@@ -351,8 +360,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("usage: python -m repro.runtime.transport.launcher CONTROL_FD",
               file=sys.stderr)
         return 2
-    for name in PARTY_MODULES:
-        importlib.import_module(name)
+    # What every party runs, imported once here before the first fork
+    # (host imports the wire codec lazily, at a party's first message).
+    import repro.runtime.wire  # noqa: F401
     from repro.runtime.transport.host import serve_party
 
     control = socket.socket(fileno=int(args[0]))

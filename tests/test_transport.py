@@ -268,6 +268,41 @@ class TestFaults:
 
 # -- the party launcher ------------------------------------------------------
 
+#: Written as ``sitecustomize.py`` into a directory on the launcher's
+#: ``PYTHONPATH``: every fork after the first ``FORKS`` fails the way it
+#: does on a host out of processes.
+_FAILING_FORK = """\
+import errno
+import os
+
+FORKS = {forks}
+_fork, _done = os.fork, []
+
+
+def _failing_fork():
+    if len(_done) >= FORKS:
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    _done.append(None)
+    return _fork()
+
+
+os.fork = _failing_fork
+"""
+
+#: How many forks succeed in each fork-failure scenario: the third fork
+#: is party 2's first life, the sixth its kill_restart respawn.
+FORK_BUDGETS = {"fork-failure": 2, "respawn-fork-failure": N_FAULT + 1}
+
+
+def _running(pid):
+    """Whether ``pid`` still runs; a zombie has exited and does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def _lifecycle_probe(scenario):
     """Run one scenario, then report what is left of its processes.
 
@@ -275,76 +310,91 @@ def _lifecycle_probe(scenario):
     this process ever had is the run's launcher and ``os.waitpid(-1)``
     speaks for the run alone."""
     spawned = []
-    launchers = []
-    spawn = Launcher.spawn
+    launcher_codes = []
+    spawn, close = Launcher.spawn, Launcher.close
 
     def recording_spawn(self, *args, **kwargs):
         handle = spawn(self, *args, **kwargs)
         spawned.append(handle)
-        if self not in launchers:
-            launchers.append(self)
         return handle
 
+    async def recording_close(self):
+        code = await close(self)
+        launcher_codes.append(code)
+        return code
+
     Launcher.spawn = recording_spawn
+    Launcher.close = recording_close
     group = DLGroup.random(48, rng=SeededRNG(101))
     settings = TransportSettings(timeout_s=40.0)
-    started = time.monotonic()
+    scratch = tempfile.TemporaryDirectory()  # removed at exit
+    runs = {
+        "success": lambda: run_distributed(
+            build(group, N_FAULT), settings=settings),
+        "recovering": lambda: run_distributed(
+            fault_build(group), settings=settings),
+        "timeout": lambda: run_distributed(
+            fault_build(group, recovery=False),
+            [FaultSpec(kind="crash", party=2, phase="chain")],
+            settings=settings),
+        "rejoin": lambda: run_distributed(
+            fault_build(group, checkpoint_dir=os.path.join(
+                scratch.name, "checkpoints")),
+            [FaultSpec(kind="kill_restart", party=2, phase="chain")],
+            settings=settings),
+    }
+    runs["launcher-death"] = runs["fork-failure"] = runs["recovering"]
+    runs["respawn-fork-failure"] = runs["rejoin"]
     if scenario == "launcher-death":
         route = coordinator._Attempt._route_msg
+        killed = []
 
         def route_then_kill_launcher(attempt, *args):
-            if attempt.launcher.returncode is None:
+            if not killed:
+                killed.append(attempt.launcher.pid)
                 os.kill(attempt.launcher.pid, signal.SIGKILL)
             return route(attempt, *args)
 
         coordinator._Attempt._route_msg = route_then_kill_launcher
-        try:
-            run_distributed(fault_build(group), settings=settings)
-            outcome = "no error"
-        except TransportError as exc:
-            outcome = f"TransportError: {exc}"
-    elif scenario == "success":
-        result = run_distributed(build(group, N_FAULT), settings=settings)
-        outcome = f"attempts={result.attempts}"
-    elif scenario == "timeout":
-        try:
-            run_distributed(
-                fault_build(group, recovery=False),
-                [FaultSpec(kind="crash", party=2, phase="chain")],
-                settings=settings,
-            )
-            outcome = "no timeout"
-        except PartyTimeout as exc:
-            outcome = f"PartyTimeout blamed={exc.blamed}"
-    else:
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
-            result = run_distributed(
-                fault_build(group, checkpoint_dir=checkpoint_dir),
-                [FaultSpec(kind="kill_restart", party=2, phase="chain")],
-                settings=settings,
-            )
-        outcome = f"rejoins={result.rejoins}"
+    elif scenario in FORK_BUDGETS:
+        hooks = os.path.join(scratch.name, "hooks")
+        os.mkdir(hooks)
+        with open(os.path.join(hooks, "sitecustomize.py"), "w") as stream:
+            stream.write(_FAILING_FORK.format(forks=FORK_BUDGETS[scenario]))
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            [hooks, os.environ["PYTHONPATH"]]
+        )
+    started = time.monotonic()
+    blamed = None
+    try:
+        result = runs[scenario]()
+        outcome = f"attempts={result.attempts} rejoins={result.rejoins}"
+    except (PartyTimeout, TransportError) as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+        blamed = getattr(exc, "blamed", None)
     elapsed_s = time.monotonic() - started
     try:
         os.waitpid(-1, os.WNOHANG)
         children_left = True
     except ChildProcessError:
         children_left = False
-
-    def exists(pid):
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        return True
-
+    pids = [handle.pid for handle in spawned]
+    if scenario == "launcher-death":
+        # The dead launcher's parties are orphans, no child of ours:
+        # give them a few ticks to see the coordinator hang up.
+        give_up = time.monotonic() + 10 * settings.tick_s
+        while (any(_running(pid) for pid in pids if pid is not None)
+               and time.monotonic() < give_up):
+            time.sleep(settings.tick_s / 10)
     return {
         "outcome": outcome,
+        "blamed": blamed,
         "elapsed_s": elapsed_s,
-        "launcher_returncodes": [launcher.returncode for launcher in launchers],
+        "launcher_codes": launcher_codes,
+        "party_pids": pids,
         "party_returncodes": [handle.returncode for handle in spawned],
-        "still_exist": [h.pid for h in spawned
-                        if h.pid is not None and exists(h.pid)],
+        "still_running": [pid for pid in pids
+                          if pid is not None and _running(pid)],
         "children_left": children_left,
     }
 
@@ -363,33 +413,56 @@ def _probe(scenario):
 
 
 class TestLauncher:
-    @pytest.mark.parametrize("scenario, outcome, spawns", [
-        ("success", "attempts=1", N_FAULT + 1),
-        ("timeout", "PartyTimeout blamed=2", N_FAULT + 1),
-        ("rejoin", "rejoins=1", N_FAULT + 2),
+    @pytest.mark.parametrize("scenario, outcome, blamed, spawns", [
+        ("success", "attempts=1 rejoins=0", None, N_FAULT + 1),
+        ("timeout", "PartyTimeout: ", 2, N_FAULT + 1),
+        ("rejoin", "attempts=1 rejoins=1", None, N_FAULT + 2),
     ])
     def test_every_process_reaped_when_run_returns(self, scenario, outcome,
-                                                   spawns):
+                                                   blamed, spawns):
         """One launcher per run; once ``run_distributed`` returns or
         raises, it and every party it forked (the killed first life of
         a rejoined party included) have exited and been reaped."""
         report = _probe(scenario)
-        assert report["outcome"] == outcome
-        assert report["launcher_returncodes"] == [0]
-        assert len(report["party_returncodes"]) == spawns
+        assert report["outcome"].startswith(outcome)
+        assert report["blamed"] == blamed
+        assert report["launcher_codes"] == [0]
+        assert len(report["party_pids"]) == spawns
+        assert None not in report["party_pids"]
         assert None not in report["party_returncodes"]
-        assert report["still_exist"] == []
+        assert report["still_running"] == []
         assert report["children_left"] is False
 
     def test_launcher_death_fails_the_attempt(self):
         """SIGKILL the launcher on the first relayed message: the attempt
         ends with a typed TransportError, which recovery does not retry,
         well before any deadline, instead of waiting on parties nobody
-        can reap or respawn."""
+        can reap or respawn.  The orphaned parties exit on their own."""
         report = _probe("launcher-death")
         assert report["outcome"].startswith("TransportError: party launcher")
+        assert "exited mid-run" in report["outcome"]
         assert report["elapsed_s"] < 40.0
-        assert report["launcher_returncodes"] == [-signal.SIGKILL]
+        assert report["launcher_codes"] == [-signal.SIGKILL]
+        assert len(report["party_pids"]) == N_FAULT + 1
+        assert None not in report["party_pids"]
+        assert report["still_running"] == []
+        assert report["children_left"] is False
+
+    @pytest.mark.parametrize("scenario", sorted(FORK_BUDGETS))
+    def test_fork_failure_fails_the_attempt(self, scenario):
+        """A fork the host refuses is no party's fault: under recovery
+        the run fails at once with a TransportError, rather than
+        excluding the party (first life) or waiting out the deadline
+        for a rejoin that cannot come (respawn)."""
+        report = _probe(scenario)
+        assert report["outcome"].startswith("TransportError: party launcher")
+        assert "cannot fork a party" in report["outcome"]
+        assert report["elapsed_s"] < 40.0
+        assert report["launcher_codes"] == [0]
+        forked = report["party_pids"][:FORK_BUDGETS[scenario]]
+        assert None not in forked
+        assert set(report["party_pids"][len(forked):]) == {None}
+        assert report["still_running"] == []
         assert report["children_left"] is False
 
 

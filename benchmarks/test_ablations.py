@@ -158,16 +158,24 @@ def test_abl_rho_masking_width(benchmark):
 
 def test_abl_fixed_base_exponentiation(benchmark):
     """ABL-fixedbase: precomputed-table generator exponentiation vs the
-    generic ladder, measured on the real 1024-bit DL group and secp160r1."""
+    generic ladder, measured on the real 1024-bit DL group and secp160r1.
+
+    "plain" is the textbook ladder (:class:`TextbookDLGroup` on DL; the
+    curve's ``exp`` has no kernels); "default" is ``group.exp_generator``,
+    which on DL walks the group's own generator table below its meter."""
     import time
 
     from repro.groups.curves import get_curve
-    from repro.groups.dl import DLGroup
+    from repro.groups.dl import DLGroup, TextbookDLGroup
     from repro.groups.fixed_base import PrecomputedBase
 
-    rows = {"plain us": [], "fixed-base us": [], "speedup": []}
+    rows = {"plain us": [], "fixed-base us": [], "speedup": [], "default us": []}
     labels = []
-    for group in (DLGroup.standard(1024), get_curve("secp160r1")):
+    curve = get_curve("secp160r1")
+    for group, textbook in (
+        (DLGroup.standard(1024), TextbookDLGroup.standard(1024)),
+        (curve, curve),
+    ):
         labels.append(group.name)
         table = PrecomputedBase(group, group.generator(), window_bits=4)
         exponent = group.random_exponent(SeededRNG(31))
@@ -181,11 +189,13 @@ def test_abl_fixed_base_exponentiation(benchmark):
                 best = min(best, (time.perf_counter() - start) / reps)
             return best
 
-        plain = best_of(lambda: group.exp_generator(exponent))
+        plain = best_of(lambda: textbook.exp_generator(exponent))
         fixed = best_of(lambda: table.exp(exponent))
+        default = best_of(lambda: group.exp_generator(exponent))
         rows["plain us"].append(plain * 1e6)
         rows["fixed-base us"].append(fixed * 1e6)
         rows["speedup"].append(plain / fixed)
+        rows["default us"].append(default * 1e6)
     table_text = format_series_table(
         "ABL-fixedbase: generator exponentiation, plain vs precomputed",
         "idx", list(range(len(labels))), rows,

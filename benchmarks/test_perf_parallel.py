@@ -7,9 +7,14 @@ counts), this one *times* the step-6/7 workload one participant faces
 for ``n = 16`` peers at 1024-bit DL: bitwise-encrypt β, then evaluate
 the τ circuit against every peer's published bits.
 
-Three configurations:
+Four configurations:
 
-* ``baseline``     — textbook scheme, serial.
+* ``baseline``     — textbook scheme, serial, over
+  :class:`~repro.groups.dl.TextbookDLGroup` (one full-width ``powmod``
+  per exponentiation).
+* ``default``      — the same scheme over :class:`~repro.groups.dl.DLGroup`,
+  whose ``exp`` takes the short-exponent and fixed-base kernels below
+  its meter; reported, not gated.
 * ``accelerated``  — multiexp kernels + offline randomness pool,
   workers = 1 (the pool build runs before the clock starts — that is
   the whole point of an offline phase).
@@ -34,7 +39,7 @@ from repro.core.comparison import HomomorphicComparator
 from repro.crypto.bitenc import BitwiseElGamal
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.crypto.precompute import RandomnessPool
-from repro.groups.dl import DLGroup
+from repro.groups.dl import DLGroup, TextbookDLGroup
 from repro.math.rng import SeededRNG
 from repro.runtime.parallel import TauJob, WorkerPool, evaluate_tau_job
 
@@ -98,11 +103,18 @@ def test_parallel_comparison_speedup():
     group, keypair, my_beta, peer_bits = _setup()
 
     # -- timed runs ---------------------------------------------------------
+    textbook = TextbookDLGroup.standard(GROUP_BITS)
     t0 = time.perf_counter()
     reference = _comparison_phase_serial(
-        group, keypair, my_beta, peer_bits, SeededRNG(7)
+        textbook, keypair, my_beta, peer_bits, SeededRNG(7)
     )
     baseline_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    default = _comparison_phase_serial(
+        group, keypair, my_beta, peer_bits, SeededRNG(7)
+    )
+    default_s = time.perf_counter() - t0
 
     # Offline phase (excluded from the online clock): enough pairs for the
     # bit encryption, plus warm fixed-base tables for the circuit shifts.
@@ -130,6 +142,7 @@ def test_parallel_comparison_speedup():
         fanout_live = workers.parallel
 
     # The kernels must not change a single element.
+    assert default == reference
     assert accelerated == reference
     assert parallel == reference
 
@@ -155,12 +168,14 @@ def test_parallel_comparison_speedup():
         "fanout_live": fanout_live,
         "seconds": {
             "baseline_serial": round(baseline_s, 4),
+            "default_serial": round(default_s, 4),
             "multiexp_pool_serial": round(accelerated_s, 4),
             "multiexp_pool_parallel": round(parallel_s, 4),
         },
         "speedup": {
             "parallel_vs_baseline": round(speedup_parallel, 2),
             "serial_accel_vs_baseline": round(speedup_serial, 2),
+            "default_vs_baseline": round(baseline_s / default_s, 2),
         },
         "ops_per_pairwise_circuit": {
             "plain": {

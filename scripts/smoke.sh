@@ -29,6 +29,9 @@ PYTHONPATH=src python -m repro demo -n 24 --shard-size auto
 echo "== socket transport: one process per party over loopback TCP =="
 PYTHONPATH=src python -m repro demo -n 5 --transport tcp --listen 127.0.0.1:0
 
+echo "== paper-size group across processes: each party builds its own tables =="
+PYTHONPATH=src python -m repro demo -n 2 --group dl1024 --transport tcp --listen 127.0.0.1:0
+
 echo "== protocol lint (taint + invariants) =="
 PYTHONPATH=src python -m repro.lint --strict
 

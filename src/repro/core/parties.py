@@ -113,10 +113,14 @@ class FrameworkConfig:
     (defaults reproduce the paper's protocol).
 
     Performance switches (all default-off; they change operation cost,
-    never protocol values):
+    never protocol values).  The default path already has the
+    short-scalar and fixed-base speed: ``DLGroup.exp`` computes each
+    exponentiation by the cheapest exact kernel below its meter, so the
+    first two switches mainly change the *accounting*:
 
     * ``multiexp`` — Straus-interleaved encryption and short-scalar
-      ladders in the comparison circuit.
+      ladders in the comparison circuit, metered as the multiplications
+      they perform instead of as exponentiations.
     * ``precompute`` — per-party offline randomness pool size; each
       party pre-generates this many ``(g^r, y^r)`` pairs under the joint
       key before the online comparison phase.

@@ -135,7 +135,7 @@ class BitwiseElGamal:
             else:
                 r = self.group.random_exponent(rng)
                 g_r = self.group.exp_generator(r)
-                y_r = self.group.exp(public_key, r)
+                y_r = self.scheme._key_power(public_key, r)
             c1 = self.group.mul(self.group.generator(), y_r) if bit else y_r
             ciphertext = Ciphertext(c1=c1, c2=g_r)
             ciphertexts.append(ciphertext)

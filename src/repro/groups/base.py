@@ -127,10 +127,25 @@ class Group:
     #: :meth:`_membership_cached`).
     MEMBERSHIP_CACHE_MAX = 4096
 
+    #: Per-process memos :meth:`__post_init__` creates.  They are never
+    #: pickled: jobs and tcp SPEC frames ship the group to other
+    #: processes, which rebuild their own on demand.
+    _TRANSIENT = ("_serialize_cache", "_deserialize_cache", "_membership_cache")
+
     def __post_init__(self) -> None:
         self._serialize_cache: dict = {}
         self._deserialize_cache: dict = {}
         self._membership_cache: "OrderedDict" = OrderedDict()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._TRANSIENT:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     # -- facts subclasses must provide ------------------------------------
     @property
@@ -181,6 +196,14 @@ class Group:
 
     def exp_generator(self, k: int) -> Element:
         return self.exp(self.generator(), k)
+
+    def exp_fixed(self, base: Element, k: int) -> Element:
+        """:meth:`exp` of a base the caller will exponentiate again.
+
+        Same element, same metering; a group may keep a fixed-base
+        table for ``base`` (:class:`repro.groups.dl.DLGroup` does).
+        """
+        return self.exp(base, k)
 
     def is_identity(self, a: Element) -> bool:
         return self.eq(a, self.identity())

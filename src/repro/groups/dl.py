@@ -9,13 +9,18 @@ the whole subgroup.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional
 
 from repro.groups.base import Element, Group, OperationCounter
+from repro.groups.fixed_base import PrecomputedBase
 from repro.math import backend
 from repro.math.modular import jacobi_symbol, mod_inverse
+from repro.math.multiexp import SMALL_EXPONENT_BITS, centered_exponent
 from repro.math.primes import is_safe_prime, modp_safe_prime, random_safe_prime
 from repro.math.rng import RNG
+
+_SHORT_EXPONENT = 1 << SMALL_EXPONENT_BITS
 
 
 class DLGroup(Group):
@@ -23,6 +28,12 @@ class DLGroup(Group):
 
     Elements are plain integers in ``[1, p-1]`` with Jacobi symbol 1.
     """
+
+    #: Cap on the fixed-base tables one group keeps (LRU).  A window-4
+    #: table holds ``15·|q|/4`` elements, about 0.7 MB at 1024 bits.
+    FIXED_BASE_TABLES_MAX = 4
+
+    _TRANSIENT = Group._TRANSIENT + ("_tables",)
 
     def __init__(
         self,
@@ -83,6 +94,10 @@ class DLGroup(Group):
     def identity(self) -> Element:
         return 1
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._tables: "OrderedDict[int, PrecomputedBase]" = OrderedDict()
+
     # -- operations -------------------------------------------------------------
     # Arithmetic dispatches through repro.math.backend at call time, so
     # the active backend (pure python or gmpy2) accelerates every group
@@ -93,9 +108,55 @@ class DLGroup(Group):
         return backend.mulmod(a, b, self._p)
 
     def exp(self, a: int, k: int) -> int:
-        k %= self._q
-        self.counter.record_exp(self._q.bit_length())
-        return backend.powmod(a, k, self._p)
+        """``a^(k mod q)``, metered as one |q|-bit exponentiation.
+
+        Below the meter the element comes from the cheapest exact route:
+
+        * a short centered exponent ``k ≡ e`` with ``-2^16 < e < 0`` (the
+          comparison circuit's ``-weight`` scalars) costs one inverse and
+          a short power instead of a ladder over ``q - |e|``; Euler's
+          criterion ``a^q = (a/p)`` fixes the sign for any integer ``a``;
+        * a base with a fixed-base table (the generator once it is raised
+          to a long exponent, keys passed to :meth:`exp_fixed`) walks the
+          table with ``backend.mulmod``;
+        * anything else is one ``backend.powmod``.
+        """
+        q, p = self._q, self._p
+        self.counter.record_exp(q.bit_length())
+        e = centered_exponent(k, q)
+        if e < 0:
+            if e > -_SHORT_EXPONENT:
+                symbol = backend.jacobi(a, p)
+                if not symbol:
+                    return 0  # a ≡ 0 (mod p) has no inverse; 0^k = 0
+                power = backend.powmod(a, e, p)
+                return power if symbol == 1 else p - power
+            e += q
+        table = self._tables.get(a)
+        if table is None:
+            if a != self._g or e.bit_length() <= SMALL_EXPONENT_BITS:
+                return backend.powmod(a, e, p)
+            table = self._table_for(a)
+        else:
+            self._tables.move_to_end(a)
+        return table.exp(e)
+
+    def exp_fixed(self, base: int, k: int) -> int:
+        if base not in self._tables:
+            self._table_for(base)
+        return self.exp(base, k)
+
+    def _table_for(self, base: int) -> PrecomputedBase:
+        """A new fixed-base table for ``base``, evicting the least
+        recently used one at the cap; built and walked unmetered."""
+        tables = self._tables
+        if len(tables) >= self.FIXED_BASE_TABLES_MAX:
+            tables.popitem(last=False)
+        table = tables[base] = PrecomputedBase(self, base, mul=self._mulmod)
+        return table
+
+    def _mulmod(self, a: int, b: int) -> int:
+        return backend.mulmod(a, b, self._p)
 
     def inv(self, a: int) -> int:
         self.counter.record_inv()
@@ -135,6 +196,23 @@ class DLGroup(Group):
 
     def __repr__(self) -> str:
         return f"DLGroup(bits={self._p.bit_length()}, security={self._security_bits})"
+
+
+class TextbookDLGroup(DLGroup):
+    """:class:`DLGroup` whose ``exp`` is one full-width ``powmod``.
+
+    The reference the exact kernels of :meth:`DLGroup.exp` are tested
+    and benchmarked against: it meters exactly as :class:`DLGroup`, so
+    a run over either group has the same counts, elements and transcript.
+    """
+
+    def exp(self, a: int, k: int) -> int:
+        k %= self._q
+        self.counter.record_exp(self._q.bit_length())
+        return backend.powmod(a, k, self._p)
+
+    def exp_fixed(self, base: int, k: int) -> int:
+        return self.exp(base, k)
 
 
 def _nist_equivalent_security(modulus_bits: int) -> int:

@@ -174,18 +174,21 @@ class PythonBackend(ArithmeticBackend):
 
     def jacobi(self, a: int, n: int) -> int:
         # Binary Jacobi; n validated odd/positive by the caller
-        # (repro.math.modular.jacobi_symbol).
+        # (repro.math.modular.jacobi_symbol).  Each pass strips every
+        # factor of two at once: (2/n) = -1 iff n ≡ 3, 5 (mod 8), so an
+        # odd count of them flips the sign.  Reciprocity flips when both
+        # a and n are ≡ 3 (mod 4), i.e. bit 1 is set in both.
         a %= n
         result = 1
         while a:
-            while a % 2 == 0:
-                a //= 2
-                if n % 8 in (3, 5):
+            if not a & 1:
+                twos = (a & -a).bit_length() - 1
+                a >>= twos
+                if twos & 1 and (n & 7) in (3, 5):
                     result = -result
-            a, n = n, a
-            if a % 4 == 3 and n % 4 == 3:
+            if a & n & 2:
                 result = -result
-            a %= n
+            a, n = n % a, a
         return result if n == 1 else 0
 
 

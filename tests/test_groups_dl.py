@@ -1,10 +1,20 @@
 """Tests for the quadratic-residue DL group."""
 
-import pytest
+import copy
+import pickle
 
-from repro.groups.dl import DLGroup
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.framework import FrameworkConfig, GroupRankingFramework
+from repro.crypto.elgamal import ElGamal, ExponentialElGamal
+from repro.groups.base import OperationCounter
+from repro.groups.dl import DLGroup, TextbookDLGroup
 from repro.math.modular import jacobi_symbol
+from repro.math.multiexp import SMALL_EXPONENT_BITS
 from repro.math.rng import SeededRNG
+from tests.conftest import make_participants
 
 
 class TestGroupLaws:
@@ -133,3 +143,166 @@ class TestMetering:
         before = counter.snapshot()
         counter.record_mul(3)
         assert counter.diff(before).multiplications == 3
+
+
+# -- exact exponentiation kernels ---------------------------------------------
+
+SMALL = DLGroup.random(48, rng=SeededRNG(101))
+P, Q = SMALL.modulus, SMALL.order
+
+
+def _exponents(q):
+    """Every exponent class the kernels route differently."""
+    return st.one_of(
+        st.sampled_from([0, 1, q - 1, q, q + 1, -1]),
+        st.integers(1, (1 << SMALL_EXPONENT_BITS) - 1).map(lambda w: q - w),
+        st.integers(max_value=-1),
+        st.integers(min_value=q + 1),
+        st.integers(0, q - 1),
+    )
+
+
+def _bases(group):
+    p = group.modulus
+    return st.one_of(
+        st.sampled_from([0, p, -p, 2 * p, 1, -1, p - 1, group.generator()]),
+        st.integers(),
+        st.integers(1, p - 1).map(lambda x: x * x % p),  # residues
+    )
+
+
+def _fresh(group):
+    return DLGroup(group.modulus, group.generator(), verify=False)
+
+
+def _all_routes(group, a, k):
+    """``a^k`` through every public route and the table walk itself."""
+    fresh = _fresh(group)
+    results = [fresh.exp(a, k), fresh.exp_fixed(a, k), fresh.exp_fixed(a, k)]
+    results.append(fresh._tables[a].exp(k))
+    if a == group.generator():
+        results.append(fresh.exp_generator(k))
+    return results
+
+
+class TestExactKernels:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_bases(SMALL), k=_exponents(Q))
+    def test_every_route_equals_textbook_pow(self, a, k):
+        expected = pow(a, k % Q, P)
+        assert set(_all_routes(SMALL, a, k)) == {expected}
+
+    @given(k=_exponents(Q))
+    @settings(max_examples=100, deadline=None)
+    def test_generator_table_equals_textbook_pow(self, k):
+        group = _fresh(SMALL)
+        group.exp_generator(Q // 3)  # long exponent: builds the table
+        assert group.generator() in group._tables
+        assert group.exp_generator(k) == pow(group.generator(), k % Q, P)
+
+    def test_standard_1024(self):
+        group = DLGroup.standard(1024)
+        p, q, g = group.modulus, group.order, group.generator()
+        element = pow(g, 0xC0FFEE << 900, p)
+        for a in (g, element, p - 1, 0, p, -5):
+            for k in (0, 1, q - 1, q - 3, q - (1 << 16) + 1, q, -7, q + 5,
+                      0xDEADBEEF << 990):
+                assert set(_all_routes(group, a, k)) == {pow(a, k % q, p)}, (a, k)
+
+    def test_zero_base_on_short_route(self):
+        assert SMALL.exp(0, -3) == 0
+        assert SMALL.exp(P, Q - 1) == 0
+
+    def test_every_route_meters_one_exponentiation(self):
+        group = _fresh(SMALL)
+        element = group.exp_generator(Q // 5)
+        q_bits = Q.bit_length()
+        calls = [
+            lambda: group.exp(element, -3),            # short centered
+            lambda: group.exp(element, Q // 7),        # plain powmod
+            lambda: group.exp_generator(Q // 7),       # generator table
+            lambda: group.exp_generator(2),            # generator table, short
+            lambda: group.exp_fixed(element, Q // 7),  # new table
+            lambda: group.exp_fixed(element, Q // 9),  # existing table
+            lambda: group.exp_fixed(element, Q - 2),   # short beats the table
+            lambda: group.exp(0, -1),                  # zero base
+        ]
+        for call in calls:
+            before = group.counter.snapshot()
+            call()
+            delta = group.counter.diff(before)
+            assert delta == OperationCounter(
+                exponentiations=1, exponent_bits=q_bits
+            )
+
+    def test_one_off_encryption_builds_no_key_table(self):
+        group = _fresh(SMALL)
+        rng = SeededRNG(6)
+        key = ElGamal(group).generate_keypair(rng).public
+        scheme = ExponentialElGamal(group)
+        scheme.encrypt(1, key, rng)
+        assert key not in group._tables
+        scheme.encrypt(0, key, rng)
+        assert key in group._tables
+
+    def test_table_count_is_capped(self):
+        group = _fresh(SMALL)
+        rng = SeededRNG(7)
+        for _ in range(3 * DLGroup.FIXED_BASE_TABLES_MAX):
+            key = group.random_element(rng)
+            scheme = ElGamal(group)
+            for _ in range(3):
+                scheme.encrypt(group.generator(), key, rng)
+            assert len(group._tables) <= DLGroup.FIXED_BASE_TABLES_MAX
+        # The generator stays hot, so eviction never drops it.
+        assert group.generator() in group._tables
+
+
+class TestTextbookReference:
+    def test_ranking_identical_to_textbook_exp(
+        self, small_schema, small_initiator_input
+    ):
+        participants = make_participants(small_schema, 3, seed=19)
+
+        def run(group):
+            config = FrameworkConfig(
+                group=group, schema=small_schema, num_participants=3, k=2,
+                rho_bits=6, wire="measured",
+            )
+            return GroupRankingFramework(
+                config, small_initiator_input, participants, rng=SeededRNG(5)
+            ).run()
+
+        kernels = run(DLGroup.random(48, rng=SeededRNG(101)))
+        textbook = run(TextbookDLGroup.random(48, rng=SeededRNG(101)))
+        assert kernels.ranks == textbook.ranks
+        assert (kernels.wire_stats.canonical_digest
+                == textbook.wire_stats.canonical_digest)
+        assert kernels.transcript.entries == textbook.transcript.entries
+        assert {pid: m.ops for pid, m in kernels.metrics.items()} == {
+            pid: m.ops for pid, m in textbook.metrics.items()
+        }
+
+
+class TestPickling:
+    def test_warm_group_pickles_like_a_fresh_one(self, tiny_curve):
+        # deepcopy goes through the same state hooks: a cold copy.
+        for fresh in (_fresh(SMALL), copy.deepcopy(tiny_curve)):
+            warm = copy.deepcopy(fresh)
+            rng = SeededRNG(8)
+            elements = [warm.random_element(rng) for _ in range(20)]
+            for element in elements:
+                warm.deserialize_cached(warm.serialize_cached(element))
+                warm.is_element(element)
+                warm.exp_fixed(element, 12345)
+            warm.counter.reset()
+            data = pickle.dumps(warm)
+            assert len(data) == len(pickle.dumps(fresh))
+            clone = pickle.loads(data)
+            for element in elements:
+                assert clone.exp(element, 777) == warm.exp(element, 777)
+                assert clone.exp_fixed(element, -2) == warm.exp(element, -2)
+                assert clone.serialize_cached(element) == warm.serialize(element)
+                assert clone.is_element(element)
+

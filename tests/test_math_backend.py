@@ -17,6 +17,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.math import backend
 from repro.math.backend import (
@@ -147,6 +149,39 @@ class TestPrimitives:
         assert impl.bit_length(255) == 8
         assert impl.byte_length(255) == 1
         assert impl.byte_length(256) == 2
+
+
+def _binary_jacobi(a, n):
+    """The one-factor-of-two-per-step binary Jacobi the backend used to
+    run, kept as the reference for the faster one."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+SMALL_PRIMES = [p for p in range(3, 400, 2) if all(p % d for d in range(3, p, 2))]
+
+
+class TestJacobi:
+    @settings(max_examples=500, deadline=None)
+    @given(a=st.integers(), n=st.integers(1, 1 << 1100).map(lambda n: n | 1))
+    def test_matches_binary_reference(self, a, n):
+        assert PythonBackend().jacobi(a, n) == _binary_jacobi(a, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(), p=st.sampled_from(SMALL_PRIMES))
+    def test_euler_criterion_on_small_primes(self, a, p):
+        euler = pow(a, (p - 1) // 2, p)
+        assert PythonBackend().jacobi(a, p) == (-1 if euler == p - 1 else euler)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,18 @@ echo "== crossover model picks the shard size =="
 PYTHONPATH=src python -m repro demo -n 24 --shard-size auto
 
 echo "== socket transport: one process per party over loopback TCP =="
-PYTHONPATH=src python -m repro demo -n 5 --transport tcp --listen 127.0.0.1:0
+# Measured wire: the parties ship codec bytes, which must carry exactly
+# the in-process run's per-channel streams (same canonical digest).
+INPROC_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1 --wire measured)"
+TCP_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1 --wire measured \
+    --transport tcp --listen 127.0.0.1:0)"
+echo "$TCP_OUT"
+INPROC_DIGEST="$(echo "$INPROC_OUT" | grep '^wire digest:')"
+TCP_DIGEST="$(echo "$TCP_OUT" | grep '^wire digest:')"
+if [ -z "$TCP_DIGEST" ] || [ "$TCP_DIGEST" != "$INPROC_DIGEST" ]; then
+    echo "tcp $TCP_DIGEST differs from in-process $INPROC_DIGEST" >&2
+    exit 1
+fi
 
 echo "== paper-size group across processes: each party builds its own tables =="
 PYTHONPATH=src python -m repro demo -n 2 --group dl1024 --transport tcp --listen 127.0.0.1:0

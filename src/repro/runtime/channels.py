@@ -7,10 +7,12 @@ per-party mailboxes keyed by ``(src, tag)``.
 
 :class:`WireTransport` makes the byte encoding the *actual* transport:
 every engine message is encoded with a :mod:`repro.runtime.wire` codec
-at submit time, transcoded (encode → decode) so the receiver observes
-exactly what the bytes carry, and accounted by *measured* size — payload
-bytes plus the secure-channel envelope a real deployment pays per wire
-message (AEAD nonce + authentication tag).  With coalescing enabled, all
+at submit time, decoded once so the receiver observes exactly what the
+bytes carry (in process the sender transcodes, encode → decode; a
+transport that ships the bytes leaves that decode to its receiver), and
+accounted by *measured* size — payload bytes plus the secure-channel
+envelope a real deployment pays per wire message (AEAD nonce +
+authentication tag).  With coalescing enabled, all
 logical messages one sender emits to one receiver within one engine
 round share a single framed batch (one envelope), collapsing the
 phase-2 per-bit/per-ciphertext flood from O(n·l) wire messages to O(n).
@@ -38,9 +40,10 @@ class WireInfo:
     finalized: bool = False
     wire_messages: int = 0  # wire messages actually attributed to this entry
     # The encoded payload bytes themselves, captured only when the
-    # transport was built with ``keep_bytes=True`` (the socket transport
+    # transport was built with ``keep_bytes=True``.  The socket transport
     # ships exactly these bytes, so what crosses TCP is byte-identical
-    # to what the in-process accounting metered).
+    # to what the in-process accounting metered, and the receiver's
+    # decode of them is the message's only decode.
     encoded: Optional[bytes] = None
 
 
@@ -203,6 +206,13 @@ class WireTransport:
     codec (no cross-message interning) and raises
     :class:`~repro.runtime.wire.WireConformanceError` when the measured
     size drifts outside ``conformance_band`` of the declared one.
+
+    ``keep_bytes``: keep each payload's encoded bytes on its
+    :class:`WireInfo` so the caller can ship them.  Shipping the bytes
+    means the receiver decodes them, so :meth:`prepare` then encodes and
+    accounts but does not transcode: the message keeps the sender's own
+    payload object.  Without it (the in-process engine) the sender's
+    transcode is the receiver's decode.
     """
 
     def __init__(
@@ -247,14 +257,16 @@ class WireTransport:
 
     # -- submit-time: encode, transcode, annotate ---------------------------
     def prepare(self, message: Message) -> Message:
-        """Encode (and transcode) one logical message at submit time.
+        """Encode (and, in process, transcode) one logical message at
+        submit time.
 
         Runs atomically when the message enters the engine — before the
         fault layer sees it — so the encoder and decoder interning
         tables advance in lockstep even if the message is later dropped:
         this models reliable, ordered delivery *below* the message layer
         (as TCP provides), where channel codec state survives
-        application-level loss.
+        application-level loss.  With ``keep_bytes`` the decoder tables
+        live at the receiver, which decodes the shipped bytes.
         """
         channel = (message.src, message.dst)
         codec = self._channels.get(channel)
@@ -292,7 +304,7 @@ class WireTransport:
             self._check_conformance(message.tag, message.payload,
                                     message.size_bits)
         payload = message.payload
-        if self.group.wire_faithful:
+        if self.group.wire_faithful and not self.keep_bytes:
             # The receiver observes exactly what the bytes carry.
             payload = codec.decode(encoded)
         info = WireInfo(

@@ -15,13 +15,18 @@ Equivalence with the lockstep engine is by construction, not by luck:
 
 * **Bytes** — outgoing payloads pass through the same
   :class:`~repro.runtime.channels.WireTransport` submit path
-  (encode, transcode, envelope accounting) and the *encoded bytes
-  themselves* ship in the MSG frame, so each directed channel's byte
-  stream — and therefore its payload digest — is identical to the
-  in-process run's.
+  (encode, envelope accounting) and the *encoded bytes themselves* ship
+  in the MSG frame, so each directed channel's byte stream — and
+  therefore its payload digest — is identical to the in-process run's.
 * **Ops** — the sender's counter is attached during generator steps
-  only, so encode + transcode land on the sender (as in the engine) and
-  the receiver-side decode of the shipped bytes is unmetered.
+  only, so the encode lands on the sender (as in the engine).  The
+  sender does not transcode: the receiver's decode of the shipped bytes
+  is the message's one decode, and it runs outside any step, unmetered.
+  Decoding performs no metered group operation (membership checks are
+  outside the paper's cost model), so per-party group-operation counts
+  equal the engine's; only the membership-memo hit/miss tallies differ
+  (each process keeps its own memo, and the engine also tallies its
+  transcode's checks).
 * **Values** — wildcard receives are delivered in ascending-sender
   order (:class:`OrderedMailbox`), matching the deterministic policy of
   the lockstep mailbox, so order-sensitive RNG draws (the initiator's
@@ -200,8 +205,10 @@ class PartyHost:
         self._out_epoch: Dict[int, int] = {}
         self._in_codecs: Dict[Tuple[int, int], Any] = {}
         # Everything sent this attempt, per (dst, tag) in send order —
-        # the resend source when a peer rejoins.  Payloads are retained
-        # post-transcode, i.e. exactly what the receiver would observe.
+        # the resend source when a peer rejoins.  Payloads are the
+        # sender's own objects (the sender does not transcode), which
+        # decode-equal what the MSG bytes carried and are never edited
+        # after the send; tests/test_runtime_wire.py pins both.
         self._retained: Dict[Tuple[int, str], List[Tuple[Any, int, int]]] = {}
         self._replaying = False
         self._replay_sends: Deque[Tuple[int, str]] = deque()
@@ -381,9 +388,9 @@ class PartyHost:
 
                 codec = wire_format.make_codec(self.group, self.config.wire_codec)
                 self._in_codecs[(src, epoch)] = codec
-            # Unmetered: the sender already paid the transcode decode
-            # (engine parity); no counter is attached outside of
-            # generator steps, so this decode costs the receiver nothing.
+            # The message's one decode, and its membership gate: every
+            # raw element passes deserialize → is_element.  Unmetered:
+            # no counter is attached outside of generator steps.
             payload = codec.decode(encoded)
         else:
             payload = pickle.loads(encoded)

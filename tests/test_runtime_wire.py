@@ -1,5 +1,7 @@
 """Tests for the canonical wire codec."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -467,12 +469,75 @@ class TestReconnectLifecycle:
         )
 
     def test_keep_bytes_off_drops_payload_bytes(self, small_dl_group):
-        """Engine runs don't pay to retain encodings; the socket
-        transport opts in with keep_bytes=True to ship them verbatim."""
+        """Engine runs don't pay to retain encodings, and their sender's
+        transcode is the receiver's decode.  The socket transport opts
+        in with keep_bytes=True to ship the bytes verbatim; its receiver
+        decodes them, so the sender keeps its own payload object."""
         transport = WireTransport(small_dl_group, keep_bytes=False)
         element = self._element_payload(small_dl_group, 36)
         prepared = transport.prepare(self._msg(1, 2, element))
         assert prepared.wire.encoded is None
+        assert prepared.payload is not element
+        assert prepared.payload == element
         kept = WireTransport(small_dl_group, keep_bytes=True)
         prepared = kept.prepare(self._msg(1, 2, element))
         assert prepared.wire.encoded is not None
+        assert prepared.payload is element
+        assert WireCodecV2(small_dl_group).decode(prepared.wire.encoded) == element
+
+
+# -- what a tcp RESEND relies on ----------------------------------------------
+#
+# A socket-transport sender does not transcode, so after a peer rejoins
+# it resends its own payload objects.  That is only what the first MSG
+# carried if every payload the protocol submits decodes to an equal
+# value and no payload is edited after it is sent.
+
+from repro.core.framework import FrameworkConfig, GroupRankingFramework  # noqa: E402
+
+RESEND_CONFIGS = {
+    "default": {},
+    "bit_proofs_batch_verify": {"bit_proofs": True, "batch_verify": True},
+    "fiat_shamir": {"zkp_mode": "fiat-shamir"},
+    "streaming": {"streaming": True},
+    "precompute_multiexp": {"precompute": 16, "multiexp": True},
+}
+
+
+class TestSentPayloadsStayResendable:
+    @pytest.mark.parametrize("name", sorted(RESEND_CONFIGS))
+    def test_payloads_decode_equal_and_stay_unchanged(
+        self, name, small_dl_group, small_schema, small_initiator_input,
+        participants_factory, monkeypatch,
+    ):
+        """One in-process measured run per configuration that changes
+        what parties send (bit proofs, NIZKs, chunked chain transfers,
+        pooled randomness): every payload decodes equal to its value at
+        submit, and still equals that value after the run."""
+        sent = []
+        prepare = WireTransport.prepare
+
+        def recording_prepare(transport, message):
+            snapshot = copy.deepcopy(message.payload)
+            prepared = prepare(transport, message)
+            sent.append((message.tag, message.payload, snapshot,
+                         prepared.payload))
+            return prepared
+
+        monkeypatch.setattr(WireTransport, "prepare", recording_prepare)
+        participants = participants_factory(small_schema, 4, seed=43)
+        config = FrameworkConfig(
+            group=small_dl_group, schema=small_schema, num_participants=4,
+            k=2, rho_bits=6, wire="measured", **RESEND_CONFIGS[name],
+        )
+        framework = GroupRankingFramework(
+            config, small_initiator_input, participants, rng=SeededRNG(5)
+        )
+        result = framework.run()
+
+        assert not framework.check_result(result)
+        assert result.wire_stats.encode_fallbacks == 0
+        assert len(sent) == result.wire_stats.logical_messages
+        for tag, payload, snapshot, decoded in sent:
+            assert decoded == snapshot, tag
+            assert payload == snapshot, tag

@@ -158,44 +158,79 @@ def test_abl_rho_masking_width(benchmark):
 
 def test_abl_fixed_base_exponentiation(benchmark):
     """ABL-fixedbase: precomputed-table generator exponentiation vs the
-    generic ladder, measured on the real 1024-bit DL group and secp160r1.
+    generic ladder, measured on the real 1024-bit DL group, a 48-bit
+    test group (the e2e proto workloads' width) and secp160r1.
 
     "plain" is the textbook ladder (:class:`TextbookDLGroup` on DL; the
     curve's ``exp`` has no kernels); "default" is ``group.exp_generator``,
-    which on DL walks the group's own generator table below its meter."""
+    which on DL walks the group's own generator table below its meter
+    unless the backend's ``powmod`` is native at that width.
+
+    Every row is timed under one arithmetic backend: first the python
+    reference (the table-vs-ladder gates, like for like), then each
+    native backend that loads.  On every backend each DL default must be
+    within 10 % of the faster of plain and table ("default/best", the
+    median over rounds of the default against the faster kernel of the
+    same round): that gates the kernel choice in ``DLGroup.exp``."""
+    import statistics
     import time
 
     from repro.groups.curves import get_curve
     from repro.groups.dl import DLGroup, TextbookDLGroup
     from repro.groups.fixed_base import PrecomputedBase
+    from repro.math import backend
 
-    rows = {"plain us": [], "fixed-base us": [], "speedup": [], "default us": []}
-    labels = []
-    curve = get_curve("secp160r1")
-    for group, textbook in (
-        (DLGroup.standard(1024), TextbookDLGroup.standard(1024)),
-        (curve, curve),
-    ):
-        labels.append(group.name)
-        table = PrecomputedBase(group, group.generator(), window_bits=4)
-        exponent = group.random_exponent(SeededRNG(31))
-
-        def best_of(fn, reps=12):
-            best = float("inf")
-            for _ in range(5):
+    def timed_rounds(fns, reps, rounds=15):
+        """Per-call time of each function in each round; a round times
+        every function once, back to back, so a burst of host load
+        lands on all of them alike."""
+        rounds_s = []
+        for _ in range(rounds):
+            row = []
+            for fn in fns:
                 start = time.perf_counter()
                 for _ in range(reps):
                     fn()
-                best = min(best, (time.perf_counter() - start) / reps)
-            return best
+                row.append((time.perf_counter() - start) / reps)
+            rounds_s.append(row)
+        return rounds_s
 
-        plain = best_of(lambda: textbook.exp_generator(exponent))
-        fixed = best_of(lambda: table.exp(exponent))
-        default = best_of(lambda: group.exp_generator(exponent))
-        rows["plain us"].append(plain * 1e6)
-        rows["fixed-base us"].append(fixed * 1e6)
-        rows["speedup"].append(plain / fixed)
-        rows["default us"].append(default * 1e6)
+    rows = {"plain us": [], "fixed-base us": [], "speedup": [], "default us": [],
+            "default/best": []}
+    labels = []
+    dl_labels = []
+    curve = get_curve("secp160r1")
+    arithmetics = ["python"] + [
+        name for name in backend.available_backends() if name != "python"
+    ]
+    for arithmetic in arithmetics:
+        with backend.use_backend(arithmetic):
+            for group, textbook, reps in (
+                (DLGroup.standard(1024), TextbookDLGroup.standard(1024), 4),
+                (DLGroup.random(48, rng=SeededRNG(7)),
+                 TextbookDLGroup.random(48, rng=SeededRNG(7)), 64),
+                (curve, curve, 4),
+            ):
+                label = f"{group.name} {arithmetic}"
+                if isinstance(group, DLGroup):
+                    dl_labels.append(label)
+                labels.append(label)
+                table = PrecomputedBase(group, group.generator(), window_bits=4)
+                exponent = group.random_exponent(SeededRNG(31))
+                rounds_s = timed_rounds([
+                    lambda: textbook.exp_generator(exponent),
+                    lambda: table.exp(exponent),
+                    lambda: group.exp_generator(exponent),
+                ], reps)
+                plain, fixed, default = (min(column) for column in zip(*rounds_s))
+                rows["plain us"].append(plain * 1e6)
+                rows["fixed-base us"].append(fixed * 1e6)
+                rows["speedup"].append(plain / fixed)
+                rows["default us"].append(default * 1e6)
+                # The default against the faster kernel of its own round.
+                rows["default/best"].append(statistics.median(
+                    d / min(p, f) for p, f, d in rounds_s
+                ))
     table_text = format_series_table(
         "ABL-fixedbase: generator exponentiation, plain vs precomputed",
         "idx", list(range(len(labels))), rows,
@@ -209,14 +244,21 @@ def test_abl_fixed_base_exponentiation(benchmark):
     dl_table = PrecomputedBase(dl_group, dl_group.generator())
     exponent = dl_group.random_exponent(SeededRNG(32))
     benchmark(lambda: dl_table.exp(exponent))
-    # The table wins clearly on the DL group (modular multiplication is
-    # cheap relative to a full ladder).  On the curve it roughly breaks
-    # even: our Group.mul is an *affine* point addition costing a field
-    # inversion, which eats the saved doublings — a mixed-coordinate
-    # table would be needed to win there.  Assert both findings so a
-    # regression in either direction is caught.
-    assert rows["speedup"][0] > 1.5, rows["speedup"]     # DL-1024: real win
-    assert rows["speedup"][1] > 0.6, rows["speedup"]     # secp160r1: no cliff
+
+    def row(column, label):
+        return rows[column][labels.index(label)]
+
+    # Under the python reference the table wins clearly on the DL group
+    # (modular multiplication is cheap relative to a full ladder).  On
+    # the curve it roughly breaks even: our Group.mul is an *affine*
+    # point addition costing a field inversion, which eats the saved
+    # doublings — a mixed-coordinate table would be needed to win there.
+    # Assert both findings so a regression in either direction is caught.
+    assert row("speedup", "DL-1024 python") > 1.5, rows      # real win
+    assert row("speedup", "secp160r1 python") > 0.6, rows    # no cliff
+    # The default route is the faster kernel on every backend.
+    for label in dl_labels:
+        assert row("default/best", label) <= 1.10, (label, rows)
 
 
 def test_abl_sorting_networks(benchmark):

@@ -8,6 +8,10 @@ the level rises.
 The n=70 operation counts come from exact quadratic extrapolation of
 three counted runs (per-participant counts are degree-2 polynomials in
 n; exactness is asserted in test_validation.py).
+
+Both families are priced in pure-Python arithmetic, like for like.  When
+a native backend is active, the DL series it would give is printed as
+one extra line, not gated: it times C against the curves' Python.
 """
 
 import pytest
@@ -20,6 +24,7 @@ from benchmarks.harness import (
     write_result,
 )
 from repro.analysis.costmodel import calibrate_dl, calibrate_ecc
+from repro.math import backend
 
 LEVELS = [80, 112, 128]
 CURVES = {80: "secp160r1", 112: "secp224r1", 128: "secp256r1"}
@@ -43,6 +48,14 @@ def test_fig3a_series(ops_at_70, benchmark):
         f"FIG-3a: participant computation time (s) vs security level  [n={TARGET_N}]",
         "level", LEVELS, {"DL": dl_times, "ECC": ecc_times},
     )
+    native = backend.active_backend_name()
+    if backend.get_backend().native:
+        native_times = [
+            calibrate_dl(DL_BITS[level], arithmetic=native).seconds_for(ops_at_70)
+            for level in LEVELS
+        ]
+        table += (f"\n  DL under the {native} backend (not gated): "
+                  + " | ".join(f"{t:.4f}" for t in native_times))
     print("\n" + table)
     write_result("fig3a_security_levels", table)
 

@@ -2,28 +2,33 @@
 
 Times the primitive that dominates every protocol phase — full-width
 modular exponentiation — at the paper's real group sizes (DL-1024 and
-DL-2048) under the pure-python reference and, when installed, the gmpy2
-backend, plus the end-to-end ``DLGroup.exp`` path (seam dispatch +
-metering included) at 2048 bits.
+DL-2048) under the pure-python reference and every native backend that
+loads here (``gmp``: libgmp through ctypes; ``gmpy2`` when installed),
+plus the end-to-end ``DLGroup.exp`` path (seam dispatch + metering
+included) at 2048 bits.
 
-Acceptance bar (only enforced where gmpy2 exists — CI's nightly backend
-job): ≥ 5× on 2048-bit exponentiation.  The python-only portion always
-runs, so the bench also acts as a smoke test of the seam's dispatch
-overhead: ``DLGroup.exp`` must stay within 25 % of a raw ``pow`` call.
+A crossover table justifies ``GmpBackend``'s size rule: ``powmod``,
+``jacobi`` and ``invert`` at 48 to 2048 bits, CPython against the
+native call forced at every width (the backend itself keeps moduli
+below 2^64 on CPython).
 
-Emits machine-readable ``results/BENCH_backend.json`` with ``null``
-gmpy2 fields when the library is absent.  With ``REPRO_BENCH_ENFORCE=1``
-the measured gmpy2 speedup is compared against the committed number and
-fails on a > 20 % regression (skipped while the committed artifact
-predates any gmpy2-capable runner).  Marked ``perf``: not part of
-tier-1.
+Acceptance bar (enforced for every native backend that loads): ≥ 5× on
+2048-bit exponentiation.  The python-only portion always runs, so the
+bench also acts as a smoke test of the seam's dispatch overhead:
+``DLGroup.exp`` must stay within 25 % of a raw ``pow`` call.
+
+Emits machine-readable ``results/BENCH_backend.json``.  With
+``REPRO_BENCH_ENFORCE=1`` each measured native speedup is compared
+against the committed number for the same backend and fails on a
+> 20 % regression.  Marked ``perf``: not part of tier-1.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
+import math
 import os
+import random
 import time
 
 import pytest
@@ -31,17 +36,26 @@ import pytest
 from benchmarks.harness import RESULTS_DIR, write_result
 from repro.groups.dl import DLGroup
 from repro.math import backend
-from repro.math.backend import Gmpy2Backend, PythonBackend
+from repro.math.backend import PythonBackend
 from repro.math.rng import SeededRNG
 
 pytestmark = pytest.mark.perf
 
-HAVE_GMPY2 = importlib.util.find_spec("gmpy2") is not None
 SIZES = (1024, 2048)
 REPS = {1024: 40, 2048: 12}
+CROSSOVER_BITS = (48, 64, 96, 128, 256, 1024, 2048)
 MIN_SPEEDUP_2048 = 5.0
 MAX_DISPATCH_OVERHEAD = 0.25
 REGRESSION_TOLERANCE = 0.20
+
+
+def _native_backends():
+    names = []
+    for name in backend.available_backends():
+        with backend.use_backend(name) as impl:
+            if impl.native:
+                names.append(name)
+    return names
 
 
 def _workload(group, reps):
@@ -69,30 +83,81 @@ def _time_group_exp(group, pairs):
     return (time.perf_counter() - t0) / len(pairs)
 
 
-def test_backend_speedup():
+def _best_us(call, args, reps):
+    """Best of three batches, in microseconds per call."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for arg in args * reps:
+            call(*arg)
+        best = min(best, (time.perf_counter() - t0) / (reps * len(args)))
+    return best * 1e6
+
+
+def _crossover(impl):
+    """CPython against ``impl`` for each primitive and width."""
+    rows = {"powmod": {}, "jacobi": {}, "invert": {}}
     python = PythonBackend()
-    native = Gmpy2Backend() if HAVE_GMPY2 else None
+    rng = random.Random(5)
+    for bits in CROSSOVER_BITS:
+        modulus = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        bases = []
+        while len(bases) < 4:
+            base = rng.randrange(2, modulus)
+            if math.gcd(base, modulus) == 1:
+                bases.append(base)
+        exponent = rng.getrandbits(bits) | (1 << (bits - 1))
+        reps = max(2, 4096 // bits)
+        cases = {
+            "powmod": ("powmod", [(b, exponent, modulus) for b in bases]),
+            "jacobi": ("jacobi", [(b, modulus) for b in bases]),
+            "invert": ("invert", [(b, modulus) for b in bases]),
+        }
+        for primitive, (method, args) in cases.items():
+            native = getattr(impl, method)
+            assert [native(*a) for a in args] == [
+                getattr(python, method)(*a) for a in args
+            ]
+            python_us = _best_us(getattr(python, method), args, reps)
+            native_us = _best_us(native, args, reps)
+            rows[primitive][str(bits)] = {
+                "python_us": round(python_us, 2),
+                "native_us": round(native_us, 2),
+                "speedup": round(python_us / native_us, 2),
+            }
+    return rows
+
+
+def test_backend_speedup(monkeypatch):
+    python = PythonBackend()
+    natives = {}
+    for name in _native_backends():
+        with backend.use_backend(name) as impl:
+            natives[name] = impl
 
     sizes_payload = {}
-    speedup_2048 = None
+    speedup_2048 = {}
     for bits in SIZES:
         group = DLGroup.standard(bits)
         p, pairs = _workload(group, REPS[bits])
         python_s, python_sum = _time_powmod(python, p, pairs)
-        entry = {
-            "python_modexp_ms": round(python_s * 1e3, 3),
-            "gmpy2_modexp_ms": None,
-            "speedup": None,
-        }
-        if native is not None:
-            native_s, native_sum = _time_powmod(native, p, pairs)
+        entry = {"python_modexp_ms": round(python_s * 1e3, 3)}
+        for name, impl in natives.items():
+            native_s, native_sum = _time_powmod(impl, p, pairs)
             # Equivalence before speed: same math or the number is void.
             assert native_sum == python_sum
-            entry["gmpy2_modexp_ms"] = round(native_s * 1e3, 3)
-            entry["speedup"] = round(python_s / native_s, 2)
+            entry[f"{name}_modexp_ms"] = round(native_s * 1e3, 3)
+            entry[f"{name}_speedup"] = round(python_s / native_s, 2)
             if bits == 2048:
-                speedup_2048 = python_s / native_s
+                speedup_2048[name] = python_s / native_s
         sizes_payload[str(bits)] = entry
+
+    # The crossover rows time the libgmp call itself at every width, so
+    # the size rule's small-modulus route to CPython is switched off.
+    monkeypatch.setattr(backend, "_NATIVE_MODULUS", 3)
+    monkeypatch.setattr(backend, "_TINY_EXPONENT", 0)
+    crossover = {name: _crossover(impl) for name, impl in natives.items()}
+    monkeypatch.undo()
 
     # End-to-end seam path at 2048 bits: group.exp = meter + dispatch +
     # active-backend powmod.
@@ -105,34 +170,34 @@ def test_backend_speedup():
 
     payload = {
         "bench": "arithmetic_backend",
-        "gmpy2_available": HAVE_GMPY2,
+        "native_backends": sorted(natives),
         "sizes": sizes_payload,
+        "crossover": crossover,
         "group_exp_2048_ms": round(group_exp_s * 1e3, 3),
         "dispatch_overhead": round(dispatch_overhead, 4),
-        "speedup_2048": round(speedup_2048, 2) if speedup_2048 else None,
+        "speedup_2048": {
+            name: round(value, 2) for name, value in sorted(speedup_2048.items())
+        },
     }
 
     committed_path = RESULTS_DIR / "BENCH_backend.json"
-    committed_speedup = None
+    committed = {}
     if committed_path.exists():
-        committed_speedup = json.loads(committed_path.read_text()).get(
-            "speedup_2048"
-        )
+        committed = json.loads(committed_path.read_text()).get("speedup_2048")
+        if not isinstance(committed, dict):
+            committed = {}  # written before per-backend numbers
     write_result("BENCH_backend", json.dumps(payload, indent=2), suffix="json")
 
     assert dispatch_overhead <= MAX_DISPATCH_OVERHEAD, payload
-    if HAVE_GMPY2:
-        assert speedup_2048 >= MIN_SPEEDUP_2048, payload
+    for name, speedup in speedup_2048.items():
+        assert speedup >= MIN_SPEEDUP_2048, (name, payload)
 
-    # Nightly gate: only meaningful once a gmpy2-capable runner has
-    # committed a baseline number AND this runner has gmpy2 too.
-    if (
-        os.environ.get("REPRO_BENCH_ENFORCE", "") == "1"
-        and committed_speedup
-        and speedup_2048
-    ):
-        floor = committed_speedup * (1.0 - REGRESSION_TOLERANCE)
-        assert speedup_2048 >= floor, (
-            f"speedup regressed: {speedup_2048:.2f}x vs committed "
-            f"{committed_speedup:.2f}x (floor {floor:.2f}x)"
-        )
+    # Nightly gate: each native backend against its own committed number.
+    if os.environ.get("REPRO_BENCH_ENFORCE", "") == "1":
+        for name, speedup in speedup_2048.items():
+            if committed.get(name):
+                floor = committed[name] * (1.0 - REGRESSION_TOLERANCE)
+                assert speedup >= floor, (
+                    f"{name} speedup regressed: {speedup:.2f}x vs committed "
+                    f"{committed[name]:.2f}x (floor {floor:.2f}x)"
+                )

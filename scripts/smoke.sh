@@ -40,7 +40,7 @@ if [ -z "$TCP_DIGEST" ] || [ "$TCP_DIGEST" != "$INPROC_DIGEST" ]; then
     exit 1
 fi
 
-echo "== paper-size group across processes: each party builds its own tables =="
+echo "== paper-size group across processes: each party keeps its own memos (and tables, off libgmp) =="
 PYTHONPATH=src python -m repro demo -n 2 --group dl1024 --transport tcp --listen 127.0.0.1:0
 
 echo "== protocol lint (taint + invariants) =="

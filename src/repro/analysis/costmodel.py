@@ -8,6 +8,11 @@ group sizes** (1024/2048/3072-bit DL groups, 160-256-bit curves).
 DESIGN.md §5 documents why this substitution preserves every trend the
 evaluation checks.
 
+Calibration runs under the pure-Python backend unless asked otherwise:
+the figures price every group in the same CPython big-int arithmetic,
+and curve point arithmetic has no native kernel here, so timing DL on
+libgmp would compare C against Python rather than DL against ECC.
+
 Calibration results are cached per process; a full calibration sweep
 takes well under a second per group.
 """
@@ -17,11 +22,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.groups.base import Group, OperationCounter
 from repro.groups.curves import get_curve
 from repro.groups.dl import DLGroup
+from repro.math import backend
 from repro.math.rng import SeededRNG
+
+#: The paper's Fig. 3(a) tiers: security level -> (DL modulus bits, curve).
+_TIERS = {80: (1024, "secp160r1"), 112: (2048, "secp224r1"), 128: (3072, "secp256r1")}
+_TIER_CURVES = tuple(curve for _, curve in _TIERS.values())
 
 
 @dataclass(frozen=True)
@@ -47,50 +58,81 @@ class CostModel:
         )
 
 
-def _time_operation(operation, repetitions: int, batches: int = 5) -> float:
-    """Best-of-batches per-operation time.
+def _time_operations(
+    operations: Sequence[Callable[[], object]], repetitions: int, batches: int = 5
+) -> List[float]:
+    """Best-of-batches per-operation time of each operation.
 
     The minimum over batches is robust to scheduler noise and concurrent
     load, which a mean is not — and for a deterministic arithmetic
-    operation the minimum is the honest estimate of its cost.
+    operation the minimum is the honest estimate of its cost.  Batches
+    are interleaved (each round times every operation once), so a burst
+    of load lands on all of them alike instead of skewing their ratio.
     """
     per_batch = max(1, repetitions // batches)
-    best = float("inf")
+    best = [float("inf")] * len(operations)
     for _ in range(batches):
-        start = time.perf_counter()
-        for _ in range(per_batch):
-            operation()
-        elapsed = (time.perf_counter() - start) / per_batch
-        best = min(best, elapsed)
+        for index, operation in enumerate(operations):
+            start = time.perf_counter()
+            for _ in range(per_batch):
+                operation()
+            elapsed = (time.perf_counter() - start) / per_batch
+            best[index] = min(best[index], elapsed)
     return best
 
 
-def _calibrate_group(group: Group, name: str, repetitions: int) -> CostModel:
-    rng = SeededRNG(0xCA11B)
-    base = group.random_element(rng)
-    other = group.random_element(rng)
-    exponent = group.random_exponent(rng)
-    exp_cost = _time_operation(lambda: group.exp(base, exponent), repetitions)
-    mul_cost = _time_operation(lambda: group.mul(base, other), repetitions * 20)
-    return CostModel(
-        name=name,
-        seconds_per_exponentiation=exp_cost,
-        seconds_per_multiplication=mul_cost,
+def _calibrate_groups(
+    groups: Dict[str, Group], repetitions: int, arithmetic: str
+) -> Dict[str, CostModel]:
+    """Cost models for ``groups``, timed side by side under the
+    ``arithmetic`` backend."""
+    exps, muls = [], []
+    for group in groups.values():
+        rng = SeededRNG(0xCA11B)
+        base = group.random_element(rng)
+        other = group.random_element(rng)
+        exponent = group.random_exponent(rng)
+        exps.append(lambda g=group, a=base, k=exponent: g.exp(a, k))
+        muls.append(lambda g=group, a=base, b=other: g.mul(a, b))
+    with backend.use_backend(arithmetic):
+        exp_costs = _time_operations(exps, repetitions)
+        mul_costs = _time_operations(muls, repetitions * 20)
+    return {
+        name: CostModel(
+            name=name,
+            seconds_per_exponentiation=exp_cost,
+            seconds_per_multiplication=mul_cost,
+        )
+        for name, exp_cost, mul_cost in zip(groups, exp_costs, mul_costs)
+    }
+
+
+@lru_cache(maxsize=None)
+def calibrate_dl(
+    modulus_bits: int, repetitions: int = 30, arithmetic: str = "python"
+) -> CostModel:
+    """Measured cost of the standardized DL group of the given size,
+    timed under the ``arithmetic`` backend (the python reference unless
+    asked otherwise)."""
+    name = f"DL-{modulus_bits}"
+    group = DLGroup.standard(modulus_bits)
+    return _calibrate_groups({name: group}, repetitions, arithmetic)[name]
+
+
+@lru_cache(maxsize=None)
+def _calibrate_curves(names: Tuple[str, ...], repetitions: int) -> Dict[str, CostModel]:
+    return _calibrate_groups(
+        {name: get_curve(name) for name in names}, repetitions, "python"
     )
 
 
-@lru_cache(maxsize=None)
-def calibrate_dl(modulus_bits: int, repetitions: int = 30) -> CostModel:
-    """Measured cost of the standardized DL group of the given size."""
-    group = DLGroup.standard(modulus_bits)
-    return _calibrate_group(group, f"DL-{modulus_bits}", repetitions)
-
-
-@lru_cache(maxsize=None)
 def calibrate_ecc(curve_name: str, repetitions: int = 30) -> CostModel:
-    """Measured cost of a standard curve (exp = scalar mult, mul = add)."""
-    group = get_curve(curve_name)
-    return _calibrate_group(group, curve_name, repetitions)
+    """Measured cost of a standard curve (exp = scalar mult, mul = add).
+
+    A tier curve is timed together with the other two, batch by batch,
+    so their order (which Fig. 3a checks) survives a noisy host."""
+    names = _TIER_CURVES if curve_name in _TIER_CURVES else (curve_name,)
+    return _calibrate_curves(names, repetitions)[curve_name]
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +165,9 @@ def calibrate_field(field_bits: int, repetitions: int = 50_000) -> CostModel:
 
 def cost_model_for(family: str, security_level: int) -> CostModel:
     """The paper's Fig. 3(a) tiers: family in {"DL", "ECC"}."""
-    tiers = {80: (1024, "secp160r1"), 112: (2048, "secp224r1"), 128: (3072, "secp256r1")}
-    if security_level not in tiers:
+    if security_level not in _TIERS:
         raise ValueError(f"unsupported security level {security_level}")
-    dl_bits, curve = tiers[security_level]
+    dl_bits, curve = _TIERS[security_level]
     family = family.upper()
     if family == "DL":
         return calibrate_dl(dl_bits)

@@ -47,7 +47,8 @@ class DeploymentEstimate:
             f"  masked-gain width l: {self.beta_bits} bits",
             f"  communication rounds: {self.rounds}",
             f"  participant compute: {self.participant_compute_seconds:,.1f} s "
-            f"({self.participant_exponentiations:,} exponentiations)",
+            f"({self.participant_exponentiations:,} exponentiations, "
+            f"priced in pure-Python arithmetic)",
             f"  total traffic: {self.total_traffic_bits / 8e6:,.1f} MB "
             f"(worst participant sends {self.max_participant_sent_bits / 8e6:,.1f} MB)",
         ]
@@ -77,6 +78,13 @@ def estimate_deployment(
     ``family`` ∈ {"DL", "ECC"}, ``level`` ∈ {80, 112, 128}.  Runtime is
     dominated by the counting run itself — roughly quadratic in ``n``
     (seconds at n=25, a couple of minutes at n=70).
+
+    Compute seconds are priced in pure-Python big-int arithmetic
+    whatever backend is active (:mod:`repro.analysis.costmodel`
+    calibrates under the python reference, like for like with the
+    curves).  On a native backend DL runs faster than this: a DL-1024
+    exponentiation takes 0.39 ms on libgmp against 4.9 ms in CPython
+    (EXPERIMENTS.md, FIG-3a).
     """
     family = family.upper()
     if level not in _TIERS:

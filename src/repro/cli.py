@@ -98,8 +98,8 @@ def _add_backend_flag(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--backend", choices=arith_backend.backend_choices(), default="auto",
         help="arithmetic backend: auto (default; gmpy2 when installed, else "
-             "pure python), python, or gmpy2 — transcript-equivalent, "
-             "changes speed only",
+             "gmp when libgmp loads, else pure python), gmp, gmpy2, or "
+             "python — transcript-equivalent, changes speed only",
     )
 
 

@@ -129,8 +129,9 @@ class FrameworkConfig:
       the same ranks and a byte-identical transcript for the same seed.
     * ``backend`` — arithmetic backend for all bigint work
       (:mod:`repro.math.backend`): ``"auto"`` (default; keep the
-      import-time detection — gmpy2 when importable, else pure python),
-      ``"python"``, or ``"gmpy2"``.  Backends are transcript-equivalent:
+      import-time detection — gmpy2 when importable, else libgmp through
+      ctypes when it loads, else pure python), ``"gmp"``, ``"gmpy2"``,
+      or ``"python"``.  Backends are transcript-equivalent:
       the choice changes wall-clock speed only, never values, operation
       counts, or wire bytes.
     * ``batch_verify`` — verify each round's key-knowledge proofs (and,
@@ -228,7 +229,7 @@ class FrameworkConfig:
     wire: str = "declared"          # or "measured" / "conformance"
     wire_codec: str = "v2"          # or "v1"
     coalesce: bool = True           # batch per (sender, receiver, round)
-    backend: str = "auto"           # arithmetic backend: "auto"/"python"/"gmpy2"
+    backend: str = "auto"           # arithmetic backend: "auto"/"gmp"/"gmpy2"/"python"
     checkpoint_dir: Optional[str] = None   # durable state directory (None = off)
     checkpoint_every: int = 0       # extra journal fsync cadence, in rounds
     shard_size: int = 0             # 0 = flat run; ≥2 = hierarchical shards

@@ -4,12 +4,17 @@ All hot arithmetic in the library — group multiplication and
 exponentiation, Paillier's Z_{n²} operations, Shamir field arithmetic,
 Miller-Rabin, Tonelli-Shanks — bottoms out in a handful of bigint
 primitives.  This module defines that primitive set once
-(:class:`ArithmeticBackend`) with two interchangeable implementations:
+(:class:`ArithmeticBackend`) with three interchangeable implementations:
 
 * :class:`PythonBackend` — pure CPython ``pow``/``%`` arithmetic, always
   available, the reference the rest of the stack is tested against;
+* :class:`GmpBackend` — ``powmod``, ``invert`` and ``jacobi`` on the
+  system's libgmp through :mod:`ctypes` (nothing to install), routed by
+  operand size: a modulus that fits one 64-bit limb, and a tiny
+  non-negative exponent, stay on CPython, where the foreign call costs
+  as much as the work; 10-12x faster than CPython at 1024-2048 bits;
 * :class:`Gmpy2Backend` — the same primitives on :mod:`gmpy2` (GMP),
-  auto-detected at import, typically 5-20x faster at 2048-bit sizes.
+  when that package is installed.
 
 Design invariants (enforced by ``tests/test_backend_equivalence.py``):
 
@@ -29,8 +34,9 @@ Design invariants (enforced by ``tests/test_backend_equivalence.py``):
 Selection:
 
 * at import, the active backend is resolved from the ``REPRO_BACKEND``
-  environment variable (``python`` / ``gmpy2`` / ``auto``, default
-  ``auto`` = gmpy2 when importable, else python);
+  environment variable (``python`` / ``gmp`` / ``gmpy2`` / ``auto``,
+  default ``auto`` = gmpy2 when importable, else gmp when libgmp loads,
+  else python);
 * :func:`set_backend` / :func:`use_backend` override it at runtime
   (``FrameworkConfig.backend`` and the CLI ``--backend`` flag call
   these); the sentinel ``"auto"`` means "keep whatever is active", so
@@ -42,21 +48,29 @@ Selection:
 
 Callers must go through the module-level functions (``backend.powmod``)
 or :func:`get_backend` at *call* time — never ``from repro.math.backend
-import powmod`` — so a runtime switch reaches every call site.
+import powmod`` — so a runtime switch reaches every call site.  A caller
+that picks between a kernel of its own and ``powmod`` (the fixed-base
+tables of :class:`repro.groups.dl.DLGroup`) asks :func:`native_powmod`,
+so the backend alone decides where its native arithmetic starts; only
+``gmp`` has measured that crossover, so it alone answers yes (above one
+64-bit limb).
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+import sys
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from functools import lru_cache
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "ArithmeticBackend",
     "BackendUnavailable",
     "PythonBackend",
+    "GmpBackend",
     "Gmpy2Backend",
     "available_backends",
     "backend_choices",
@@ -67,6 +81,7 @@ __all__ = [
     "register_backend",
     "worker_initializer",
     "powmod",
+    "native_powmod",
     "mulmod",
     "invert",
     "gcd",
@@ -97,6 +112,17 @@ class ArithmeticBackend:
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         """``base ** exponent mod modulus`` (exponent may be negative)."""
         raise NotImplementedError
+
+    def native_powmod(self, modulus: int) -> bool:
+        """True when a full-width :meth:`powmod` modulo ``modulus`` is
+        measured to beat a Python-level fixed-base table walk, so a
+        caller with tables of its own should call it instead.
+
+        False unless a backend has measured its crossover: only
+        :class:`GmpBackend` has, so the python and gmpy2 backends keep
+        the callers' tables at every width.
+        """
+        return False
 
     def mulmod(self, a: int, b: int, modulus: int) -> int:
         """``a * b mod modulus``."""
@@ -192,6 +218,193 @@ class PythonBackend(ArithmeticBackend):
         return result if n == 1 else 0
 
 
+# ---------------------------------------------------------------------------
+# libgmp through ctypes
+# ---------------------------------------------------------------------------
+
+#: Moduli below this (one 64-bit limb, or not positive) stay on CPython.
+#: There the foreign call costs about as much as the work: at 48 bits a
+#: native ``invert`` runs at 0.4x CPython's speed and ``jacobi`` at 1.0x,
+#: while from 128 bits up every primitive wins, 10x and more at 1024
+#: (the crossover table in benchmarks/results/BENCH_backend.json).
+_NATIVE_MODULUS = 1 << 64
+#: Non-negative exponents below this stay on CPython at any width (the
+#: curves' ``z^4`` and ``x^3``).
+_TINY_EXPONENT = 8
+
+#: libgmp's shared-object names, loaded by soname: ``ctypes.util.
+#: find_library`` would fork ``ldconfig`` in every process.
+_GMP_LIBRARIES = ("libgmp.so.10", "libgmp.10.dylib")
+
+
+class _Libgmp:
+    """The libgmp entry points :class:`GmpBackend` calls, and the
+    :mod:`ctypes` pieces that reach them.  ``ctypes`` is imported here,
+    not with the module, so a process on another backend never loads
+    it."""
+
+    def __init__(self, names: Tuple[str, ...]):
+        import ctypes
+
+        if sys.byteorder != "little":
+            raise OSError("limbs are read back as little-endian bytes")
+        dll = None
+        for name in names:
+            try:
+                dll = ctypes.CDLL(name)
+                break
+            except OSError:
+                continue
+        if dll is None:
+            raise OSError(f"libgmp not found (tried {', '.join(names)})")
+        pointer, size, flag = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
+
+        def bind(symbol, argtypes, restype=None):
+            function = getattr(dll, symbol)
+            function.argtypes = argtypes
+            function.restype = restype
+            return function
+
+        self.init = bind("__gmpz_init", [pointer])
+        self.clear = bind("__gmpz_clear", [pointer])
+        self.import_bytes = bind(
+            "__gmpz_import",
+            [pointer, size, flag, size, flag, size, ctypes.c_char_p],
+        )
+        self.powm = bind("__gmpz_powm", [pointer] * 4)
+        self.invert = bind("__gmpz_invert", [pointer] * 3, flag)
+        self.jacobi = bind("__gmpz_jacobi", [pointer] * 2, flag)
+        self.limb_bytes = ctypes.c_int.in_dll(dll, "__gmp_bits_per_limb").value // 8
+
+        class Mpz(ctypes.Structure):
+            """GMP's ``__mpz_struct``."""
+
+            _fields_ = [
+                ("_mp_alloc", ctypes.c_int),
+                ("_mp_size", ctypes.c_int),
+                ("_mp_d", ctypes.c_void_p),
+            ]
+
+        self.four_mpz = Mpz * 4
+        self.addressof = ctypes.addressof
+        self.string_at = ctypes.string_at
+
+
+@lru_cache(maxsize=None)
+def _load_libgmp() -> _Libgmp:
+    return _Libgmp(_GMP_LIBRARIES)
+
+
+class _Registers:
+    """Four ``mpz_t`` owned by one thread: operands ``a``, ``b``, ``m``
+    and the result ``out``, as addresses for the foreign calls."""
+
+    def __init__(self, lib: _Libgmp):
+        self._clear = lib.clear
+        self._mpz = lib.four_mpz()
+        self._addresses = [lib.addressof(z) for z in self._mpz]
+        for address in self._addresses:
+            lib.init(address)
+        self.a, self.b, self.m, self.out = self._addresses
+        self.result = self._mpz[3]
+
+    def __del__(self) -> None:
+        for address in self._addresses:
+            self._clear(address)
+
+
+class _ThreadRegisters(threading.local):
+    """Per-thread :class:`_Registers`: ctypes drops the GIL for every
+    foreign call, so threads sharing operands would overwrite them
+    mid-call.  A forked child keeps its parent thread's copy."""
+
+    def __init__(self, lib: _Libgmp):
+        self.registers = _Registers(lib)
+
+
+class GmpBackend(PythonBackend):
+    """``powmod``, ``invert`` and ``jacobi`` on libgmp through :mod:`ctypes`.
+
+    Operands cross as little-endian bytes (``mpz_import``) and the
+    result's limbs are read back, so every method still takes and
+    returns plain ``int``s; ``mulmod`` and ``gcd`` stay on CPython.
+    Each call is routed by its operands:
+
+    * a modulus below 2^64 (which includes 0, 1 and negative moduli) and
+      a non-negative exponent below 8 run on CPython — the small path
+      costs one integer comparison;
+    * a negative exponent is an inverse (``mpz_invert``), then a power
+      of it.  libgmp kills the process with SIGFPE on a zero modulus and
+      on a negative power with no inverse, so neither reaches it: the
+      first is routed to CPython, the second raises CPython's own
+      ``ValueError``;
+    * ``jacobi`` with an even modulus runs the python reference.
+    """
+
+    name = "gmp"
+    native = True
+
+    def __init__(self) -> None:
+        self._lib = _load_libgmp()
+        self._local = _ThreadRegisters(self._lib)
+
+    def native_powmod(self, modulus: int) -> bool:
+        return modulus >= _NATIVE_MODULUS
+
+    def powmod(self, base: int, exponent: int, modulus: int) -> int:
+        if modulus < _NATIVE_MODULUS:
+            return pow(base, exponent, modulus)
+        if exponent < 0:
+            return self._negative_power(base, exponent, modulus)
+        if exponent < _TINY_EXPONENT:
+            return pow(base, exponent, modulus)
+        regs = self._local.registers
+        self._load(regs.a, base % modulus if base < 0 else base)
+        self._load(regs.b, exponent)
+        self._load(regs.m, modulus)
+        self._lib.powm(regs.out, regs.a, regs.b, regs.m)
+        return self._read(regs.result)
+
+    def _negative_power(self, base: int, exponent: int, modulus: int) -> int:
+        regs = self._local.registers
+        self._load(regs.a, base % modulus)
+        self._load(regs.m, modulus)
+        if not self._lib.invert(regs.out, regs.a, regs.m):
+            return pow(base, exponent, modulus)  # raises: no inverse
+        if exponent != -1:
+            self._load(regs.b, -exponent)
+            self._lib.powm(regs.out, regs.out, regs.b, regs.m)
+        return self._read(regs.result)
+
+    def invert(self, a: int, modulus: int) -> int:
+        if modulus < _NATIVE_MODULUS:
+            return PythonBackend.invert(self, a, modulus)
+        regs = self._local.registers
+        self._load(regs.a, a % modulus if a < 0 else a)
+        self._load(regs.m, modulus)
+        if not self._lib.invert(regs.out, regs.a, regs.m):
+            raise ValueError(f"value is not invertible modulo {modulus}")
+        return self._read(regs.result)
+
+    def jacobi(self, a: int, n: int) -> int:
+        if n < _NATIVE_MODULUS or not n & 1:
+            return PythonBackend.jacobi(self, a, n)
+        regs = self._local.registers
+        self._load(regs.a, a % n if a < 0 else a)
+        self._load(regs.m, n)
+        return self._lib.jacobi(regs.a, regs.m)
+
+    def _load(self, address: int, value: int) -> None:
+        data = value.to_bytes((value.bit_length() + 7) // 8, "little")
+        self._lib.import_bytes(address, len(data), -1, 1, 0, 0, data)
+
+    def _read(self, mpz: Any) -> int:
+        lib = self._lib
+        return int.from_bytes(
+            lib.string_at(mpz._mp_d, mpz._mp_size * lib.limb_bytes), "little"
+        )
+
+
 class Gmpy2Backend(ArithmeticBackend):
     """GMP-backed implementation via :mod:`gmpy2` (optional).
 
@@ -243,8 +456,12 @@ AUTO = "auto"
 
 _FACTORIES: Dict[str, Callable[[], ArithmeticBackend]] = {
     "python": PythonBackend,
+    "gmp": GmpBackend,
     "gmpy2": Gmpy2Backend,
 }
+
+#: What ``auto`` tries, in order, before the always-available reference.
+_AUTO_ORDER = ("gmpy2", "gmp")
 
 _lock = threading.Lock()
 _active: ArithmeticBackend
@@ -277,18 +494,21 @@ def available_backends() -> List[str]:
 
 
 def _detect(choice: str) -> ArithmeticBackend:
-    """Resolve ``python``/``gmpy2``/``auto`` to a constructed backend.
+    """Resolve a backend name or ``auto`` to a constructed backend.
 
-    ``auto`` prefers gmpy2 and falls back to python; an explicit name
-    raises :class:`BackendUnavailable` when construction fails.
+    ``auto`` takes the first of gmpy2, gmp that constructs and falls
+    back to python; an explicit name raises :class:`BackendUnavailable`
+    when construction fails.
     """
     if choice == AUTO:
-        try:
-            return _FACTORIES["gmpy2"]()
-        # repro-lint: ignore[R-EXCEPT] -- optional-dependency probe at
-        # selection time; falling back to the reference is the contract
-        except Exception:
-            return PythonBackend()
+        for name in _AUTO_ORDER:
+            try:
+                return _FACTORIES[name]()
+            # repro-lint: ignore[R-EXCEPT] -- optional-dependency probe at
+            # selection time; falling back to the reference is the contract
+            except Exception:
+                continue
+        return PythonBackend()
     try:
         factory = _FACTORIES[choice]
     except KeyError:
@@ -379,6 +599,10 @@ def worker_initializer(backend_name: Optional[str]) -> None:
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
     return _active.powmod(base, exponent, modulus)
+
+
+def native_powmod(modulus: int) -> bool:
+    return _active.native_powmod(modulus)
 
 
 def mulmod(a: int, b: int, modulus: int) -> int:

@@ -5,9 +5,9 @@ raise :class:`ValueError` on mathematically invalid inputs rather than
 returning sentinel values.
 
 The heavy primitives (inversion, exponentiation, Jacobi) dispatch
-through :mod:`repro.math.backend`, so a native backend (gmpy2)
-accelerates every caller without any of them changing; results are
-identical whichever backend is active.
+through :mod:`repro.math.backend`, so a native backend (libgmp through
+ctypes, or gmpy2) accelerates every caller without any of them
+changing; results are identical whichever backend is active.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ def mod_inverse(a: int, m: int) -> int:
     """Return the inverse of ``a`` modulo ``m``.
 
     Dispatches through the active arithmetic backend (CPython's
-    ``pow(a, -1, m)`` on the reference path, ``gmpy2.invert`` on the
-    native one).  The non-invertible case raises with a message that
-    names only the modulus — ``a`` may be a secret exponent; both
-    backends honour that contract.
+    ``pow(a, -1, m)`` on the reference path, ``mpz_invert`` or
+    ``gmpy2.invert`` on a native one).  The non-invertible case raises
+    with a message that names only the modulus — ``a`` may be a secret
+    exponent; every backend honours that contract.
 
     Raises
     ------

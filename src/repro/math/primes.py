@@ -8,7 +8,9 @@ any RNG — so prime generation (and everything derived from it, e.g.
 ``FrameworkConfig.dp_field_prime``) is bit-reproducible across runs
 *and* across arithmetic backends; the witness exponentiations
 themselves dispatch through :mod:`repro.math.backend`, which is where
-a native backend (gmpy2) makes testing large candidates fast.
+a native backend makes testing large candidates fast (under ``gmp``
+each witness power runs in libgmp; the squarings after it stay on
+CPython's ``mulmod``).
 """
 
 from __future__ import annotations

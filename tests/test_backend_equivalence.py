@@ -11,6 +11,11 @@ Two "other" backends are exercised against the pure-python reference:
   a stub module with gmpy2's call surface.  Always available, so the
   wrapper code path (mpz round-trips, ZeroDivisionError translation) is
   end-to-end covered on every CI run;
+* ``gmp`` — :class:`~repro.math.backend.GmpBackend`, libgmp through
+  ctypes, skipped when libgmp does not load.  At the 48-bit test group
+  every call takes its CPython path, so the full ranking is also run
+  over a 96-bit group, where every ``powmod``, ``invert`` and ``jacobi``
+  goes native;
 * ``gmpy2`` — the real library, skipped when not installed (CI's
   dedicated backend job installs it).
 """
@@ -54,8 +59,13 @@ def _register_shim():
     backend.set_backend(previous, strict=False)
 
 
+needs_gmp = pytest.mark.skipif(
+    "gmp" not in backend.available_backends(), reason="libgmp does not load"
+)
+
 OTHER_BACKENDS = [
     "shim",
+    pytest.param("gmp", marks=needs_gmp),
     pytest.param(
         "gmpy2",
         marks=pytest.mark.skipif(not HAVE_GMPY2, reason="gmpy2 not installed"),
@@ -133,6 +143,23 @@ class TestRankingEquivalence:
                 (excinfo.value.blamed, excinfo.value.phase, str(excinfo.value))
             )
         assert outcomes[0] == outcomes[1]
+
+
+@needs_gmp
+def test_native_width_ranking_is_transcript_identical(
+    small_schema, small_initiator_input
+):
+    from repro.groups.dl import DLGroup
+
+    reference, candidate = (
+        build_framework(
+            DLGroup.random(96, rng=SeededRNG(101)), small_schema,
+            small_initiator_input, name,
+        ).run()
+        for name in ("python", "gmp")
+    )
+    assert outcome_fingerprint(candidate) == outcome_fingerprint(reference)
+    assert wire_fingerprint(candidate) == wire_fingerprint(reference)
 
 
 @pytest.mark.parametrize("other", OTHER_BACKENDS)

@@ -11,6 +11,7 @@ from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.crypto.elgamal import ElGamal, ExponentialElGamal
 from repro.groups.base import OperationCounter
 from repro.groups.dl import DLGroup, TextbookDLGroup
+from repro.math import backend
 from repro.math.modular import jacobi_symbol
 from repro.math.multiexp import SMALL_EXPONENT_BITS
 from repro.math.rng import SeededRNG
@@ -185,6 +186,14 @@ def _all_routes(group, a, k):
     return results
 
 
+@pytest.fixture(scope="class")
+def python_arithmetic():
+    """Table routes exist only where ``powmod`` is not native."""
+    with backend.use_backend("python"):
+        yield
+
+
+@pytest.mark.usefixtures("python_arithmetic")
 class TestExactKernels:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -257,6 +266,51 @@ class TestExactKernels:
             assert len(group._tables) <= DLGroup.FIXED_BASE_TABLES_MAX
         # The generator stays hot, so eviction never drops it.
         assert group.generator() in group._tables
+
+
+@pytest.mark.skipif("gmp" not in backend.available_backends(),
+                    reason="libgmp does not load")
+class TestNativeKernelChoice:
+    """Under a native ``powmod`` a 1024-bit group keeps no tables."""
+
+    def test_gmp_1024_builds_no_table_and_matches_textbook(self):
+        with backend.use_backend("gmp"):
+            group = DLGroup.standard(1024)
+            textbook = TextbookDLGroup.standard(1024)
+            q, rng = group.order, SeededRNG(9)
+            key = group.random_element(rng)
+            scheme = ElGamal(group)
+            for _ in range(2):
+                scheme.encrypt(group.generator(), key, rng)
+            for k in (0, 1, 5, q - 1, q - 3, q // 3, -7,
+                      0xDEADBEEF << 990, group.random_exponent(rng)):
+                assert group.exp_generator(k) == textbook.exp_generator(k)
+                assert group.exp_fixed(key, k) == textbook.exp_fixed(key, k)
+                assert group.exp(key, k) == textbook.exp(key, k)
+            assert not group._tables
+
+    def test_existing_table_is_not_walked_under_gmp(self):
+        group = DLGroup.standard(1024)
+        with backend.use_backend("python"):
+            group.exp_generator(group.order // 3)
+        table = group._tables[group.generator()]
+        walks = []
+        original = table.exp
+        table.exp = lambda e: walks.append(e) or original(e)
+        k = group.order // 5
+        with backend.use_backend("gmp"):
+            value = group.exp_generator(k)
+        assert walks == []
+        assert value == pow(group.generator(), k, group.modulus)
+
+    def test_small_modulus_keeps_its_tables_under_gmp(self):
+        with backend.use_backend("gmp"):
+            group = _fresh(SMALL)
+            group.exp_generator(Q // 3)
+            assert group.generator() in group._tables
+            assert group.exp_generator(Q // 7) == pow(
+                group.generator(), Q // 7, P
+            )
 
 
 class TestTextbookReference:

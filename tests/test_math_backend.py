@@ -9,12 +9,20 @@ the worker-process re-initialization hook.
 The gmpy2 wrapper is exercised even without gmpy2 installed by handing
 :class:`Gmpy2Backend` a stub module with the same call surface; the
 real library (when present) is covered by ``test_backend_equivalence``.
+:class:`GmpBackend` (libgmp through ctypes) is checked differentially
+against CPython over every int, across threads and a fork, and for
+crashes in a subprocess; those tests skip where libgmp does not load.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+import subprocess
 import sys
+import textwrap
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +33,7 @@ from repro.math.backend import (
     AUTO,
     ArithmeticBackend,
     BackendUnavailable,
+    GmpBackend,
     Gmpy2Backend,
     PythonBackend,
 )
@@ -69,6 +78,14 @@ class _FakeGmpy2:
     @staticmethod
     def jacobi(a, n):
         return PythonBackend().jacobi(a, n)
+
+
+def _unavailable():
+    raise ImportError("not installed")
+
+
+class _RecordingPython(PythonBackend):
+    name = "recording"
 
 
 P = 0xFFFFFFFFFFFFFFC5  # a 64-bit prime
@@ -137,6 +154,12 @@ class TestPrimitives:
             assert type(value) is int
 
     @pytest.mark.parametrize("impl", both_backends(), ids=lambda b: b.name)
+    def test_callers_keep_their_tables(self, impl):
+        # Only gmp has measured where its powmod beats a table walk.
+        assert not impl.native_powmod(1 << 1024)
+        assert not impl.native_powmod(SAFE_P)
+
+    @pytest.mark.parametrize("impl", both_backends(), ids=lambda b: b.name)
     def test_primality_hooks_delegate_to_fixed_witness_schedule(self, impl):
         from repro.math.primes import is_prime, next_prime
 
@@ -192,7 +215,7 @@ class TestSelection:
     def test_choices_include_auto_and_builtins(self):
         choices = backend.backend_choices()
         assert choices[0] == AUTO
-        assert "python" in choices and "gmpy2" in choices
+        assert {"python", "gmp", "gmpy2"} <= set(choices)
 
     def test_python_backend_always_available(self):
         assert "python" in backend.available_backends()
@@ -260,7 +283,9 @@ class TestSelection:
         monkeypatch.setenv("REPRO_BACKEND", "python")
         assert backend._detect_from_environment().name == "python"
         monkeypatch.setenv("REPRO_BACKEND", "")
-        assert backend._detect_from_environment().name in ("python", "gmpy2")
+        assert backend._detect_from_environment().name in (
+            "python", "gmp", "gmpy2"
+        )
         # A bogus env var must never break import-time detection.
         monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
         assert backend._detect_from_environment().name == "python"
@@ -270,6 +295,36 @@ class TestSelection:
         selected = backend.set_backend("gmpy2")
         assert selected.name == "gmpy2" and selected.native
         assert backend.powmod(3, 100, P) == pow(3, 100, P)
+
+    def test_auto_falls_through_to_python(self):
+        def broken():
+            raise OSError("no such native library")
+
+        backend.register_backend("gmpy2", broken)
+        backend.register_backend("gmp", broken)
+        assert backend._detect(AUTO).name == "python"
+
+    def test_auto_prefers_gmp_over_python(self):
+        backend.register_backend("gmpy2", _unavailable)
+        backend.register_backend("gmp", _RecordingPython)
+        assert backend._detect(AUTO).name == "recording"
+
+    def test_missing_libgmp_raises_oserror(self):
+        with pytest.raises(OSError, match="libgmp not found"):
+            backend._Libgmp(("libnot-gmp.so.0",))
+
+    def test_python_backend_never_imports_ctypes(self):
+        # ctypes is the gmp backend's cost alone: a process pinned to
+        # the reference must not load it.
+        env = dict(os.environ, REPRO_BACKEND="python",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.math.backend as b; "
+             "print(b.active_backend_name(), 'ctypes' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert probe.stdout.split() == ["python", "False"], probe.stderr
 
     def test_worker_initializer_reselects_nonstrict(self):
         backend.set_backend("python")
@@ -320,3 +375,201 @@ class TestConfigPlumbing:
         backend.set_backend("python")
         _worker_select_backend(backend.active_backend_name())
         assert backend.active_backend_name() == "python"
+
+
+# ---------------------------------------------------------------------------
+# libgmp through ctypes: differential, threads, fork, crash probes
+# ---------------------------------------------------------------------------
+
+HAVE_GMP = "gmp" in backend.available_backends()
+needs_gmp = pytest.mark.skipif(not HAVE_GMP, reason="libgmp does not load")
+
+LIMB = 1 << 64
+#: Moduli around and past every routing boundary, at every sign.
+MODULI = st.one_of(
+    st.sampled_from([
+        0, 1, -1, 2, 3, LIMB - 1, LIMB, LIMB + 1, -LIMB, -LIMB - 1,
+        (1 << 1024) - 105, 12 << 100,
+    ]),
+    st.integers(-(1 << 200), 1 << 200),
+    st.integers(LIMB, 1 << 1100),                     # native, odd or even
+    st.integers(LIMB, 1 << 1100).map(lambda m: m & ~1),  # even
+    st.integers(max_value=-LIMB),                     # negative, > 64 bits
+    st.integers(1 << 8000, 1 << 8300),                # above 8,000 bits
+)
+EXPONENTS = st.one_of(
+    st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 7, 8, 9]),
+    st.integers(-(1 << 300), 1 << 300),
+)
+BASES = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2]),
+    st.integers(),
+    st.integers(-(1 << 8300), 1 << 8300),             # above 8,000 bits
+)
+
+
+def _outcome(function, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return function(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _power_cases(draw):
+    modulus = draw(MODULI)
+    if draw(st.booleans()):
+        # A base sharing a factor with the modulus: no inverse exists.
+        factor = draw(st.sampled_from([2, 3, abs(modulus) or 1]))
+        base = factor * draw(st.integers(-(1 << 80), 1 << 80))
+    else:
+        base = draw(BASES)
+    if abs(modulus) < 1 << 200:
+        # Long exponents stay cheap over a short modulus.
+        exponent = draw(st.one_of(EXPONENTS,
+                                  st.integers(-(1 << 8300), 1 << 8300)))
+    else:
+        exponent = draw(EXPONENTS)
+    return base, exponent, modulus
+
+
+@needs_gmp
+class TestGmpBackend:
+    @settings(max_examples=600, deadline=None)
+    @given(case=_power_cases())
+    def test_powmod_matches_cpython(self, case):
+        base, exponent, modulus = case
+        assert (_outcome(GmpBackend().powmod, base, exponent, modulus)
+                == _outcome(pow, base, exponent, modulus))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_power_cases())
+    def test_invert_matches_cpython(self, case):
+        a, _, modulus = case
+        result = _outcome(GmpBackend().invert, a, modulus)
+        assert result == _outcome(PythonBackend().invert, a, modulus)
+        if isinstance(result, int):
+            assert result == pow(a, -1, modulus)
+        else:
+            # The message names only the modulus, never the value.
+            assert result == ("ValueError",
+                              f"value is not invertible modulo {modulus}")
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=BASES, n=st.one_of(MODULI, MODULI.map(lambda n: n | 1)))
+    def test_jacobi_matches_python_reference(self, a, n):
+        assert (_outcome(GmpBackend().jacobi, a, n)
+                == _outcome(PythonBackend().jacobi, a, n))
+
+    def test_results_are_plain_ints(self):
+        gmp, p = GmpBackend(), (1 << 1024) - 105
+        for value in (gmp.powmod(3, p - 2, p), gmp.powmod(3, -5, p),
+                      gmp.invert(3, p), gmp.jacobi(3, p), gmp.powmod(0, 9, p)):
+            assert type(value) is int
+
+    def test_routing_by_operand_size(self):
+        gmp = GmpBackend()
+        assert not gmp.native_powmod(LIMB - 1)
+        assert not gmp.native_powmod(-(1 << 100))
+        assert gmp.native_powmod(LIMB)
+
+    def test_threads_share_no_operands(self):
+        # ctypes drops the GIL for each foreign call: four threads
+        # hammering one backend object, switching as often as the
+        # interpreter allows, must never see each other's operands.
+        gmp = GmpBackend()
+        errors = []
+
+        def work(seed):
+            # Mersenne primes of growing width: every base is invertible.
+            modulus = (1 << (521, 607, 1279, 2203)[seed]) - 1
+            for i in range(60):
+                base = (seed + 2) ** (300 + i) % modulus
+                exponent = (1 << (500 + 17 * seed)) + i
+                cases = (
+                    (gmp.powmod(base, exponent, modulus),
+                     pow(base, exponent, modulus)),
+                    (gmp.powmod(base, -exponent, modulus),
+                     pow(base, -exponent, modulus)),
+                    (gmp.jacobi(base, modulus),
+                     PythonBackend().jacobi(base, modulus)),
+                )
+                errors.extend(case for case in cases if case[0] != case[1])
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_computes_like_its_parent(self):
+        # The tcp launcher forks parties from a process whose backend is
+        # already warm: the child inherits the parent's registers.
+        gmp = GmpBackend()
+        p = (1 << 1024) - 105
+        expected = [pow(3 + i, p - 2 - i, p) for i in range(8)]
+        assert [gmp.powmod(3 + i, p - 2 - i, p) for i in range(8)] == expected
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            code = 1
+            try:
+                if ([gmp.powmod(3 + i, p - 2 - i, p) for i in range(8)] == expected
+                        and gmp.invert(3, p) == pow(3, -1, p)):
+                    code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def _probe(self, body):
+        code = textwrap.dedent(f"""
+            from repro.math.backend import GmpBackend
+            gmp = GmpBackend()
+            {body}
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_crash_cases_never_reach_libgmp(self):
+        # Each would be SIGFPE inside libgmp (zero modulus, negative
+        # power with no inverse): the backend must raise instead.
+        probe = self._probe("""
+            big = 12 << 100
+            for call in (lambda: gmp.powmod(5, 3, 0),
+                         lambda: gmp.powmod(5, -3, 0),
+                         lambda: gmp.powmod(6, -1, big),
+                         lambda: gmp.powmod(0, -5, big),
+                         lambda: gmp.powmod(big, -2, big),
+                         lambda: gmp.invert(6, big),
+                         lambda: gmp.invert(6, 0),
+                         lambda: gmp.jacobi(3, 0)):
+                try:
+                    call()
+                except (ValueError, ZeroDivisionError) as exc:
+                    print(type(exc).__name__)
+        """)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.split() == (
+            ["ValueError"] * 7 + ["ZeroDivisionError"]
+        )
+
+    def test_libgmp_itself_dies_on_a_zero_modulus(self):
+        # The control for the probe above: the raw call does crash.
+        probe = self._probe("""
+            regs = gmp._local.registers
+            gmp._load(regs.a, 5)
+            gmp._load(regs.b, 3)
+            gmp._lib.powm(regs.out, regs.a, regs.b, regs.m)
+        """)
+        assert probe.returncode == -signal.SIGFPE

@@ -8,7 +8,7 @@ multiplications") with communication counts (messages, bits) per party.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Dict
 
 from repro.groups.base import OperationCounter
 
@@ -23,6 +23,11 @@ class PartyMetrics:
     messages_received: int = 0
     bits_sent: int = 0
     bits_received: int = 0
+
+    @classmethod
+    def from_dict(cls, record: Dict[str, Any]) -> "PartyMetrics":
+        """Inverse of :func:`dataclasses.asdict` (a JSON round trip)."""
+        return cls(**dict(record, ops=OperationCounter(**record["ops"])))
 
     def record_send(self, bits: int) -> None:
         self.messages_sent += 1

@@ -16,7 +16,9 @@ either heals the run or converts the stall into a typed error:
    :class:`~repro.runtime.errors.PartyTimeout` naming the dead party.
 3. **Blame a silent channel.**  When retries are exhausted the sender of
    the lost message is blamed; when a party simply never sends (a stalled
-   or buggy peer) the party the receiver is waiting on is blamed.
+   or buggy peer) the party the receiver is waiting on is blamed.  The
+   priority is :func:`blame`, which the socket transport's wall-clock
+   supervisor calls too.
 
 All decisions are functions of engine state only, so runs stay
 deterministic: the same seed and fault plan produce the same outcome.
@@ -24,7 +26,7 @@ deterministic: the same seed and fault plan produce the same outcome.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.runtime.channels import Recv
 from repro.runtime.errors import PartyTimeout
@@ -164,36 +166,38 @@ class Supervisor:
 
     def _timeout(self, engine: "Engine", blocked: Dict[int, Recv]) -> PartyTimeout:
         self.timeouts += 1
-        # A crashed party is the root cause whenever one exists.
-        crashed = engine.crashed
-        if crashed:
-            blamed = min(crashed)
-            return PartyTimeout(
-                blamed,
-                phase=crashed[blamed],
-                round=engine.round,
-                waiting=blocked,
-            )
-        # A lost message with retries exhausted blames its sender.
+        # Lost messages blocked parties still wait for: retries exhausted.
+        lost: Dict[int, Optional[str]] = {}
         for pid in sorted(blocked):
-            lost = engine.find_lost_message(pid, blocked[pid])
-            if lost is not None:
-                return PartyTimeout(
-                    lost.message.src,
-                    phase=self.phase_of(lost.message.tag),
-                    round=engine.round,
-                    waiting=blocked,
-                )
-        # Otherwise blame the peer the longest-waiting party points at.
-        pid = min(
-            blocked,
-            key=lambda p: (engine.waiting_since(p), p),
-        )
+            found = engine.find_lost_message(pid, blocked[pid])
+            if found is not None:
+                src, tag = found.message.src, found.message.tag
+                lost.setdefault(src, self.phase_of(tag))
+        # The awaited party is the one the longest-waiting party points at.
+        pid = min(blocked, key=lambda p: (engine.waiting_since(p), p))
         want = blocked[pid]
-        blamed = want.src if want.src is not None else pid
-        return PartyTimeout(
-            blamed,
-            phase=self.phase_of(want.tag),
-            round=engine.round,
-            waiting=blocked,
+        awaited = want.src if want.src is not None else pid
+        blamed, phase = blame(
+            awaited, self.phase_of(want.tag), engine.crashed, lost
         )
+        return PartyTimeout(
+            blamed, phase=phase, round=engine.round, waiting=blocked
+        )
+
+
+def blame(awaited: Optional[int], phase: Optional[str],
+          crashed: Mapping[int, Optional[str]],
+          lost: Mapping[int, Optional[str]]) -> Tuple[Optional[int], Optional[str]]:
+    """The blame rule of both supervisors, whatever their clock.
+
+    A crashed party first, then a sender lost past its retries, then the
+    ``awaited`` party; among several culprits of one kind the awaited
+    one, else the lowest id.  ``crashed`` and ``lost`` map culprits to
+    their phase (``None`` falls back to ``phase``, the waiter's).
+    Returns ``(blamed, phase)``.
+    """
+    for culprits in (crashed, lost):
+        if culprits:
+            blamed = awaited if awaited in culprits else min(culprits)
+            return blamed, culprits[blamed] or phase
+    return awaited, phase

@@ -46,6 +46,7 @@ from repro.runtime.errors import (
     ProtocolError,
 )
 from repro.runtime.faults import FaultSpec
+from repro.runtime.metrics import PartyMetrics
 from repro.runtime.transcript import Transcript
 from repro.runtime.transport import frames
 from repro.runtime.transport.deadlines import WallClockSupervisor
@@ -227,6 +228,7 @@ class _Attempt:
         self._respawning: set = set()
         self._connected_once: set = set()
         self._fault_deaths: Dict[int, int] = {}
+        self._carried: Dict[int, PartyMetrics] = {}
         self._interrupted: Optional[str] = None
         self._rng_blobs = self._fork_rngs()
         self._fault_seed = _fork_seed(coordinator.framework._rng, attempt)
@@ -281,6 +283,7 @@ class _Attempt:
             faulted=bool(self.coord.fault_specs),
             fault_seed=self._fault_seed,
             prior_fault_deaths=self._fault_deaths.get(pid, 0),
+            carried_metrics=self._carried.get(pid),
             settings=self.settings,
         )
 
@@ -597,6 +600,7 @@ class _Attempt:
             connection.close()
         if restart and self.config.checkpoint_dir is not None:
             self._fault_deaths[pid] = self._fault_deaths.get(pid, 0) + 1
+            self._carried[pid] = PartyMetrics.from_dict(info["metrics"])
             self.supervisor.note_crashed(pid, phase, restarting=True)
             self._respawning.add(pid)
             self._respawn(pid)
@@ -621,7 +625,9 @@ class _Attempt:
             except asyncio.TimeoutError:
                 pass
         if self.config.checkpoint_dir is not None:
-            # SIGKILL'd mid-run but its journal survives: rejoin it.
+            # SIGKILL'd mid-run but its journal survives: rejoin it.  Its
+            # metrics died with it, so the respawn counts afresh.
+            self._carried.pop(pid, None)
             self.supervisor.note_crashed(pid, None, restarting=True)
             self._respawning.add(pid)
             self._respawn(pid)

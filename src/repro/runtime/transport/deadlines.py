@@ -16,9 +16,9 @@ wall clock:
   the engine expiring deadlines only over rounds in which nothing was
   delivered.  A party waiting on a long chain of others is not overdue
   while the chain moves;
-* blame priority on expiry mirrors the engine: a crashed party first,
-  then a sender reported as lost (retransmits exhausted), then the
-  party being waited on.
+* blame on expiry is :func:`repro.runtime.supervisor.blame`, the
+  engine's rule: a crashed party first, then a sender reported as lost
+  (retransmits exhausted), then the party being waited on.
 
 A party that announced its death (``DYING`` without restart) is blamed
 immediately — process death is observable on a socket (EOF), there is
@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.runtime.errors import PartyTimeout
+from repro.runtime.supervisor import blame
 
 #: EWMA smoothing factor for inter-frame gaps and RTT samples.
 ALPHA = 0.2
@@ -52,7 +53,7 @@ class WallClockSupervisor:
         self._progress_at: Optional[float] = None
         # pid -> (blocked since, waited-on src, tag, phase)
         self.blocked: Dict[int, Tuple[float, Optional[int], str, str]] = {}
-        self.lost: Dict[int, int] = {}      # reported-lost sender -> count
+        self.lost: Dict[int, Optional[str]] = {}  # reported-lost sender -> None
         self.crashed: Dict[int, Optional[str]] = {}  # dead pid -> phase
         self.restarting: set = set()        # dead but being respawned
         self.rejoins = 0
@@ -88,7 +89,7 @@ class WallClockSupervisor:
         self._progress_at = now
 
     def note_lost(self, src: int) -> None:
-        self.lost[src] = self.lost.get(src, 0) + 1
+        self.lost[src] = None  # blamed in the waiter's phase
 
     def note_crashed(self, pid: int, phase: Optional[str],
                      restarting: bool = False) -> None:
@@ -127,14 +128,9 @@ class WallClockSupervisor:
             if not (overdue or waiting_on_corpse):
                 continue
             self.timeouts += 1
-            blamed = waiting_src
-            blamed_phase = phase
-            if self.crashed:
-                if waiting_src not in self.crashed:
-                    blamed = min(self.crashed)
-                blamed_phase = self.crashed.get(blamed) or phase
-            elif self.lost and waiting_src not in self.lost:
-                blamed = min(self.lost)
+            blamed, blamed_phase = blame(
+                waiting_src, phase, self.crashed, self.lost
+            )
             return PartyTimeout(
                 blamed, phase=blamed_phase, waiting={pid: tag}
             )

@@ -44,7 +44,7 @@ STATUS = 5         # party -> coord: {party, phase, round, waiting_src, waiting_
 PHASE = 6          # party -> coord: {party, phase, round}
 DONE = 7           # party -> coord: pickled ResultBundle
 ABORTED = 8        # party -> coord: {party, blamed, phase, error}
-DYING = 9          # party -> coord: fault-injected death notice {party, restart, phase}
+DYING = 9          # party -> coord: fault-injected death notice {party, restart, phase, metrics}
 READY = 10         # rejoined party -> coord: {party, incarnation, watermarks}
 PEER_REJOINED = 11 # coord -> parties: {party, incarnation, watermarks}
 RESEND = 12        # out-of-band redelivery after a rejoin: pickled message dict
@@ -171,6 +171,10 @@ class PartySpec:
     #: is never journaled, so a rejoin must pre-consume these commits or
     #: a one-shot ``kill_restart`` would re-fire every life.
     prior_fault_deaths: int = 0
+    #: A respawn's first-life PartyMetrics, from its DYING frame (None
+    #: after a death without one, e.g. SIGKILL): swapped in at the
+    #: go-live send, so the rejoined party reports the whole run.
+    carried_metrics: Any = None
     settings: TransportSettings = field(default_factory=TransportSettings)
 
 

@@ -43,9 +43,15 @@ messages are re-offered through the injector with backoff up to
 retransmits — transient drops heal, stalls exhaust their retries and
 are reported for blame).
 
-Kill-and-rejoin: a respawned incarnation replays its journaled receives
-through a rebuilt generator (sends suppressed against the send journal,
-exactly :meth:`Engine._drive_replay`'s discipline), announces its
+The party runs through the same :class:`~repro.runtime.driver.PartyDriver`
+as under the engine: stepping, the send prologue, replay and phase
+snapshots are the driver's; this module is only the asyncio shell around
+it (frames, the mailbox, receiver-side faults, resends, checkpoint
+offloads).
+
+Kill-and-rejoin: a dying party ships its metrics in the ``DYING`` frame.
+The respawned incarnation replays its journal through the driver (which
+swaps those metrics in at the go-live send) and announces its
 consumed-message watermarks, and peers resend the unconsumed suffix of
 each stream out-of-band while resetting their encoder tables for the
 new connection epoch.
@@ -54,11 +60,11 @@ new connection epoch.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import pickle
 import signal
 from collections import deque
-from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.parties import (
@@ -70,6 +76,7 @@ from repro.core.parties import (
 from repro.math.rng import SeededRNG
 from repro.runtime.channels import Message, NextRound, Recv, WireTransport
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
+from repro.runtime.driver import PartyDriver
 from repro.runtime.errors import PartyCrashed, ProtocolAbort, ProtocolError
 from repro.runtime.faults import FaultInjector
 from repro.runtime.transport import frames
@@ -153,6 +160,27 @@ class OrderedMailbox:
                 return queue.popleft()
         return None
 
+    def pending(self) -> List[Message]:
+        """Delivered messages no receive has taken yet."""
+        return [message for queue in self._queues.values() for message in queue]
+
+
+class _HostDriver(PartyDriver):
+    """A respawned process's sender injector starts afresh; the hooks
+    catch it up with the first life's: a commit per journaled send, and
+    at the go-live send one per prior fault death (never journaled, and
+    a one-shot ``kill_restart`` would otherwise re-fire every life)."""
+
+    prior_deaths = 0
+
+    def on_replayed_send(self, message: Message) -> None:
+        if self.faults is not None:
+            self.faults.on_send(message, message.round_sent)
+
+    def on_go_live(self, message: Message) -> None:
+        for _ in range(self.prior_deaths):
+            self.faults.on_send(message, message.round_sent)
+
 
 class PartyHost:
     """Drives one party's generator against the coordinator socket."""
@@ -171,7 +199,7 @@ class PartyHost:
         # journaled state on top), so keep the pickled form.
         self._rng_blob = pickle.dumps(spec.rng)
         self.party: Any = None
-        self.gen: Any = None
+        self.driver: Optional[_HostDriver] = None
         self.mailbox = OrderedMailbox(
             self.pid, set(spec.active_ids) | {INITIATOR_ID}
         )
@@ -210,16 +238,13 @@ class PartyHost:
         # decode-equal what the MSG bytes carried and are never edited
         # after the send; tests/test_runtime_wire.py pins both.
         self._retained: Dict[Tuple[int, str], List[Tuple[Any, int, int]]] = {}
-        self._replaying = False
-        self._replay_sends: Deque[Tuple[int, str]] = deque()
-        self._death_commits = spec.prior_fault_deaths
         self._stop_reason: Optional[str] = None
         self._abort_received = False
         self._connection_lost = False
         self._shutdown = False
-        # Messages that arrive while checkpoint resume/replay runs in
-        # the executor, before ``self.party`` exists: buffered here and
-        # flushed (in arrival order) once the party is constructed, so
+        # Messages that arrive while checkpoint resume runs in the
+        # executor, before ``self.party`` exists: buffered here and
+        # flushed (in arrival order) once the party can be credited, so
         # receive metrics count every message exactly once.
         self._predelivered: List[Message] = []
 
@@ -250,60 +275,21 @@ class PartyHost:
 
     def submit(self, src: int, dst: int, tag: str, payload: Any,
                size_bits: int) -> None:
-        if dst == self.pid:
-            raise ProtocolError(f"party {src} sent a message to itself")
-        message = Message(
-            src=src, dst=dst, tag=tag, payload=payload,
-            size_bits=size_bits, round_sent=self._round,
+        message = self.driver.prepare_send(
+            dst, tag, payload, size_bits, self._round
         )
-        if self._replaying:
-            if self._replay_sends:
-                expected = self._replay_sends.popleft()
-                if expected != (dst, tag):
-                    raise CheckpointError(
-                        f"replay divergence: party {src} sent "
-                        f"({dst}, {tag!r}) but its journal says {expected}"
-                    )
-                if self.sender_faults is not None:
-                    # The first life ran this send through the injector
-                    # and survived (it made the journal) — advance the
-                    # rebuilt injector's match windows identically so the
-                    # fault that killed us does not re-arm from zero.
-                    self.sender_faults.on_send(message, self._round)
-                return  # the first life already put this on the wire
-            self._finish_replay()
+        if message is None:
+            return  # the first life already put this on the wire
         if self.sender_faults is not None:
-            # One commit per prior fault death: the dying send was never
-            # journaled, so its window consumption is invisible to the
-            # replay above.  The first live send after replay *is* that
-            # dying send (deterministic re-execution) — consuming the
-            # prior commits here lets it pass exactly as the engine's
-            # restarted party does, instead of crash-looping forever.
-            while self._death_commits > 0:
-                self.sender_faults.on_send(message, self._round)
-                self._death_commits -= 1
-        if self.sender_faults is not None and self.sender_faults.crash_verdict(
-            message
-        ):
-            verdict = self.sender_faults.on_send(message, self._round)
-            raise PartyCrashed(
-                src, phase=phase_of_tag(tag),
-                restart=getattr(verdict, "restart", False),
-            )
-        if self.manager is not None:
-            self.manager.journal_send(message)
+            # Commit this message against the injector's match windows
+            # (the engine runs every send through on_send); crash kinds
+            # were already caught by the lookahead, so the verdict here
+            # is always plain delivery.
+            self.sender_faults.on_send(message, self._round)
         body: Optional[bytes] = None
         enc = "pickle"
         payload_bits = size_bits
         wire_messages = 1
-        if self.wire is not None:
-            message = self.wire.prepare(message)
-        if self.sender_faults is not None:
-            # Commit this message against the injector's match windows
-            # (the engine runs every send through on_send); crash kinds
-            # were already caught by the lookahead above, so the verdict
-            # here is always plain delivery.
-            self.sender_faults.on_send(message, self._round)
         if self.wire is not None:
             first = (dst, self._round) not in self._batch_seen
             self._batch_seen.add((dst, self._round))
@@ -340,13 +326,10 @@ class PartyHost:
         self.writer.write(frames.pack_msg(header, body))
 
     def note_phase(self, party: Any) -> None:
-        if self._replaying:
-            return  # the first life already snapshotted these boundaries
-        if self.manager is not None:
-            self.manager.snapshot_party(party, self._round)
-        self._send_json(frames.PHASE, {
-            "party": self.pid, "phase": party.phase, "round": self._round,
-        })
+        if self.driver.note_phase(self._round):  # False while replaying
+            self._send_json(frames.PHASE, {
+                "party": self.pid, "phase": party.phase, "round": self._round,
+            })
 
     # -- inbound path -------------------------------------------------------
 
@@ -477,70 +460,6 @@ class PartyHost:
 
     # -- generator driving --------------------------------------------------
 
-    def _step_once(self, feed: Optional[Message],
-                   first: bool = False) -> Tuple[Any, bool]:
-        self.group.attach_counter(self.party.metrics.ops)
-        try:
-            effect = next(self.gen) if first else self.gen.send(feed)
-        except StopIteration:
-            return None, True
-        finally:
-            self.group.attach_counter(None)
-        return effect, False
-
-    def _finish_replay(self) -> None:
-        self._replaying = False
-        if self.manager is not None:
-            self.manager.finish_replay(self.pid)
-
-    def _drive_replay(self, plan: Any) -> Tuple[str, Any]:
-        """Replay the journal through the rebuilt generator
-        (:meth:`Engine._drive_replay`'s discipline): feed journaled
-        receives in order, skip round pauses the first life waited out,
-        suppress journaled sends (checked off inside :meth:`submit`),
-        and go live at the first send past the journal."""
-        received = plan.received
-        index = 0
-        feed: Optional[Message] = None
-        first = True
-        while True:
-            effect, done = self._step_once(feed, first=first)
-            first = False
-            feed = None
-            if done:
-                if self._replaying:
-                    raise CheckpointError(
-                        f"party {self.pid} finished mid-replay; its journal "
-                        "does not match a deterministic re-execution"
-                    )
-                return "finished", None
-            if isinstance(effect, NextRound):
-                if self._replaying:
-                    continue  # the first life already waited this out
-                return "effect", effect
-            if not isinstance(effect, Recv):
-                raise ProtocolError(
-                    f"party {self.pid} yielded {effect!r}; parties may only "
-                    "yield Recv or NextRound"
-                )
-            if self._replaying:
-                if index >= len(received):
-                    raise CheckpointError(
-                        f"party {self.pid} blocked on {effect!r} mid-replay "
-                        "with no journaled message left"
-                    )
-                message = received[index]
-                if not effect.matches(message):
-                    raise CheckpointError(
-                        f"replay divergence: party {self.pid} wants "
-                        f"{effect!r} but its journal delivers "
-                        f"({message.src}, {message.tag!r})"
-                    )
-                index += 1
-                feed = replace(message, accounted=True)
-                continue
-            return "effect", effect
-
     def _advance_round(self) -> None:
         self._round += 1
         self._batch_seen.clear()
@@ -625,46 +544,48 @@ class PartyHost:
 
     async def _drive(self) -> int:
         spec = self.spec
+        if spec.incarnation > 0 and self.manager is None:
+            self._send_json(frames.ABORTED, {
+                "party": self.pid, "blamed": self.pid, "phase": "init",
+                "error": "rejoin requested without a checkpoint dir",
+            })
+            await self._drain()
+            return 1
         plan = None
-        if spec.incarnation > 0:
-            if self.manager is None:
-                self._send_json(frames.ABORTED, {
-                    "party": self.pid, "blamed": self.pid, "phase": "init",
-                    "error": "rejoin requested without a checkpoint dir",
-                })
-                await self._drain()
-                return 1
-            await self._offload(
-                self.manager.resume_attempt, spec.attempt, self._factory,
-                [self.pid],
-            )
-        elif self.manager is not None:
-            await self._offload(
-                self.manager.start_attempt, spec.attempt, self._factory
-            )
         try:
             if spec.incarnation > 0:
-                assert self.manager is not None  # guarded above
+                await self._offload(
+                    self.manager.resume_attempt, spec.attempt, self._factory,
+                    [self.pid],
+                )
                 plan = await self._offload(self.manager.rejoin_plan, self.pid)
                 self.party = plan.party
                 self._round = plan.watermark
-                # Flush before the next await: later arrivals must not
-                # jump ahead of buffered ones in a (src, tag) stream.
-                self._flush_predelivered()
             else:
+                if self.manager is not None:
+                    await self._offload(
+                        self.manager.start_attempt, spec.attempt,
+                        self._factory,
+                    )
                 self.party = self._factory(self.pid)
+            self.party._engine = self
+            self.driver = _HostDriver(
+                self.party, [self.group], faults=self.sender_faults,
+                checkpoints=self.manager, wire=self.wire,
+            )
+            if plan is None:
                 self._flush_predelivered()
                 if self.manager is not None:
                     await self._offload(
                         self.manager.register_party, self.party
                     )
-            self.party._engine = self
-            self.gen = self.party.protocol()
-            if plan is not None:
-                self._replaying = True
-                self._replay_sends = plan.sends
-                state, effect = self._drive_replay(plan)
-                assert self.manager is not None  # rejoin implies a manager
+                effect = self.driver.step()
+            else:
+                self.driver.prior_deaths = spec.prior_fault_deaths
+                effect = self.driver.replay(plan, spec.carried_metrics)
+                # After the go-live swap (credit the carried metrics) and
+                # before the next await (later arrivals must not overtake).
+                self._flush_predelivered()
                 watermarks = await self._offload(
                     self.manager.consumed_watermarks, self.pid
                 )
@@ -672,37 +593,24 @@ class PartyHost:
                     "party": self.pid, "incarnation": spec.incarnation,
                     "watermarks": watermarks,
                 })
-                await self._drain()
-                if state == "finished":
-                    return await self._finish()
-            else:
-                effect, done = self._step_once(None, first=True)
-                if done:
-                    return await self._finish()
-            while True:
+            while effect is not None:
                 await self._drain()
                 self._check_interrupts()
                 if isinstance(effect, NextRound):
                     self._advance_round()
-                    effect, done = self._step_once(None)
-                elif isinstance(effect, Recv):
-                    message = self.mailbox.try_take(effect)
-                    if message is None:
-                        message = await self._wait_for(effect)
-                        self._advance_round()
-                    if self.manager is not None:
-                        await self._offload(
-                            self.manager.journal_receive,
-                            self.pid, message, self._round,
-                        )
-                    effect, done = self._step_once(message)
-                else:
-                    raise ProtocolError(
-                        f"party {self.pid} yielded {effect!r}; parties may "
-                        "only yield Recv or NextRound"
+                    effect = self.driver.step()
+                    continue
+                message = self.mailbox.try_take(effect)
+                if message is None:
+                    message = await self._wait_for(effect)
+                    self._advance_round()
+                if self.manager is not None:
+                    await self._offload(
+                        self.manager.journal_receive,
+                        self.pid, message, self._round,
                     )
-                if done:
-                    return await self._finish()
+                effect = self.driver.step(message)
+            return await self._finish()
         except PartyCrashed as crash:
             return await self._die(crash)
         except ProtocolAbort as abort:
@@ -727,8 +635,8 @@ class PartyHost:
         except _TransportAbort:
             return 1
         finally:
-            if self.gen is not None:
-                self.gen.close()
+            if self.driver is not None:
+                self.driver.close()
 
     async def _finish(self) -> int:
         bundle = ResultBundle(
@@ -770,17 +678,23 @@ class PartyHost:
         return 0
 
     async def _die(self, crash: PartyCrashed) -> int:
+        # The next incarnation carries this life's metrics on, minus the
+        # deliveries still unconsumed here: peers resend those to it.
+        metrics = dataclasses.asdict(self.party.metrics)
+        unconsumed = self.mailbox.pending()
+        metrics["messages_received"] -= len(unconsumed)
+        metrics["bits_received"] -= sum(m.size_bits for m in unconsumed)
         self._send_json(frames.DYING, {
             "party": self.pid,
             "restart": bool(getattr(crash, "restart", False)),
             "phase": getattr(crash, "phase", None),
+            "metrics": metrics,
         })
         await self._drain()
         return EXIT_FAULT_DEATH
 
     async def _graceful(self) -> int:
-        if (self.manager is not None and self.party is not None
-                and not self._replaying):
+        if self.manager is not None and self.party is not None:
             # Final durable checkpoint: a later --resume or rejoin picks
             # up from this boundary instead of losing the phase.
             await self._offload(
@@ -845,7 +759,7 @@ class PartyHost:
 
 
 # ---------------------------------------------------------------------------
-# serve-party entrypoint
+# party process entrypoint
 # ---------------------------------------------------------------------------
 
 async def _serve_async(host: str, port: int, party_id: int,
@@ -881,8 +795,9 @@ async def _serve_async(host: str, port: int, party_id: int,
 
 def serve_party(connect: str, party_id: int, incarnation: int = 0,
                 token: Optional[str] = None) -> int:
-    """Blocking entrypoint for ``repro serve-party`` (one process, one
-    party).  The session token comes from ``REPRO_TRANSPORT_TOKEN``
+    """Blocking body of one party process, which the launcher forks:
+    connect to the coordinator at ``connect`` (``host:port``) and run
+    one party.  The session token comes from ``REPRO_TRANSPORT_TOKEN``
     unless passed explicitly."""
     if token is None:
         token = os.environ.get("REPRO_TRANSPORT_TOKEN", "")
@@ -891,7 +806,7 @@ def serve_party(connect: str, party_id: int, incarnation: int = 0,
         port = int(port_text)
     except ValueError as exc:
         raise TransportError(
-            f"--connect expects host:port, got {connect!r}"
+            f"coordinator address must be host:port, got {connect!r}"
         ) from exc
     try:
         return asyncio.run(

@@ -13,6 +13,7 @@ sockets here: parties die as OS processes and rejoin over fresh
 connections from their durable checkpoints.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -264,6 +265,51 @@ class TestFaults:
         assert result.rejoins == 1
         assert result.excluded == []
         assert result.ranks == fault_baseline
+
+    @pytest.mark.parametrize("spec", [
+        FaultSpec(kind="kill_restart", party=2, tag="beta-bits"),
+        FaultSpec(kind="kill_restart", party=2, tag="tau-sets"),
+        FaultSpec(kind="kill_restart", party=0, phase="keying"),
+    ], ids=["P2-beta-bits", "P2-tau-sets", "P0-keying"])
+    def test_kill_restart_accounting_matches_the_engine(self, small_dl_group,
+                                                        spec):
+        """A rejoined party reports its whole run, not only its second
+        life: every party's metrics equal those of an in-process run with
+        the same fault and a checkpoint dir."""
+        results = []
+        for transport in ("inproc", "tcp"):
+            with tempfile.TemporaryDirectory() as checkpoint_dir:
+                framework = fault_build(
+                    small_dl_group, checkpoint_dir=checkpoint_dir
+                )
+                if transport == "tcp":
+                    results.append(run_distributed(
+                        framework, [spec], settings=self.SETTINGS
+                    ))
+                else:
+                    results.append(framework.run(faults=[spec]))
+        inproc, tcp = results
+        assert inproc.rejoins == tcp.rejoins == 1
+        assert tcp.ranks == inproc.ranks
+        assert _accounting(tcp) == _accounting(inproc)
+
+
+#: OperationCounter fields that differ between runtimes even without a
+#: fault: each party process keeps its own membership memo, and the
+#: engine also tallies the membership checks of its transcode.
+RUNTIME_DEPENDENT_OPS = ("membership_checks", "membership_cache_hits")
+
+
+def _accounting(result):
+    """Every PartyMetrics field of every party, op counter included."""
+    out = {}
+    for pid, metrics in result.metrics.items():
+        fields = dataclasses.asdict(metrics)
+        for name, value in fields.pop("ops").items():
+            if name not in RUNTIME_DEPENDENT_OPS:
+                fields["ops." + name] = value
+        out[pid] = fields
+    return out
 
 
 # -- the party launcher ------------------------------------------------------

@@ -76,18 +76,16 @@ def counting_run(
     h: int = 15,
     element_bits: int = 1024,
     order_bits: Optional[int] = None,
-    wire: str = "declared",
     coalesce: bool = True,
 ) -> CountedRun:
     """Execute the real protocol on an inert group; return exact counts.
 
-    ``wire="measured"`` routes every message through the wire transport
-    so the transcript carries *measured* encoded bytes (envelopes,
-    framing, per-round coalescing per ``coalesce``) instead of the
-    analytic declared sizes — the counting group reports the target
-    family's element width, so encoded sizes match the real family's.
+    The transcript carries *measured* encoded bytes (envelopes, framing,
+    per-round coalescing per ``coalesce``) — the counting group reports
+    the target family's element width, so encoded sizes match the real
+    family's.
     """
-    key = (n, m, t, d1, d2, h, element_bits, order_bits, wire, coalesce)
+    key = (n, m, t, d1, d2, h, element_bits, order_bits, coalesce)
     if key in _COUNT_CACHE:
         return _COUNT_CACHE[key]
     schema = AttributeSchema(
@@ -110,8 +108,7 @@ def counting_run(
     group = CountingGroup(element_bits=element_bits, order_bits=order_bits)
     config = FrameworkConfig(
         group=group, schema=schema, num_participants=n,
-        k=max(1, n // 8), rho_bits=h,
-        wire=wire, coalesce=coalesce,
+        k=max(1, n // 8), rho_bits=h, coalesce=coalesce,
     )
     framework = GroupRankingFramework(config, initiator, participants, rng=SeededRNG(2))
     result = framework.run()

@@ -117,11 +117,11 @@ def series():
         # varint framing) and real frame counts (coalesced batches fold
         # into one wire message per channel per round).
         run_dl = counting_run_for_family(
-            "DL", 80, n=n, wire="measured", **params
+            "DL", 80, n=n, **params
         )
         dl.append(replay_transcript(run_dl.transcript, topology, link).total_time_s)
         run_ecc = counting_run_for_family(
-            "ECC", 80, n=n, wire="measured", **params
+            "ECC", 80, n=n, **params
         )
         ecc.append(replay_transcript(run_ecc.transcript, topology, link).total_time_s)
         ss_hi.append(ss_network_seconds(n, run_dl.beta_bits, topology, link, "batched"))
@@ -159,7 +159,7 @@ def test_fig3b_series(series, benchmark):
     topology = paper_topology(SeededRNG(17))
     topology.place_parties(list(range(ns[0] + 1)), SeededRNG(18))
     run = counting_run_for_family(
-        "ECC", 80, n=ns[0], wire="measured", **params
+        "ECC", 80, n=ns[0], **params
     )
     benchmark(lambda: replay_transcript(run.transcript, topology))
 

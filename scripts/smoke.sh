@@ -27,10 +27,10 @@ echo "== crossover model picks the shard size =="
 PYTHONPATH=src python -m repro demo -n 24 --shard-size auto
 
 echo "== socket transport: one process per party over loopback TCP =="
-# Measured wire: the parties ship codec bytes, which must carry exactly
-# the in-process run's per-channel streams (same canonical digest).
-INPROC_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1 --wire measured)"
-TCP_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1 --wire measured \
+# The parties ship codec bytes, which must carry exactly the in-process
+# run's per-channel streams (same canonical digest).
+INPROC_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1)"
+TCP_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1 \
     --transport tcp --listen 127.0.0.1:0)"
 echo "$TCP_OUT"
 INPROC_DIGEST="$(echo "$INPROC_OUT" | grep '^wire digest:')"

@@ -85,10 +85,7 @@ class MemberParty(Party):
         bounds = self._chunk_bounds(len(batch))
         for index, (lo, hi) in enumerate(bounds):
             chunk = batch[lo:hi]
-            self.send(
-                dst, TAG_CHUNK, (index, chunk),
-                size_bits=self.mixnet.batch_wire_bits(len(chunk)) + 32,
-            )
+            self.send(dst, TAG_CHUNK, (index, chunk))
             if index < len(bounds) - 1:
                 yield from self.pause()
 
@@ -119,8 +116,7 @@ class MemberParty(Party):
         #    could be layered on; kept lean here to spotlight the mixing).
         secret = group.random_exponent(self.rng)
         public = group.exp_generator(secret)
-        self.broadcast(others, TAG_SHARE, public,
-                       size_bits=8 * group.wire_bytes)
+        self.broadcast(others, TAG_SHARE, public)
         publics = yield from self.recv_from_all(others, TAG_SHARE)
         publics[self.party_id] = public
         mixnet = self.mixnet = DecryptionMixnet(group, publics)
@@ -135,8 +131,7 @@ class MemberParty(Party):
             for sender in sorted(received):
                 batch.append(received[sender])
         else:
-            self.send(1, TAG_SUBMIT, ciphertext,
-                      size_bits=mixnet.batch_wire_bits(1))
+            self.send(1, TAG_SUBMIT, ciphertext)
             if streaming:
                 hop = StreamingMixHop(
                     mixnet, self.party_id, secret,
@@ -154,17 +149,13 @@ class MemberParty(Party):
             batch = mixnet.mix_hop(batch, self.party_id, secret, self.rng)
 
         # 4. Forward — or open and deliver if last.
-        batch_bits = mixnet.batch_wire_bits(len(batch))
         if self.party_id < self.num_members:
             if streaming:
                 yield from self._send_stream(self.party_id + 1, batch)
             else:
-                self.send(self.party_id + 1, TAG_BATCH, batch,
-                          size_bits=batch_bits)
+                self.send(self.party_id + 1, TAG_BATCH, batch)
         else:
-            outputs = mixnet.open_outputs(batch)
-            self.send(0, TAG_OUTPUT, outputs,
-                      size_bits=len(outputs) * 8 * group.wire_bytes)
+            self.send(0, TAG_OUTPUT, mixnet.open_outputs(batch))
         self.output = "mixed"
 
 
@@ -175,23 +166,20 @@ class AnonymousCollection:
     messages: List[int]
     rounds: int
     transcript: Transcript
-    wire_stats: Optional[WireStats] = None
+    wire_stats: WireStats
 
 
 def run_anonymous_collection(
     group: DLGroup, messages: List[int], rng: Optional[RNG] = None,
-    *, stream_chunk: int = 0, wire: str = "declared",
-    wire_codec: str = "v2", coalesce: bool = True, backend: str = "auto",
+    *, stream_chunk: int = 0, coalesce: bool = True, backend: str = "auto",
 ) -> AnonymousCollection:
     """Convenience one-call runner: returns the collector's view.
 
     ``stream_chunk > 0`` streams each hop's batch in chunks of that many
-    ciphertexts (same multiset, pipelined hops).  ``wire`` selects the
-    communication accounting exactly as in
-    :class:`~repro.core.parties.FrameworkConfig`: ``"declared"`` keeps
-    the analytic sizes above, ``"measured"``/``"conformance"`` route
-    every message through a :class:`~repro.runtime.channels.WireTransport`
-    (codec ``wire_codec``, per-round batching per ``coalesce``).
+    ciphertexts (same multiset, pipelined hops).  Every message goes
+    through a :class:`~repro.runtime.channels.WireTransport` and is
+    accounted by its measured encoded bytes, with per-round batching per
+    ``coalesce`` (as in :class:`~repro.core.parties.FrameworkConfig`).
     ``backend`` scopes the run to an arithmetic backend
     (:mod:`repro.math.backend`; ``"auto"`` keeps the active one) —
     transcript-equivalent, so the collected multiset, round count, and
@@ -202,10 +190,7 @@ def run_anonymous_collection(
         raise ValueError("anonymity needs at least two members")
     if stream_chunk < 0:
         raise ValueError("stream_chunk must be non-negative")
-    transport = None
-    if wire != "declared":
-        transport = WireTransport(group, codec=wire_codec,
-                                  coalesce=coalesce, mode=wire)
+    transport = WireTransport(group, coalesce=coalesce)
     with arith_backend.use_backend(backend):
         engine = Engine(metered_groups=[group], wire=transport)
         engine.add_party(CollectorParty(group, n, _fork(rng, "collector")))
@@ -220,7 +205,7 @@ def run_anonymous_collection(
         messages=outputs[0],
         rounds=engine.transcript.rounds,
         transcript=engine.transcript,
-        wire_stats=transport.stats() if transport is not None else None,
+        wire_stats=transport.stats(),
     )
 
 

@@ -49,17 +49,6 @@ class DecryptionMixnet:
     def joint_public_key(self) -> Element:
         return self._distkey.joint_public_key()
 
-    def batch_wire_bits(self, count: int) -> int:
-        """Declared wire size of a ``count``-ciphertext batch.
-
-        Sized from the group's canonical encoded element width
-        (:attr:`~repro.groups.base.Group.wire_bytes`, two element bodies
-        per ciphertext) rather than raw ``element_bits``, so declared
-        sizes match what the measured wire path serializes and the
-        conformance cross-check holds for chain-hop transfers.
-        """
-        return count * 2 * 8 * self.group.wire_bytes
-
     def submit(self, plaintext_element: Element, rng: RNG) -> Ciphertext:
         """Encrypt a group-encoded message under the joint key."""
         return self.scheme.encrypt(plaintext_element, self.joint_public_key(), rng)

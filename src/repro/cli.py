@@ -119,15 +119,6 @@ def _add_checkpoint_flags(command: argparse.ArgumentParser) -> None:
 
 
 def _add_wire_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--wire", choices=["declared", "measured", "conformance"],
-        default="declared",
-        help="communication accounting: declared analytic sizes, measured "
-             "encoded bytes, or measured with a declared-vs-measured "
-             "cross-check",
-    )
-    command.add_argument("--wire-codec", choices=["v1", "v2"], default="v2",
-                         help="wire format (v2 = varint framing + interning)")
     command.add_argument("--coalesce", dest="coalesce", action="store_true",
                          default=True,
                          help="batch per-(sender,receiver,round) messages "
@@ -138,10 +129,8 @@ def _add_wire_flags(command: argparse.ArgumentParser) -> None:
 
 def _print_wire_stats(result, out) -> None:
     stats = result.wire_stats
-    if stats is None:
-        return
-    print(f"wire: codec={stats.codec} coalesce={stats.coalesce} "
-          f"mode={stats.mode}   {stats.wire_messages} wire messages / "
+    print(f"wire: coalesce={stats.coalesce}   "
+          f"{stats.wire_messages} wire messages / "
           f"{stats.logical_messages} logical   "
           f"{stats.wire_bytes / 1e6:.3f} MB on the wire", file=out)
     # The canonical digest hashes per-channel payload streams, so it is
@@ -224,8 +213,6 @@ def cmd_demo(args, out) -> int:
         bit_proofs=args.bit_proofs,
         streaming=args.streaming,
         stream_chunk_sets=args.chunk_sets,
-        wire=args.wire,
-        wire_codec=args.wire_codec,
         coalesce=args.coalesce,
         backend=args.backend,
         checkpoint_dir=args.checkpoint_dir,
@@ -358,7 +345,7 @@ def cmd_netsim(args, out) -> int:
     config = FrameworkConfig(
         group=group, schema=schema,
         num_participants=args.participants, k=2, rho_bits=8,
-        wire=args.wire, wire_codec=args.wire_codec, coalesce=args.coalesce,
+        coalesce=args.coalesce,
         backend=args.backend, checkpoint_dir=args.checkpoint_dir,
         shard_size=_resolve_shard_size(
             args.shard_size, args.participants, 2, schema, 8, group

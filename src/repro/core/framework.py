@@ -77,8 +77,8 @@ class FrameworkResult:
     # Parties killed by a restartable fault and brought back from their
     # durable checkpoints (they are NOT in ``excluded``).
     rejoins: int = 0
-    # Wire-path accounting (None for legacy declared-size runs).  After
-    # a recovery, stats cover the final (successful) attempt.
+    # Measured wire-path accounting.  After a recovery, stats cover the
+    # final (successful) attempt.
     wire_stats: Optional[WireStats] = None
 
     def selected_ids(self) -> List[int]:
@@ -240,9 +240,14 @@ class GroupRankingFramework:
     def _make_injector(self, faults):
         # Anything exposing on_send (a FaultInjector, netsim's
         # LossyLinkFaults, a test double) plugs in directly; a bare
-        # sequence of FaultSpec is wrapped into an injector.
-        if faults is None or hasattr(faults, "on_send"):
+        # sequence of FaultSpec is wrapped into an injector.  An empty
+        # plan is no plan: an injector makes the engine frame every
+        # message alone, which would change the wire accounting of a
+        # fault-free run.
+        if hasattr(faults, "on_send"):
             return faults
+        if not faults:
+            return None
         return FaultInjector(
             list(faults), rng=_fork(self._rng, "faults"), phase_of=phase_of_tag
         )
@@ -284,14 +289,7 @@ class GroupRankingFramework:
             phase_of=phase_of_tag,
             adaptive=config.adaptive_timeouts,
         )
-        transport = None
-        if config.wire != "declared":
-            transport = WireTransport(
-                config.group,
-                codec=config.wire_codec,
-                coalesce=config.coalesce,
-                mode=config.wire,
-            )
+        transport = WireTransport(config.group, coalesce=config.coalesce)
         rng = self._rng
         prefix = "" if attempt == 0 else f"A{attempt}|"
         resume = bool(known_betas) and all(j in known_betas for j in active)
@@ -371,7 +369,7 @@ class GroupRankingFramework:
             metrics={pid: party.metrics for pid, party in engine.parties.items()},
             rounds=engine.transcript.rounds,
             betas=betas,
-            wire_stats=transport.stats() if transport is not None else None,
+            wire_stats=transport.stats(),
         )
 
     # -- reference computations for verification --------------------------------

@@ -165,20 +165,17 @@ class FrameworkConfig:
       the step-6 well-formedness check from structural (shape + group
       membership) to cryptographic (each plaintext provably in {0, 1}).
 
-    Robustness switches:
-
     Wire-path switches (accounting only; ranks never change):
 
-    * ``wire`` — ``"declared"`` (default) keeps the legacy hand-declared
-      sizes; ``"measured"`` routes every message through the wire codec
-      and accounts real encoded bytes (payload + secure-channel
-      envelope); ``"conformance"`` additionally cross-checks measured
-      sizes against the declared ones and aborts on drift.
-    * ``wire_codec`` — ``"v2"`` (compact varint framing + per-channel
-      element interning) or ``"v1"`` (legacy fixed 4-byte framing).
+    * ``wire`` — ``"measured"``, the only accounting: every message is
+      encoded with the v2 wire codec (:mod:`repro.runtime.wire`) and
+      accounted by its real encoded bytes (payload + secure-channel
+      envelope).  The field stays so configs that name it keep working.
     * ``coalesce`` — batch all messages one sender emits to one receiver
       within an engine round into a single framed wire message (one
       envelope per batch instead of one per bit/ciphertext).
+
+    Robustness switches:
 
     * ``recovery`` — when a run fails with a typed, blamed error
       (crash, timeout, validated abort), exclude the blamed participant
@@ -226,8 +223,7 @@ class FrameworkConfig:
     timeout_rounds: int = 6
     max_retries: int = 2
     validate_elements: bool = True
-    wire: str = "declared"          # or "measured" / "conformance"
-    wire_codec: str = "v2"          # or "v1"
+    wire: str = "measured"          # the only accounting (kept for callers)
     coalesce: bool = True           # batch per (sender, receiver, round)
     backend: str = "auto"           # arithmetic backend: "auto"/"gmp"/"gmpy2"/"python"
     checkpoint_dir: Optional[str] = None   # durable state directory (None = off)
@@ -249,12 +245,11 @@ class FrameworkConfig:
             raise ValueError(
                 f"backend must be one of {arith_backend.backend_choices()}"
             )
-        if self.wire not in ("declared", "measured", "conformance"):
+        if self.wire != "measured":
             raise ValueError(
-                "wire must be 'declared', 'measured' or 'conformance'"
+                "wire must be 'measured': declared sizes and the "
+                "conformance mode were removed"
             )
-        if self.wire_codec not in ("v1", "v2"):
-            raise ValueError("wire_codec must be 'v1' or 'v2'")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.precompute < 0:
@@ -402,7 +397,6 @@ class InitiatorParty(Party):
             self.rho = rho  # repro: secret
             self.rho_assignments: Dict[int, int] = {}  # repro: secret
             extended = initiator_extended_vector(config.schema, self.secret_input, rho)
-            response_bits = dot.message_bits(len(extended))[1]
             pending: Set[int] = set(participants)
             while pending:
                 message = yield from self.recv(None, TAG_DP_REQUEST)
@@ -419,9 +413,7 @@ class InitiatorParty(Party):
                 rho_j = self.rng.randrange(rho)
                 self.rho_assignments[message.src] = rho_j
                 response = dot.alice_respond(message.payload, extended, rho_j)
-                self.send(
-                    message.src, TAG_DP_RESPONSE, response, size_bits=response_bits
-                )
+                self.send(message.src, TAG_DP_RESPONSE, response)
 
     # -- Phase 2 (verifier role only) --------------------------------------------
     def _phase_keying_verification(self):
@@ -450,8 +442,7 @@ class InitiatorParty(Party):
                 commit_msg = yield from self.recv(j, TAG_ZKP_COMMIT)
                 commits[j] = commit_msg.payload
                 challenge = self._zkp.challenge(self.rng)
-                self.send(j, TAG_ZKP_CHALLENGE, challenge,
-                          size_bits=config.group.order.bit_length())
+                self.send(j, TAG_ZKP_CHALLENGE, challenge)
             proof_batch = ShareProofBatch(
                 config.group, batch=config.batch_verify, phase=PHASE_KEYING
             )
@@ -639,10 +630,7 @@ class ParticipantParty(Party):
         dot = config.dot_protocol()
         extended = participant_extended_vector(config.schema, self.secret_input)
         request, state = dot.bob_request(extended, self.rng)
-        self.send(
-            INITIATOR_ID, TAG_DP_REQUEST, request,
-            size_bits=dot.message_bits(len(extended))[0],
-        )
+        self.send(INITIATOR_ID, TAG_DP_REQUEST, request)
         message = yield from self.recv(INITIATOR_ID, TAG_DP_RESPONSE)
         if not dot.validate_response(message.payload):
             raise ProtocolAbort(
@@ -680,7 +668,6 @@ class ParticipantParty(Party):
         # Step 6: publish bitwise encryption of β under the joint key.
         self.set_phase(PHASE_COMPARISON)
         bitwise = BitwiseElGamal(group, pool=pool, multiexp=config.multiexp)
-        beta_bits_size = bitwise.ciphertext_bits(config.beta_bits)
         if config.bit_proofs:
             # Each broadcast carries per-bit validity proofs; receivers
             # check them (in one batch when batch_verify is on) before
@@ -688,10 +675,7 @@ class ParticipantParty(Party):
             my_bits_ct, my_proofs = self._published_beta_bits_with_proofs(
                 bitwise, beta, joint_key
             )
-            self.broadcast(
-                others, TAG_BETA_BITS, (my_bits_ct, my_proofs),
-                size_bits=beta_bits_size + bitwise.proof_bits(config.beta_bits),
-            )
+            self.broadcast(others, TAG_BETA_BITS, (my_bits_ct, my_proofs))
             received = yield from self.recv_from_all(others, TAG_BETA_BITS)
             other_bits = {}
             claims = []
@@ -711,9 +695,7 @@ class ParticipantParty(Party):
             )
         else:
             my_bits_ct = self._published_beta_bits(bitwise, beta, joint_key)
-            self.broadcast(
-                others, TAG_BETA_BITS, my_bits_ct, size_bits=beta_bits_size
-            )
+            self.broadcast(others, TAG_BETA_BITS, my_bits_ct)
             other_bits = yield from self.recv_from_all(others, TAG_BETA_BITS)
             for src, received in other_bits.items():
                 bitwise.validate_or_abort(received, config.beta_bits, blamed=src)
@@ -768,8 +750,6 @@ class ParticipantParty(Party):
         group = config.group
         others = self._others
         verifiers = [INITIATOR_ID] + others
-        element_bits = group.element_bits
-        order_bits = group.order.bit_length()
 
         def require_element(candidate, blamed):
             if not group.is_element(candidate):
@@ -781,7 +761,7 @@ class ParticipantParty(Party):
         publics: Dict[int, Element] = {}
         if not config.verify_zkp:
             # Keying without proofs (testing/ablation): exchange shares only.
-            self.broadcast(others, TAG_PK_SHARE, share.public, size_bits=element_bits)
+            self.broadcast(others, TAG_PK_SHARE, share.public)
             for j in others:
                 share_msg = yield from self.recv(j, TAG_PK_SHARE)
                 require_element(share_msg.payload, j)
@@ -796,10 +776,7 @@ class ParticipantParty(Party):
                 group, context=b"repro-keying|" + str(self.party_id).encode()
             )
             proof = nizk.prove(self._proof_secret(share.secret), self.rng)
-            self.broadcast(
-                verifiers, TAG_ZKP_NIZK, (share.public, proof),
-                size_bits=2 * element_bits + order_bits,
-            )
+            self.broadcast(verifiers, TAG_ZKP_NIZK, (share.public, proof))
             proof_batch = ShareProofBatch(
                 group, distkey, batch=config.batch_verify, phase=PHASE_KEYING
             )
@@ -814,8 +791,8 @@ class ParticipantParty(Party):
             return proof_batch.verify_and_register()
 
         commitment, nonce = self._zkp.commit(self.rng)
-        self.broadcast(verifiers, TAG_PK_SHARE, share.public, size_bits=element_bits)
-        self.broadcast(verifiers, TAG_ZKP_COMMIT, commitment, size_bits=element_bits)
+        self.broadcast(verifiers, TAG_PK_SHARE, share.public)
+        self.broadcast(verifiers, TAG_ZKP_COMMIT, commitment)
 
         commits: Dict[int, Element] = {}
         for j in others:
@@ -825,8 +802,7 @@ class ParticipantParty(Party):
             distkey.register_public(j, share_msg.payload)
             commit_msg = yield from self.recv(j, TAG_ZKP_COMMIT)
             commits[j] = commit_msg.payload
-            self.send(j, TAG_ZKP_CHALLENGE, self._zkp.challenge(self.rng),
-                      size_bits=order_bits)
+            self.send(j, TAG_ZKP_CHALLENGE, self._zkp.challenge(self.rng))
 
         challenges = []
         for verifier in verifiers:
@@ -836,9 +812,7 @@ class ParticipantParty(Party):
             nonce, self._proof_secret(share.secret), challenges
         )
         self.broadcast(
-            verifiers, TAG_ZKP_RESPONSE,
-            (commitment, tuple(challenges), response),
-            size_bits=(len(challenges) + 1) * order_bits + config.group.element_bits,
+            verifiers, TAG_ZKP_RESPONSE, (commitment, tuple(challenges), response)
         )
 
         proof_batch = ShareProofBatch(
@@ -904,15 +878,13 @@ class ParticipantParty(Party):
             config.group, rerandomize=config.rerandomize, permute=config.permute
         )
         executor = self._worker_pool()
-        set_bits = len(my_set) * config.ciphertext_bits()
-        vector_bits = len(active) * set_bits
         head, tail = active[0], active[-1]
         if len(my_set) != self._expected_set_size():
             raise ProtocolError("own comparison set has the wrong size")
 
         if config.streaming:
             zeros = yield from self._stream_shuffle_chain(
-                my_set, secret, processor, executor, set_bits
+                my_set, secret, processor, executor
             )
             return zeros
 
@@ -926,12 +898,11 @@ class ParticipantParty(Party):
             vector = processor.process_vector(
                 vector, own_index=0, secret=secret, rng=self.rng, executor=executor
             )
-            self.send(active[1], TAG_CHAIN, vector, size_bits=vector_bits)
+            self.send(active[1], TAG_CHAIN, vector)
             final_msg = yield from self.recv(tail, TAG_FINAL_SET)
             final_set = final_msg.payload
         else:
-            self.send(head, TAG_TAU_SETS, self._outgoing_tau_set(my_set),
-                      size_bits=set_bits)
+            self.send(head, TAG_TAU_SETS, self._outgoing_tau_set(my_set))
             predecessor = active[position - 1]
             chain_msg = yield from self.recv(predecessor, TAG_CHAIN)
             self._validate_vector(chain_msg.payload, blamed=predecessor)
@@ -940,15 +911,13 @@ class ParticipantParty(Party):
                 executor=executor,
             )
             if position < len(active) - 1:
-                self.send(active[position + 1], TAG_CHAIN, vector,
-                          size_bits=vector_bits)
+                self.send(active[position + 1], TAG_CHAIN, vector)
                 final_msg = yield from self.recv(tail, TAG_FINAL_SET)
                 final_set = final_msg.payload
             else:
                 # The chain tail distributes the processed sets to their owners.
                 for j in others:
-                    self.send(j, TAG_FINAL_SET, vector[active.index(j)],
-                              size_bits=set_bits)
+                    self.send(j, TAG_FINAL_SET, vector[active.index(j)])
                 final_set = vector[position]
 
         if self.party_id != tail:
@@ -991,7 +960,7 @@ class ParticipantParty(Party):
         return [list(cipher_set) for cipher_set in sets]
 
     def _stream_shuffle_chain(self, my_set: List[Ciphertext], secret: int,
-                              processor: ShuffleProcessor, executor, set_bits: int):
+                              processor: ShuffleProcessor, executor):
         """Step 8 as a pipeline: the vector travels in chunks.
 
         The head pauses one engine round between chunk emissions (see
@@ -1008,7 +977,6 @@ class ParticipantParty(Party):
         others = self._others
         head, tail = active[0], active[-1]
         bounds = self._stream_chunks(len(active))
-        header_bits = 32
 
         if position == 0:
             received = yield from self.recv_from_all(others, TAG_TAU_SETS)
@@ -1023,17 +991,13 @@ class ParticipantParty(Party):
                     vector[start:stop], own_index=own_local, secret=secret,
                     rng=self.rng, executor=executor,
                 )
-                self.send(
-                    successor, TAG_CHAIN, (c, processed),
-                    size_bits=len(processed) * set_bits + header_bits,
-                )
+                self.send(successor, TAG_CHAIN, (c, processed))
                 if c + 1 < len(bounds):
                     yield from self.pause()
             final_msg = yield from self.recv(tail, TAG_FINAL_SET)
             final_set = final_msg.payload
         else:
-            self.send(head, TAG_TAU_SETS, self._outgoing_tau_set(my_set),
-                      size_bits=set_bits)
+            self.send(head, TAG_TAU_SETS, self._outgoing_tau_set(my_set))
             predecessor = active[position - 1]
             collected: List[List[Ciphertext]] = []
             for c, (start, stop) in enumerate(bounds):
@@ -1047,16 +1011,12 @@ class ParticipantParty(Party):
                     executor=executor,
                 )
                 if position < len(active) - 1:
-                    self.send(
-                        active[position + 1], TAG_CHAIN, (c, processed),
-                        size_bits=len(processed) * set_bits + header_bits,
-                    )
+                    self.send(active[position + 1], TAG_CHAIN, (c, processed))
                 else:
                     collected.extend(processed)
             if position == len(active) - 1:
                 for j in others:
-                    self.send(j, TAG_FINAL_SET, collected[active.index(j)],
-                              size_bits=set_bits)
+                    self.send(j, TAG_FINAL_SET, collected[active.index(j)])
                 final_set = collected[position]
             else:
                 final_msg = yield from self.recv(tail, TAG_FINAL_SET)
@@ -1079,10 +1039,7 @@ class ParticipantParty(Party):
         self.set_phase(PHASE_SUBMISSION)
         config = self.config
         rank = self._claimed_rank(rank)
+        payload = None
         if rank <= config.k and config.collect_submissions:
             payload = Submission(rank=rank, values=self.secret_input.values)
-            size = config.schema.dimension * config.schema.value_bits + 32
-        else:
-            payload = None
-            size = 1
-        self.send(INITIATOR_ID, TAG_SUBMISSION, payload, size_bits=size)
+        self.send(INITIATOR_ID, TAG_SUBMISSION, payload)

@@ -33,6 +33,7 @@ from repro.crypto.distkey import DistributedKey
 from repro.crypto.zkp import NonInteractiveSchnorrProof
 from repro.groups.base import Group
 from repro.math.rng import RNG, SeededRNG
+from repro.runtime.channels import WireTransport
 from repro.runtime.engine import Engine
 from repro.runtime.errors import ProtocolAbort, ProtocolError
 from repro.runtime.party import Party
@@ -71,8 +72,6 @@ class SortingParty(Party):
     def protocol(self):
         group = self.group
         others = self._others
-        element_bits = group.element_bits
-        ciphertext_bits = 2 * element_bits
 
         # 1. Keying with NIZK proofs of key knowledge.
         distkey = DistributedKey(group)
@@ -82,10 +81,7 @@ class SortingParty(Party):
             group, context=b"repro-sort|" + str(self.party_id).encode()
         )
         proof = nizk.prove(share.secret, self.rng)
-        self.broadcast(
-            others, TAG_KEY, (share.public, proof),
-            size_bits=2 * element_bits + group.order.bit_length(),
-        )
+        self.broadcast(others, TAG_KEY, (share.public, proof))
         received = yield from self.recv_from_all(others, TAG_KEY)
         for j, (their_public, their_proof) in received.items():
             peer = NonInteractiveSchnorrProof(
@@ -99,8 +95,7 @@ class SortingParty(Party):
         # 2. Bitwise publication.
         bitenc = BitwiseElGamal(group)
         my_bits = bitenc.encrypt(self.value, self.width, joint, self.rng)
-        self.broadcast(others, TAG_BETA_BITS, my_bits,
-                       size_bits=self.width * ciphertext_bits)
+        self.broadcast(others, TAG_BETA_BITS, my_bits)
         other_bits = yield from self.recv_from_all(others, TAG_BETA_BITS)
         for j, bits in other_bits.items():
             if not bitenc.validate(bits, self.width):
@@ -115,8 +110,6 @@ class SortingParty(Party):
         # 4. The shuffle chain (same structure as framework step 8).
         processor = ShuffleProcessor(group)
         expected = self.width * (self.n - 1)
-        set_bits = expected * ciphertext_bits
-        vector_bits = self.n * set_bits
         me = self.party_id
 
         def check(sets):
@@ -130,23 +123,23 @@ class SortingParty(Party):
                 vector.append(gathered[j])
             check(vector)
             vector = processor.process_vector(vector, 0, share.secret, self.rng)
-            self.send(2, TAG_CHAIN, vector, size_bits=vector_bits)
+            self.send(2, TAG_CHAIN, vector)
             final_msg = yield from self.recv(self.n, TAG_FINAL)
             final_set = final_msg.payload
         else:
-            self.send(1, TAG_SETS, my_set, size_bits=set_bits)
+            self.send(1, TAG_SETS, my_set)
             chain_msg = yield from self.recv(me - 1, TAG_CHAIN)
             check(chain_msg.payload)
             vector = processor.process_vector(
                 chain_msg.payload, me - 1, share.secret, self.rng
             )
             if me < self.n:
-                self.send(me + 1, TAG_CHAIN, vector, size_bits=vector_bits)
+                self.send(me + 1, TAG_CHAIN, vector)
                 final_msg = yield from self.recv(self.n, TAG_FINAL)
                 final_set = final_msg.payload
             else:
                 for j in others:
-                    self.send(j, TAG_FINAL, vector[j - 1], size_bits=set_bits)
+                    self.send(j, TAG_FINAL, vector[j - 1])
                 final_set = vector[me - 1]
 
         zeros = processor.count_zero_plaintexts(final_set, share.secret)
@@ -177,7 +170,7 @@ def unlinkable_sort(
     n = len(values)
     if n < 2:
         raise ValueError("sorting needs at least two parties")
-    engine = Engine(metered_groups=[group])
+    engine = Engine(metered_groups=[group], wire=WireTransport(group))
     for party_id, value in enumerate(values, start=1):
         fork = getattr(rng, "fork", None)
         party_rng = fork(f"sort{party_id}") if callable(fork) else rng

@@ -142,12 +142,6 @@ class BitwiseElGamal:
             proofs.append(prover.prove(ciphertext, bit, r, rng))
         return BitwiseCiphertext(bits=tuple(ciphertexts)), tuple(proofs)
 
-    def proof_bits(self, width: int) -> int:
-        """Wire size of the per-bit validity proofs for one operand."""
-        return width * (
-            4 * self.group.element_bits + 4 * self.group.order.bit_length()
-        )
-
 
 # -- bit-validity proofs -------------------------------------------------------
 #

@@ -128,6 +128,17 @@ RULES: Dict[str, Rule] = {
             ),
         ),
         Rule(
+            id="R-PICKLE",
+            layer="invariant",
+            title="pickle load outside the allow-list",
+            rationale=(
+                "Unpickling bytes that crossed a socket runs whatever"
+                " code they name; peer bytes go through a total decoder"
+                " (the v2 wire codec), and each remaining load is waived"
+                " inline with its reason."
+            ),
+        ),
+        Rule(
             id="R-PROTO",
             layer="protocol",
             title="implemented message graph drifts from the declared spec",

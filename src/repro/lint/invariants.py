@@ -15,6 +15,10 @@
   arithmetic is exact.
 * **R-EXCEPT** — no bare ``except:``; no ``except Exception:`` that
   fails to re-raise (it would swallow a blamed ``ProtocolAbort``).
+* **R-PICKLE** — no ``pickle.load``/``pickle.loads``/``pickle.Unpickler``
+  call: protocol messages cross the wire as codec bytes, so every
+  remaining load (the sealed checkpoint reader, the transport's own
+  control frames) is an inline waiver that states its reason.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ def check_module(
     _check_pool(parsed, emit)
     _check_float(parsed, emit)
     _check_except(parsed, emit)
+    _check_pickle(parsed, emit)
     return findings
 
 
@@ -263,3 +268,40 @@ def handler_bare(handler: ast.ExceptHandler) -> bool:
 
 def _reraises(handler: ast.ExceptHandler) -> bool:
     return any(isinstance(node, ast.Raise) for node in ast.walk(handler))
+
+
+# -- R-PICKLE ----------------------------------------------------------------
+
+_UNPICKLERS = {"load", "loads", "Unpickler"}
+
+
+def _check_pickle(parsed: ParsedModule, emit) -> None:
+    modules: Set[str] = set()    # names bound to the pickle module
+    functions: Set[str] = set()  # unpicklers imported by name
+    for node in ast.walk(parsed.tree):
+        if isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or alias.name
+                for alias in node.names if alias.name == "pickle"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "pickle":
+            functions.update(
+                alias.asname or alias.name
+                for alias in node.names if alias.name in _UNPICKLERS
+            )
+    for node in ast.walk(parsed.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _UNPICKLERS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        ) or (isinstance(func, ast.Name) and func.id in functions):
+            emit(
+                "R-PICKLE",
+                node,
+                "pickle load: unpickled bytes can run code; decode peer "
+                "bytes with the wire codec or waive with the reason",
+            )

@@ -73,8 +73,8 @@ class TranscriptReplay:
     ``wire_messages`` counts the frames actually injected into the
     simulator — for a measured-wire transcript these differ (coalesced
     batch members fold into their carrier frame, uncoalesced bitwise
-    broadcasts fan out per fragment).  For declared-size transcripts the
-    two are equal.
+    broadcasts fan out per fragment).  For a transcript of declared
+    sizes (the secret-sharing baseline) the two are equal.
     """
 
     total_time_s: float

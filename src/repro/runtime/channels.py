@@ -6,7 +6,7 @@ explicitly addressed to it, which the engine enforces by delivering into
 per-party mailboxes keyed by ``(src, tag)``.
 
 :class:`WireTransport` makes the byte encoding the *actual* transport:
-every engine message is encoded with a :mod:`repro.runtime.wire` codec
+every engine message is encoded with the :mod:`repro.runtime.wire` codec
 at submit time, decoded once so the receiver observes exactly what the
 bytes carry (in process the sender transcodes, encode → decode; a
 transport that ships the bytes leaves that decode to its receiver), and
@@ -34,9 +34,8 @@ class WireInfo:
 
     payload_bits: int      # encoded payload + tag-dictionary bits
     frames: int            # wire messages this payload costs uncoalesced
-    encoded_len: int       # encoded payload bytes (0 if encoding fell back)
+    encoded_len: int       # encoded payload bytes
     tag_id: int            # per-channel tag-dictionary id
-    declared_bits: int     # the sender's declared size (for conformance)
     finalized: bool = False
     wire_messages: int = 0  # wire messages actually attributed to this entry
     # The encoded payload bytes themselves, captured only when the
@@ -55,11 +54,14 @@ class Message:
     dst: int
     tag: str
     payload: Any
+    # Wire size: the measured size once the transport finalizes the
+    # message (0 until then); a declared size on an engine without a
+    # wire transport (the secret-sharing baseline).
     size_bits: int
     round_sent: int = 0
-    # Wire-path bookkeeping: set by the transport/engine in measured
-    # mode; ``accounted`` means the engine already credited the receiver
-    # at delivery, so Party.recv must not double-count.
+    # Wire-path bookkeeping: ``accounted`` means the scheduler already
+    # credited the receiver at delivery, so Party.recv must not
+    # double-count.
     accounted: bool = False
     wire: Optional[WireInfo] = None
 
@@ -140,23 +142,15 @@ class Mailbox:
 #: assumes private, authenticated pairwise channels).
 ENVELOPE_BYTES = 28
 
-#: v1 per-message header: 1-byte tag id + 4-byte round + 4-byte length.
-V1_MESSAGE_HEADER_BYTES = 9
-#: v1 per-record header inside a batch: 1-byte tag id + 4-byte length.
-V1_RECORD_HEADER_BYTES = 5
-#: v1 batch header: 4-byte round + 4-byte record count.
-V1_BATCH_HEADER_BYTES = 8
-#: v2 batch header estimate: varint(round) + ~2-byte varint(count).
-V2_BATCH_COUNT_BYTES = 2
+#: Batch header estimate: varint(round) + ~2-byte varint(count).
+BATCH_COUNT_BYTES = 2
 
 
 @dataclass(frozen=True)
 class WireStats:
     """Aggregate wire-path accounting for one run."""
 
-    codec: str
     coalesce: bool
-    mode: str
     digest: str                      # sha256 over encoded payloads, send order
     wire_messages: int
     wire_bits: int
@@ -164,8 +158,6 @@ class WireStats:
     messages_by_tag: Dict[str, int]
     bits_by_tag: Dict[str, int]
     logical_messages: int
-    encode_fallbacks: int
-    conformance_checks: int
     # Per-directed-channel payload digests ("src>dst" -> sha256 hex).
     # Unlike ``digest`` (global submit order — a scheduling artifact),
     # each channel digest depends only on that channel's own byte
@@ -201,12 +193,6 @@ class WireTransport:
     the serial-transcript fingerprint, independent of coalescing because
     envelopes and batch headers are excluded.
 
-    ``mode``: ``"measured"`` accounts real encoded bytes;
-    ``"conformance"`` additionally re-encodes every payload with a fresh
-    codec (no cross-message interning) and raises
-    :class:`~repro.runtime.wire.WireConformanceError` when the measured
-    size drifts outside ``conformance_band`` of the declared one.
-
     ``keep_bytes``: keep each payload's encoded bytes on its
     :class:`WireInfo` so the caller can ship them.  Shipping the bytes
     means the receiver decodes them, so :meth:`prepare` then encodes and
@@ -215,32 +201,15 @@ class WireTransport:
     transcode is the receiver's decode.
     """
 
-    def __init__(
-        self,
-        group,
-        codec: str = "v2",
-        coalesce: bool = True,
-        mode: str = "measured",
-        conformance_band: Tuple[float, float] = (0.2, 3.0),
-        conformance_slack_bits: int = 512,
-        keep_bytes: bool = False,
-    ):
+    def __init__(self, group, coalesce: bool = True, keep_bytes: bool = False):
         # Imported here, not at module level: this module is loaded by
         # ``repro.runtime.__init__`` while the crypto package (which the
-        # codecs depend on) may still be initializing.
+        # codec depends on) may still be initializing.
         from repro.runtime import wire as wire_format
 
         self._fmt = wire_format
-        if codec not in ("v1", "v2"):
-            raise ValueError(f"unknown wire codec {codec!r}")
-        if mode not in ("measured", "conformance"):
-            raise ValueError(f"unknown wire mode {mode!r}")
         self.group = group
-        self.codec_version = codec
         self.coalesce = coalesce
-        self.mode = mode
-        self.conformance_band = conformance_band
-        self.conformance_slack_bits = conformance_slack_bits
         self.keep_bytes = keep_bytes
         self._channels: Dict[Tuple[int, int], Any] = {}
         self._tag_ids: Dict[Tuple[int, int], Dict[str, int]] = {}
@@ -250,8 +219,6 @@ class WireTransport:
         self.wire_bits = 0
         self.payload_bits = 0
         self.logical_messages = 0
-        self.encode_fallbacks = 0
-        self.conformance_checks = 0
         self.messages_by_tag: Dict[str, int] = {}
         self.bits_by_tag: Dict[str, int] = {}
 
@@ -267,12 +234,14 @@ class WireTransport:
         (as TCP provides), where channel codec state survives
         application-level loss.  With ``keep_bytes`` the decoder tables
         live at the receiver, which decodes the shipped bytes.
+
+        A payload the codec cannot encode raises :class:`TypeError` at
+        the sender, with the channel's interning table left as it was.
         """
         channel = (message.src, message.dst)
         codec = self._channels.get(channel)
         if codec is None:
-            codec = self._fmt.make_codec(self.group, self.codec_version)
-            self._channels[channel] = codec
+            codec = self._channels[channel] = self._fmt.WireCodecV2(self.group)
         tag_dict = self._tag_ids.setdefault(channel, {})
         tag_id = tag_dict.get(message.tag)
         tag_dict_bytes = 0
@@ -286,23 +255,17 @@ class WireTransport:
         mark = codec.intern_mark()
         try:
             encoded = codec.encode(message.payload)
-        except TypeError:
+        except TypeError as exc:
             codec.intern_rollback(mark)
-            self.encode_fallbacks += 1
-            info = WireInfo(
-                payload_bits=message.size_bits, frames=1, encoded_len=0,
-                tag_id=tag_id, declared_bits=message.size_bits,
-            )
-            return replace(message, wire=info)
+            raise TypeError(
+                f"P{message.src} -> P{message.dst} {message.tag!r}: {exc}"
+            ) from exc
 
         self._digest.update(encoded)
         channel_digest = self._channel_digests.get(channel)
         if channel_digest is None:
             channel_digest = self._channel_digests[channel] = hashlib.sha256()
         channel_digest.update(encoded)
-        if self.mode == "conformance":
-            self._check_conformance(message.tag, message.payload,
-                                    message.size_bits)
         payload = message.payload
         if self.group.wire_faithful and not self.keep_bytes:
             # The receiver observes exactly what the bytes carry.
@@ -312,26 +275,9 @@ class WireTransport:
             frames=self._fmt.fragment_count(message.payload),
             encoded_len=len(encoded),
             tag_id=tag_id,
-            declared_bits=message.size_bits,
             encoded=encoded if self.keep_bytes else None,
         )
         return replace(message, payload=payload, wire=info)
-
-    def _check_conformance(self, tag: str, payload: Any,
-                           declared_bits: int) -> None:
-        self.conformance_checks += 1
-        fresh = self._fmt.make_codec(self.group, self.codec_version)
-        measured_bits = 8 * len(fresh.encode(payload))
-        low, high = self.conformance_band
-        slack = self.conformance_slack_bits
-        if not (
-            declared_bits * low - slack
-            <= measured_bits
-            <= declared_bits * high + slack
-        ):
-            raise self._fmt.WireConformanceError(
-                tag, declared_bits, measured_bits, self.conformance_band
-            )
 
     # -- flush-time: envelope accounting ------------------------------------
     def finalize(self, message: Message, batched: bool,
@@ -379,8 +325,6 @@ class WireTransport:
         )
 
     def _message_header_bytes(self, info: WireInfo, round_sent: int) -> int:
-        if self.codec_version == "v1":
-            return V1_MESSAGE_HEADER_BYTES
         return (
             len(self._fmt.encode_varint(info.tag_id))
             + len(self._fmt.encode_varint(round_sent))
@@ -388,16 +332,12 @@ class WireTransport:
         )
 
     def _record_header_bytes(self, info: WireInfo) -> int:
-        if self.codec_version == "v1":
-            return V1_RECORD_HEADER_BYTES
         return len(self._fmt.encode_varint(info.tag_id)) + len(
             self._fmt.encode_varint(max(1, info.encoded_len))
         )
 
     def _batch_header_bytes(self, round_sent: int) -> int:
-        if self.codec_version == "v1":
-            return V1_BATCH_HEADER_BYTES
-        return len(self._fmt.encode_varint(round_sent)) + V2_BATCH_COUNT_BYTES
+        return len(self._fmt.encode_varint(round_sent)) + BATCH_COUNT_BYTES
 
     # -- reconnect epochs ----------------------------------------------------
     def reset_channel(self, src: int, dst: int) -> None:
@@ -429,9 +369,7 @@ class WireTransport:
 
     def stats(self) -> WireStats:
         return WireStats(
-            codec=self.codec_version,
             coalesce=self.coalesce,
-            mode=self.mode,
             digest=self.digest,
             wire_messages=self.wire_messages,
             wire_bits=self.wire_bits,
@@ -439,7 +377,5 @@ class WireTransport:
             messages_by_tag=dict(self.messages_by_tag),
             bits_by_tag=dict(self.bits_by_tag),
             logical_messages=self.logical_messages,
-            encode_fallbacks=self.encode_fallbacks,
-            conformance_checks=self.conformance_checks,
             channel_digests=self.channel_digests(),
         )

@@ -451,6 +451,8 @@ class CheckpointManager:
         for header_bytes, sealed in self._store.read_journal(a, party_id):
             header = self._parse_header(header_bytes)
             plain = open_state(record_key, sealed, aad=header_bytes)
+            # repro-lint: ignore[R-PICKLE] -- sealed record: open_state
+            # verified its HMAC tag under this run's key first.
             out.append((header, pickle.loads(plain) if plain else None))
         return out
 
@@ -463,6 +465,8 @@ class CheckpointManager:
         for header_bytes, sealed in self._store.read_snapshots(a, party_id):
             header = self._parse_header(header_bytes)
             plain = open_state(record_key, sealed, aad=header_bytes)
+            # repro-lint: ignore[R-PICKLE] -- sealed record: open_state
+            # verified its HMAC tag under this run's key first.
             state = pickle.loads(plain) if plain else {}
             if isinstance(state, dict):
                 out.append((header, state))

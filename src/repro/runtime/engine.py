@@ -78,7 +78,8 @@ class Engine:
         self.worker_pool = worker_pool
         self.faults = faults
         self.supervisor = supervisor
-        # Measured-bytes wire path (or None for legacy declared sizes).
+        # Measured-bytes wire path; None only for protocols without a
+        # group codec (the secret-sharing baseline declares its sizes).
         self.wire = wire
         # A repro.runtime.checkpoint.CheckpointManager (or None): durable
         # per-party journals + snapshots, and the kill-and-rejoin path.
@@ -99,11 +100,7 @@ class Engine:
         self._crashed: Dict[int, Optional[str]] = {}
         self._metered_groups = list(metered_groups or [])
         if wire is not None:
-            self.transcript.meta.update(
-                wire_codec=wire.codec_version,
-                wire_coalesce=wire.coalesce,
-                wire_mode=wire.mode,
-            )
+            self.transcript.meta["wire_coalesce"] = wire.coalesce
         # Future deliveries: (round, sequence, message) min-heap fed by
         # delay faults and supervisor retransmits.
         self._scheduled: List[Tuple[int, int, Message]] = []
@@ -236,7 +233,7 @@ class Engine:
             party.metrics.record_send(message.size_bits)
 
     def _account_delivery(self, message: Message) -> Message:
-        """Credit the receiver at delivery time (wire mode only)."""
+        """Credit the receiver at delivery time (with a wire only)."""
         party = self.parties.get(message.dst)
         if party is not None:
             party.metrics.record_receive(message.size_bits)

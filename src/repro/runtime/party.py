@@ -11,7 +11,7 @@ code close to the paper's prose::
     def protocol(self):
         betas = yield from self.recv_from_all(self.other_ids, "beta-bits")
         ...
-        self.send(0, "ranking", my_rank, size_bits=32)
+        self.send(0, "ranking", my_rank)
 """
 
 from __future__ import annotations
@@ -73,17 +73,21 @@ class Party:
     def send(self, dst: int, tag: str, payload: Any, size_bits: Optional[int] = None) -> None:
         """Emit a message on the secure channel to ``dst`` (non-blocking).
 
-        ``size_bits`` is the wire size used for communication accounting;
-        when omitted a structural estimate is used.
+        Under a wire transport the message is accounted by its measured
+        encoded size, known only inside the scheduler (with coalescing,
+        only at the round-boundary flush).  ``size_bits`` is the declared
+        size an engine without a wire accounts instead (the
+        secret-sharing baseline); when omitted there, a structural
+        estimate is used.
         """
-        if self._engine is None:
+        engine = self._engine
+        if engine is None:
             raise RuntimeError("party is not attached to an engine")
-        if size_bits is None:
+        if engine.wire is not None:
+            size_bits = 0
+        elif size_bits is None:
             size_bits = estimate_size_bits(payload)
-        # Sender-side accounting happens inside Engine.submit: in
-        # measured-wire mode the true size is only known there (and, with
-        # coalescing, only at the round-boundary flush).
-        self._engine.submit(self.party_id, dst, tag, payload, size_bits)
+        engine.submit(self.party_id, dst, tag, payload, size_bits)
 
     def pause(self) -> Generator[NextRound, None, None]:
         """Yield the rest of this engine round; resume at the next one.
@@ -96,7 +100,7 @@ class Party:
         """Block until one matching message arrives; return it."""
         message = yield Recv(src=src, tag=tag)
         if not message.accounted:
-            # In measured-wire mode the engine already credited this
+            # Under a wire transport the scheduler already credited this
             # receiver when the bytes were delivered to its mailbox.
             self.metrics.record_receive(message.size_bits)
         return message

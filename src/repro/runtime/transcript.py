@@ -4,13 +4,14 @@ The transcript is the interface between protocol execution and both the
 efficiency analysis (bits/rounds per party) and the network simulator,
 which replays the trace over a simulated topology (Fig. 3(b)).
 
-In measured-wire mode ``size_bits`` is the *measured* encoded size
-(payload bytes plus envelope/framing overhead) and ``frames`` counts the
-wire messages the entry contributed: uncoalesced, a bitwise-ciphertext
-broadcast costs one wire message per bit; coalesced, only the first
-entry of each (sender, receiver, round) batch carries the envelope and a
-``frames`` of 1, the rest ride in the same batch with ``frames == 0``.
-In legacy declared-size mode every entry is one wire message.
+``size_bits`` is the *measured* encoded size (payload bytes plus
+envelope/framing overhead) and ``frames`` counts the wire messages the
+entry contributed: uncoalesced, a bitwise-ciphertext broadcast costs one
+wire message per bit; coalesced, only the first entry of each (sender,
+receiver, round) batch carries the envelope and a ``frames`` of 1, the
+rest ride in the same batch with ``frames == 0``.  A protocol without a
+group codec (the secret-sharing baseline) records declared sizes, one
+wire message per entry.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class Transcript:
     """Ordered record of every message in a run."""
 
     entries: List[TranscriptEntry] = field(default_factory=list)
-    #: Wire-path annotations (codec, coalescing, accounting mode) set by
-    #: the engine when a measured transport is active; empty for
-    #: declared-size runs.
+    #: Wire-path annotations (coalescing; the socket transport adds
+    #: ``transport``) set by the scheduler that ran the wire transport;
+    #: empty for a run without one.
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def record(

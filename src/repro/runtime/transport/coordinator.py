@@ -209,9 +209,7 @@ class _Attempt:
         self.transcript = Transcript()
         self.transcript.meta.update({
             "transport": "tcp",
-            "codec": self.config.wire_codec,
-            "coalesce": self.config.coalesce,
-            "mode": self.config.wire,
+            "wire_coalesce": self.config.coalesce,
         })
         self.connections: Dict[int, _Connection] = {}
         self.processes: Dict[int, PartyProcess] = {}
@@ -259,10 +257,13 @@ class _Attempt:
         receiver = [s for s in self.coord.fault_specs
                     if s.kind not in SENDER_KINDS
                     and s.dst in (pid, None) and s.party != pid]
+        # repro-lint: ignore[R-PICKLE] -- this process's own pickle of
+        # the party's forked RNG, never bytes from a socket.
+        rng = pickle.loads(self._rng_blobs[pid])
         return PartySpec(
             party_id=pid,
             config=self.config,
-            rng=pickle.loads(self._rng_blobs[pid]),
+            rng=rng,
             active_ids=list(self.active),
             attempt=self.attempt,
             incarnation=incarnation,
@@ -521,6 +522,9 @@ class _Attempt:
         elif ftype == frames.PHASE:
             pass  # liveness already observed; useful under a debugger
         elif ftype == frames.DONE:
+            # repro-lint: ignore[R-PICKLE] -- DONE bundle from a party
+            # process; its explicit encoding is the open transport
+            # trust-boundary item in ROADMAP.md.
             bundle: ResultBundle = pickle.loads(body)
             self.bundles[bundle.party_id] = bundle
             if bundle.beta is not None:
@@ -537,11 +541,12 @@ class _Attempt:
             ))
         elif ftype == frames.DYING:
             info = frames.decode_json(body)
-            self._on_dying(pid, info)
+            self._on_dying(connection, info)
         elif ftype == frames.READY:
             info = frames.decode_json(body)
             connection.ready = True
             self.supervisor.forgive(pid)
+            self.supervisor.note_rejoin()
             broadcast = frames.pack_json(frames.PEER_REJOINED, {
                 "party": pid,
                 "incarnation": connection.incarnation,
@@ -551,6 +556,9 @@ class _Attempt:
                 if other.pid != pid:
                     other.send(broadcast)
         elif ftype == frames.RESEND:
+            # repro-lint: ignore[R-PICKLE] -- RESEND record from a party
+            # process; a routable plain header is the open transport
+            # trust-boundary item in ROADMAP.md.
             record = pickle.loads(body)
             target = self.connections.get(int(record["dst"]))
             if target is not None:
@@ -591,13 +599,17 @@ class _Attempt:
 
     # -- death, rejoin, failure --------------------------------------------
 
-    def _on_dying(self, pid: int, info: Dict[str, Any]) -> None:
+    def _on_dying(self, connection: _Connection, info: Dict[str, Any]) -> None:
+        pid = connection.pid
         phase = info.get("phase")
         restart = bool(info.get("restart"))
         _debug(f"P{pid} dying (phase={phase}, restart={restart})")
-        connection = self.connections.pop(pid, None)
-        if connection is not None:
-            connection.close()
+        self.connections.pop(pid, None)
+        connection.close()
+        if not connection.ready:
+            # A respawned life dies before READY only at its go-live
+            # send, after replaying its journal: it rejoined too.
+            self.supervisor.note_rejoin()
         if restart and self.config.checkpoint_dir is not None:
             self._fault_deaths[pid] = self._fault_deaths.get(pid, 0) + 1
             self._carried[pid] = PartyMetrics.from_dict(info["metrics"])
@@ -719,11 +731,6 @@ class _Attempt:
         ranks = {b.party_id: b.rank for b in participants}
         betas = {b.party_id: b.beta for b in participants}
         metrics = {b.party_id: b.metrics for b in self.bundles.values()}
-        wire_stats = None
-        if self.config.wire != "declared":
-            wire_stats = _merge_wire_stats(
-                self.config, list(self.bundles.values())
-            )
         return FrameworkResult(
             ranks=ranks,
             initiator_output=initiator.output,
@@ -732,7 +739,9 @@ class _Attempt:
             rounds=self.transcript.rounds,
             betas=betas,
             rejoins=self.supervisor.rejoins,
-            wire_stats=wire_stats,
+            wire_stats=_merge_wire_stats(
+                self.config, list(self.bundles.values())
+            ),
         )
 
 
@@ -745,8 +754,7 @@ def _merge_wire_stats(config, bundles: List[ResultBundle]) -> WireStats:
     fingerprint and is directly comparable with an in-process run's.
     """
     totals = {"wire_messages": 0, "wire_bits": 0, "payload_bits": 0,
-              "logical_messages": 0, "encode_fallbacks": 0,
-              "conformance_checks": 0}
+              "logical_messages": 0}
     messages_by_tag: Dict[str, int] = {}
     bits_by_tag: Dict[str, int] = {}
     channel_digests: Dict[str, str] = {}
@@ -759,9 +767,7 @@ def _merge_wire_stats(config, bundles: List[ResultBundle]) -> WireStats:
             bits_by_tag[tag] = bits_by_tag.get(tag, 0) + bits
         channel_digests.update(bundle.channel_digests)
     return WireStats(
-        codec=config.wire_codec,
         coalesce=config.coalesce,
-        mode=config.wire,
         digest="",
         wire_messages=totals["wire_messages"],
         wire_bits=totals["wire_bits"],
@@ -769,8 +775,6 @@ def _merge_wire_stats(config, bundles: List[ResultBundle]) -> WireStats:
         messages_by_tag=messages_by_tag,
         bits_by_tag=bits_by_tag,
         logical_messages=totals["logical_messages"],
-        encode_fallbacks=totals["encode_fallbacks"],
-        conformance_checks=totals["conformance_checks"],
         channel_digests=channel_digests,
     )
 

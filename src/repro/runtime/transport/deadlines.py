@@ -98,9 +98,15 @@ class WallClockSupervisor:
             self.restarting.add(pid)
 
     def forgive(self, pid: int) -> None:
-        """A crashed party rejoined: stop holding its death against it."""
+        """A crashed party went live again: stop holding its death
+        against it."""
         self.crashed.pop(pid, None)
         self.restarting.discard(pid)
+
+    def note_rejoin(self) -> None:
+        """A respawned life replayed its journal: one rejoin, whether it
+        then goes live or dies again at its go-live send (the engine
+        counts one per rejoin plan alike)."""
         self.rejoins += 1
 
     # -- deadline -----------------------------------------------------------

@@ -81,6 +81,7 @@ from repro.runtime.errors import PartyCrashed, ProtocolAbort, ProtocolError
 from repro.runtime.faults import FaultInjector
 from repro.runtime.transport import frames
 from repro.runtime.transport.frames import PartySpec, TransportError, ResultBundle
+from repro.runtime.wire import WireCodecV2
 
 #: Exit code of a fault-injected process death (the coordinator treats
 #: any exit after a DYING frame as intentional; this just makes logs
@@ -204,15 +205,9 @@ class PartyHost:
             self.pid, set(spec.active_ids) | {INITIATOR_ID}
         )
         self.manager: Optional[CheckpointManager] = None
-        self.wire: Optional[WireTransport] = None
-        if self.config.wire != "declared":
-            self.wire = WireTransport(
-                self.group,
-                codec=self.config.wire_codec,
-                coalesce=self.config.coalesce,
-                mode=self.config.wire,
-                keep_bytes=True,
-            )
+        self.wire = WireTransport(
+            self.group, coalesce=self.config.coalesce, keep_bytes=True
+        )
         self.sender_faults: Optional[FaultInjector] = None
         if spec.sender_faults:
             self.sender_faults = FaultInjector(
@@ -231,7 +226,7 @@ class PartyHost:
         self._round = 0
         self._batch_seen: Set[Tuple[int, int]] = set()
         self._out_epoch: Dict[int, int] = {}
-        self._in_codecs: Dict[Tuple[int, int], Any] = {}
+        self._in_codecs: Dict[Tuple[int, int], WireCodecV2] = {}
         # Everything sent this attempt, per (dst, tag) in send order —
         # the resend source when a peer rejoins.  Payloads are the
         # sender's own objects (the sender does not transcode), which
@@ -252,6 +247,8 @@ class PartyHost:
 
     def _factory(self, party_id: int,
                  known_beta: Optional[int] = None) -> Any:
+        # repro-lint: ignore[R-PICKLE] -- this process's own pickle of
+        # the spec RNG, never bytes from a socket.
         rng = pickle.loads(self._rng_blob)
         if party_id == INITIATOR_ID:
             return InitiatorParty(
@@ -286,27 +283,17 @@ class PartyHost:
             # were already caught by the lookahead, so the verdict here
             # is always plain delivery.
             self.sender_faults.on_send(message, self._round)
-        body: Optional[bytes] = None
-        enc = "pickle"
-        payload_bits = size_bits
-        wire_messages = 1
-        if self.wire is not None:
-            first = (dst, self._round) not in self._batch_seen
-            self._batch_seen.add((dst, self._round))
-            message = self.wire.finalize(
-                message,
-                batched=self.wire.coalesce and not self.spec.faulted,
-                first_in_batch=first,
-            )
-            info = message.wire
-            if info is not None:
-                payload_bits = info.payload_bits
-                wire_messages = info.wire_messages
-                if info.encoded is not None:
-                    enc = "v2"
-                    body = info.encoded
-        if body is None:
-            body = pickle.dumps(message.payload)
+        first = (dst, self._round) not in self._batch_seen
+        self._batch_seen.add((dst, self._round))
+        message = self.wire.finalize(
+            message,
+            batched=self.wire.coalesce and not self.spec.faulted,
+            first_in_batch=first,
+        )
+        info = message.wire
+        if info is None or info.encoded is None:
+            # The driver's prologue encodes every live send (keep_bytes).
+            raise ProtocolError(f"P{src} -> P{dst} {tag!r} left unencoded")
         self.party.metrics.record_send(message.size_bits)
         self._retained.setdefault((dst, tag), []).append(
             (message.payload, message.size_bits, self._round)
@@ -320,10 +307,10 @@ class PartyHost:
             # encoder never collides with the first life's decode state.
             "epoch": self._out_epoch.get(dst, 0),
             "src_epoch": self.spec.incarnation,
-            "size_bits": message.size_bits, "payload_bits": payload_bits,
-            "wire_messages": wire_messages, "enc": enc,
+            "size_bits": message.size_bits, "payload_bits": info.payload_bits,
+            "wire_messages": info.wire_messages,
         }
-        self.writer.write(frames.pack_msg(header, body))
+        self.writer.write(frames.pack_msg(header, info.encoded))
 
     def note_phase(self, party: Any) -> None:
         if self.driver.note_phase(self._round):  # False while replaying
@@ -338,6 +325,9 @@ class PartyHost:
             header, encoded = frames.split_msg(body)
             self._on_wire_message(header, encoded)
         elif ftype == frames.RESEND:
+            # repro-lint: ignore[R-PICKLE] -- RESEND record from a peer;
+            # its codec encoding is the open transport trust-boundary
+            # item in ROADMAP.md.
             record = pickle.loads(body)
             self._offer(Message(
                 src=record["src"], dst=self.pid, tag=record["tag"],
@@ -364,19 +354,13 @@ class PartyHost:
     def _on_wire_message(self, header: Dict[str, Any], encoded: bytes) -> None:
         src = int(header["src"])
         epoch = int(header.get("src_epoch", 0))
-        if header.get("enc") == "v2":
-            codec = self._in_codecs.get((src, epoch))
-            if codec is None:
-                from repro.runtime import wire as wire_format
-
-                codec = wire_format.make_codec(self.group, self.config.wire_codec)
-                self._in_codecs[(src, epoch)] = codec
-            # The message's one decode, and its membership gate: every
-            # raw element passes deserialize → is_element.  Unmetered:
-            # no counter is attached outside of generator steps.
-            payload = codec.decode(encoded)
-        else:
-            payload = pickle.loads(encoded)
+        codec = self._in_codecs.get((src, epoch))
+        if codec is None:
+            codec = self._in_codecs[(src, epoch)] = WireCodecV2(self.group)
+        # The message's one decode, and its membership gate: every raw
+        # element passes deserialize → is_element.  Unmetered: no
+        # counter is attached outside of generator steps.
+        payload = codec.decode(encoded)
         self._offer(Message(
             src=src, dst=self.pid, tag=header["tag"], payload=payload,
             size_bits=int(header["size_bits"]),
@@ -442,10 +426,9 @@ class PartyHost:
         watermarks = info.get("watermarks", {})
         if peer == self.pid:
             return
-        if self.wire is not None:
-            # The peer's decoder tables died with its old connection:
-            # start a fresh, self-contained stream for the new epoch.
-            self.wire.reset_channel(self.pid, peer)
+        # The peer's decoder tables died with its old connection: start
+        # a fresh, self-contained stream for the new epoch.
+        self.wire.reset_channel(self.pid, peer)
         self._out_epoch[peer] = incarnation
         for (dst, tag), sent in self._retained.items():
             if dst != peer:
@@ -648,20 +631,17 @@ class PartyHost:
             metrics=self.party.metrics,
             rounds=self._round,
         )
-        if self.wire is not None:
-            bundle.wire_counters = {
-                "wire_messages": self.wire.wire_messages,
-                "wire_bits": self.wire.wire_bits,
-                "payload_bits": self.wire.payload_bits,
-                "logical_messages": self.wire.logical_messages,
-                "encode_fallbacks": self.wire.encode_fallbacks,
-                "conformance_checks": self.wire.conformance_checks,
-            }
-            bundle.wire_by_tag = {
-                "messages": dict(self.wire.messages_by_tag),
-                "bits": dict(self.wire.bits_by_tag),
-            }
-            bundle.channel_digests = self.wire.channel_digests()
+        bundle.wire_counters = {
+            "wire_messages": self.wire.wire_messages,
+            "wire_bits": self.wire.wire_bits,
+            "payload_bits": self.wire.payload_bits,
+            "logical_messages": self.wire.logical_messages,
+        }
+        bundle.wire_by_tag = {
+            "messages": dict(self.wire.messages_by_tag),
+            "bits": dict(self.wire.bits_by_tag),
+        }
+        bundle.channel_digests = self.wire.channel_digests()
         self.writer.write(frames.pack_pickle(frames.DONE, bundle))
         await self._drain()
         # Stay connected until the coordinator releases us: peers may
@@ -691,7 +671,27 @@ class PartyHost:
             "metrics": metrics,
         })
         await self._drain()
+        # Exiting with unread input resets the socket, which can discard
+        # the notice before the coordinator reads it (the coordinator
+        # then respawns this party as after a silent death, and the
+        # fault fires again).  The coordinator closes the connection
+        # once it has read the notice: wait for that EOF.
+        await self._wait_closed()
         return EXIT_FAULT_DEATH
+
+    async def _wait_closed(self) -> None:
+        """Wait, at most one deadline, for the coordinator to close the
+        connection."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.settings.timeout_s
+        while not self._connection_lost:
+            self._wake.clear()
+            try:
+                await asyncio.wait_for(
+                    self._wake.wait(), deadline - loop.time()
+                )
+            except asyncio.TimeoutError:
+                return
 
     async def _graceful(self) -> int:
         if self.manager is not None and self.party is not None:
@@ -786,6 +786,9 @@ async def _serve_async(host: str, port: int, party_id: int,
             return body
 
     await expect(frames.WELCOME)
+    # repro-lint: ignore[R-PICKLE] -- SPEC from the coordinator; its
+    # explicit encoding is the open transport trust-boundary item in
+    # ROADMAP.md.
     spec: PartySpec = pickle.loads(await expect(frames.SPEC))
     from repro.math import backend
 

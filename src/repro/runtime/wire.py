@@ -1,75 +1,53 @@
-"""Canonical wire encodings for protocol payloads.
+"""Canonical wire encoding for protocol payloads.
 
-Two codecs share one value model:
+:class:`WireCodecV2` is the one codec: every transport ships its bytes
+and every run accounts them.  LEB128 varints carry every length and
+count, self-delimiting types carry no length prefix, and group elements
+pass through a per-channel *interning table* — each distinct element is
+sent raw exactly once and referenced by index thereafter (``g``, ``y``,
+pool-drawn ``(g^r, y^r)`` pairs and rerandomized chain entries repeat
+constantly on the hot path).
 
-* :class:`WireCodec` ("v1") — the legacy format: every value is
-  type-tagged (1 byte) and length-prefixed with a fixed 4-byte
-  big-endian length.  Stateless; one frame decodes the same way
-  regardless of what was sent before it.
-* :class:`WireCodecV2` ("v2") — the compact format the transport
-  actually ships: LEB128 varints replace every fixed-width length and
-  count, self-delimiting types drop their length prefix entirely, and
-  group elements pass through a per-channel *interning table* — each
-  distinct element is sent raw exactly once and referenced by index
-  thereafter (``g``, ``y``, pool-drawn ``(g^r, y^r)`` pairs and
-  rerandomized chain entries repeat constantly on the hot path).
+Value grammar (each value is ``tag ‖ body`` with a self-delimiting
+body):
 
-Value grammar (both codecs; v1 frames each value as
-``tag ‖ len32 ‖ body``, v2 as ``tag ‖ body`` with self-delimiting
-bodies):
-
-    S  signed integer (zigzag; v2: one varint)
+    S  signed integer (zigzag, one varint)
     N  None
-    Y  bytes
-    U  UTF-8 string
-    E  bare group element (explicit; see :meth:`encode_element`)
-    C  ElGamal ciphertext (two elements)
-    B  bitwise ciphertext (count + element pairs; v2 drops per-bit tags)
-    L  list (count + items)
-    T  tuple (count + items)
-    O  registered protocol object (type id + fields)
+    Y  bytes (varint length + raw)
+    U  UTF-8 string (varint length + raw)
+    E  bare group element (explicit; see :meth:`WireCodecV2.encode_element`)
+    C  ElGamal ciphertext (two element bodies)
+    B  bitwise ciphertext (varint count + element-body pairs)
+    L  list (varint count + items)
+    T  tuple (varint count + items)
+    O  registered protocol object (varint type id + fields)
 
-v2 element bodies are ``varint(0) ‖ raw`` for a first occurrence (raw is
+Element bodies are ``varint(0) ‖ raw`` for a first occurrence (raw is
 exactly ``group.wire_bytes`` bytes, so no length is needed) or
 ``varint(index+1)`` for an interned reference.  Encoder and decoder
-tables stay synchronized because the transport *transcodes* (encodes
-then immediately decodes) every message on its channel in order.
+tables stay synchronized because each channel's messages are decoded in
+the order they were encoded: in process the transport *transcodes*
+(encodes then immediately decodes) every message, over sockets the
+receiver decodes the shipped stream.
 
 Bare group elements are type-ambiguous with integers (DL groups) and
 tuples (curves), so ``encode`` treats them structurally; only
-:meth:`encode_element` asserts elementhood.  Ciphertext internals are
-typed and therefore get the full element treatment (serialization cache
-plus interning).
+:meth:`WireCodecV2.encode_element` asserts elementhood.  Ciphertext
+internals are typed and therefore get the full element treatment
+(serialization cache plus interning).
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crypto.bitenc import BitProof, BitwiseCiphertext
 from repro.crypto.elgamal import Ciphertext
 from repro.groups.base import Group
-from repro.runtime.errors import ProtocolError
-
-
-class WireConformanceError(ProtocolError):
-    """Measured encoded size drifted outside tolerance of the declared one."""
-
-    def __init__(self, tag: str, declared_bits: int, measured_bits: int,
-                 band: Tuple[float, float]):
-        self.tag = tag
-        self.declared_bits = declared_bits
-        self.measured_bits = measured_bits
-        super().__init__(
-            f"wire conformance failure for {tag!r}: declared "
-            f"{declared_bits} bits, measured {measured_bits} bits "
-            f"(allowed {band[0]:g}x..{band[1]:g}x of declared)"
-        )
 
 
 # ---------------------------------------------------------------------------
-# Varint / zigzag primitives (v2)
+# Varint / zigzag primitives
 # ---------------------------------------------------------------------------
 
 def encode_varint(value: int) -> bytes:
@@ -152,7 +130,7 @@ def _registered_id(value: Any) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Element interning (v2)
+# Element interning
 # ---------------------------------------------------------------------------
 
 class InternTable:
@@ -191,165 +169,7 @@ class InternTable:
 
 
 # ---------------------------------------------------------------------------
-# v1: tag + 4-byte length framing (stateless)
-# ---------------------------------------------------------------------------
-
-class WireCodec:
-    """Encoder/decoder bound to one group (for element serialization)."""
-
-    version = "v1"
-
-    def __init__(self, group: Group):
-        self.group = group
-
-    # -- encoding ---------------------------------------------------------------
-    def encode(self, value: Any) -> bytes:
-        """Encode ints, ciphertexts, registered objects, and containers.
-
-        Bare group elements are type-ambiguous with integers (DL groups)
-        and tuples (curves); encode them explicitly with
-        :meth:`encode_element`.
-        """
-        if value is None:
-            return self._frame(b"N", b"")
-        if isinstance(value, bool):
-            raise TypeError("encode booleans as integers explicitly")
-        if isinstance(value, int):
-            return self._encode_int(value)
-        if isinstance(value, Ciphertext):
-            return self._frame(b"C", self._elements(value.c1, value.c2))
-        if isinstance(value, BitwiseCiphertext):
-            body = struct.pack(">I", value.bit_length) + b"".join(
-                self.encode(bit) for bit in value
-            )
-            return self._frame(b"B", body)
-        if isinstance(value, (bytes, bytearray)):
-            return self._frame(b"Y", bytes(value))
-        if isinstance(value, str):
-            return self._frame(b"U", value.encode("utf-8"))
-        type_id = _registered_id(value)
-        if type_id is not None:
-            _, names = registered_types()[type_id]
-            body = bytes([type_id]) + b"".join(
-                self.encode(getattr(value, name)) for name in names
-            )
-            return self._frame(b"O", body)
-        if isinstance(value, (list, tuple)):
-            tag = b"T" if isinstance(value, tuple) else b"L"
-            body = struct.pack(">I", len(value)) + b"".join(
-                self.encode(item) for item in value
-            )
-            return self._frame(tag, body)
-        raise TypeError(f"cannot wire-encode {type(value).__name__}")
-
-    def encode_element(self, element: Any) -> bytes:
-        """Explicit encoding of one bare group element."""
-        if not self.group.is_element(element):
-            raise TypeError("value is not an element of this codec's group")
-        return self._frame(b"E", self.group.serialize_cached(element))
-
-    def _encode_int(self, value: int) -> bytes:
-        # Zigzag: non-negative -> even, negative -> odd; arbitrary precision.
-        z = zigzag(value)
-        raw = z.to_bytes(max(1, (z.bit_length() + 7) // 8), "big")
-        return self._frame(b"S", raw)
-
-    def _elements(self, *elements) -> bytes:
-        return b"".join(self.group.serialize_cached(element) for element in elements)
-
-    @staticmethod
-    def _frame(tag: bytes, body: bytes) -> bytes:
-        return tag + struct.pack(">I", len(body)) + body
-
-    # -- decoding ---------------------------------------------------------------
-    def decode(self, data: bytes) -> Any:
-        value, remainder = self._decode_one(data)
-        if remainder:
-            raise ValueError(f"{len(remainder)} trailing bytes after decode")
-        return value
-
-    def _decode_one(self, data: bytes):
-        if len(data) < 5:
-            raise ValueError("truncated frame header")
-        tag = data[:1]
-        (length,) = struct.unpack(">I", data[1:5])
-        body, remainder = data[5 : 5 + length], data[5 + length :]
-        if len(body) != length:
-            raise ValueError("truncated frame body")
-        if tag == b"S":
-            return unzigzag(int.from_bytes(body, "big")), remainder
-        if tag == b"N":
-            return None, remainder
-        if tag == b"Y":
-            return body, remainder
-        if tag == b"U":
-            return body.decode("utf-8"), remainder
-        if tag == b"E":
-            return self._deserialize_element(body), remainder
-        if tag == b"C":
-            element_bytes = len(body) // 2
-            return (
-                Ciphertext(
-                    c1=self._deserialize_element(body[:element_bytes]),
-                    c2=self._deserialize_element(body[element_bytes:]),
-                ),
-                remainder,
-            )
-        if tag == b"B":
-            (count,) = struct.unpack(">I", body[:4])
-            rest = body[4:]
-            bits: List[Ciphertext] = []
-            for _ in range(count):
-                bit, rest = self._decode_one(rest)
-                bits.append(bit)
-            if rest:
-                raise ValueError("trailing bytes inside bitwise ciphertext")
-            return BitwiseCiphertext(bits=tuple(bits)), remainder
-        if tag == b"O":
-            if not body:
-                raise ValueError("empty object frame")
-            type_id = body[0]
-            registry = registered_types()
-            if type_id >= len(registry):
-                raise ValueError(f"unknown object type id {type_id}")
-            cls, names = registry[type_id]
-            rest = body[1:]
-            values = []
-            for _ in names:
-                item, rest = self._decode_one(rest)
-                values.append(item)
-            if rest:
-                raise ValueError("trailing bytes inside object frame")
-            return cls(*values), remainder
-        if tag in (b"L", b"T"):
-            (count,) = struct.unpack(">I", body[:4])
-            rest = body[4:]
-            items = []
-            for _ in range(count):
-                item, rest = self._decode_one(rest)
-                items.append(item)
-            if rest:
-                raise ValueError("trailing bytes inside list")
-            return (tuple(items) if tag == b"T" else items), remainder
-        raise ValueError(f"unknown wire tag {tag!r}")
-
-    def _deserialize_element(self, data: bytes):
-        return self.group.deserialize_cached(data)
-
-    # -- size accounting ----------------------------------------------------------
-    def encoded_bits(self, value: Any) -> int:
-        return 8 * len(self.encode(value))
-
-    # -- transactional interning (transport-facing; v1 keeps no state) -----------
-    def intern_mark(self) -> int:
-        return 0
-
-    def intern_rollback(self, mark: int) -> None:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# v2: varint framing + element interning (stateful per channel)
+# The codec: varint framing + element interning (stateful per channel)
 # ---------------------------------------------------------------------------
 
 class WireCodecV2:
@@ -360,8 +180,6 @@ class WireCodecV2:
     ``codec.decode(codec.encode(payload))`` keeps both ends of the
     simulated channel synchronized message by message.
     """
-
-    version = "v2"
 
     def __init__(self, group: Group, intern: Optional[bool] = None,
                  max_intern: int = 4096):
@@ -526,14 +344,6 @@ class WireCodecV2:
         self._enc_table.truncate(mark)
 
 
-def make_codec(group: Group, version: str):
-    if version == "v1":
-        return WireCodec(group)
-    if version == "v2":
-        return WireCodecV2(group)
-    raise ValueError(f"unknown wire codec version {version!r}")
-
-
 # ---------------------------------------------------------------------------
 # Fragmentation model
 # ---------------------------------------------------------------------------
@@ -541,7 +351,7 @@ def make_codec(group: Group, version: str):
 def fragment_count(payload: Any) -> int:
     """How many wire messages this payload costs without coalescing.
 
-    Models the v1 per-datum transport: a bitwise ciphertext is one
+    Models a per-datum transport: a bitwise ciphertext is one
     broadcast *per bit* and ciphertext-set transfers (τ sets, chain
     vectors, final sets) one message *per ciphertext* — the O(n·l)
     phase-2 flood that coalescing collapses to one batch per

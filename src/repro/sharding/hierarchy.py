@@ -160,8 +160,7 @@ def run_hierarchical(
         shard_rounds = max(shard_rounds, result.rounds)
         for local, rank in result.ranks.items():
             shard_rank[shard[local - 1]] = rank
-        if result.wire_stats is not None:
-            wire_parts.append(result.wire_stats)
+        wire_parts.append(result.wire_stats)
 
     # ---- Level 3: champion aggregation ----
     candidates: List[int] = []
@@ -195,8 +194,7 @@ def run_hierarchical(
         framework, sorted(ranks), ranks, betas, submission_specs
     )
     rejoins += phase1.rejoins + submission.rejoins
-    if submission.wire_stats is not None:
-        wire_parts.append(submission.wire_stats)
+    wire_parts.append(submission.wire_stats)
 
     # ---- Merge transcripts, metrics and wire accounting ----
     transcript = _merge_transcripts(
@@ -206,9 +204,7 @@ def run_hierarchical(
     metrics = _merge_metrics(
         phase1.metrics, shards, shard_results, submission.metrics
     )
-    wire_stats = (
-        _combine_wire(wire_parts, aggregation) if wire_parts else None
-    )
+    wire_stats = _combine_wire(wire_parts, aggregation)
     return HierarchicalResult(
         ranks=ranks,
         initiator_output=submission.output,
@@ -310,7 +306,7 @@ class _Phase1Outcome:
 class _StageOutcome:
     transcript: Transcript
     metrics: Dict[int, PartyMetrics]
-    wire_stats: Optional[WireStats]
+    wire_stats: WireStats
     output: object
     rejoins: int = 0
 
@@ -335,14 +331,7 @@ def _stage_engine(config: FrameworkConfig, injector, manager=None):
         phase_of=phase_of_tag,
         adaptive=config.adaptive_timeouts,
     )
-    transport = None
-    if config.wire != "declared":
-        transport = WireTransport(
-            config.group,
-            codec=config.wire_codec,
-            coalesce=config.coalesce,
-            mode=config.wire,
-        )
+    transport = WireTransport(config.group, coalesce=config.coalesce)
     engine = Engine(
         metered_groups=[config.group],
         faults=injector,
@@ -430,7 +419,7 @@ def _run_phase1(
             metrics={
                 pid: party.metrics for pid, party in engine.parties.items()
             },
-            wire_stats=transport.stats() if transport is not None else None,
+            wire_stats=transport.stats(),
             rejoins=supervisor.rejoins,
         )
         return outcome, betas, active, excluded, attempt + 1
@@ -563,7 +552,7 @@ def _run_submission(
     return _StageOutcome(
         transcript=engine.transcript,
         metrics={pid: party.metrics for pid, party in engine.parties.items()},
-        wire_stats=transport.stats() if transport is not None else None,
+        wire_stats=transport.stats(),
         output=outputs[INITIATOR_ID],
         rejoins=supervisor.rejoins,
     )
@@ -684,11 +673,8 @@ def _combine_wire(
     digest = hashlib.sha256(
         "|".join(part.digest for part in parts).encode()
     ).hexdigest()
-    first = parts[0]
     return WireStats(
-        codec=first.codec,
-        coalesce=first.coalesce,
-        mode=first.mode,
+        coalesce=parts[0].coalesce,
         digest=digest,
         wire_messages=sum(p.wire_messages for p in parts) + agg_messages,
         wire_bits=sum(p.wire_bits for p in parts) + aggregation.wire_bits,
@@ -696,6 +682,4 @@ def _combine_wire(
         messages_by_tag=messages_by_tag,
         bits_by_tag=bits_by_tag,
         logical_messages=sum(p.logical_messages for p in parts) + agg_messages,
-        encode_fallbacks=sum(p.encode_fallbacks for p in parts),
-        conformance_checks=sum(p.conformance_checks for p in parts),
     )

@@ -170,8 +170,7 @@ class TestCollectionEquivalence:
         messages = list(range(1, N + 1))
         runs = [
             run_anonymous_collection(
-                small_dl_group, messages, SeededRNG(11),
-                wire="measured", backend=name,
+                small_dl_group, messages, SeededRNG(11), backend=name,
             )
             for name in ("python", other)
         ]

@@ -288,10 +288,11 @@ class TestKillRejoin:
 
     def _pair(self, group, schema, initiator_input, tmp_path, specs,
               **overrides):
-        # faults=[] keeps the injector (and its per-message framing) in
-        # place so baseline and killed runs are byte-comparable.
+        # An injector that never fires frames every message alone, as an
+        # injected run does, so baseline and killed runs are
+        # byte-comparable; an empty plan is no plan, and both coalesce.
         baseline = build(group, schema, initiator_input, **overrides).run(
-            faults=[]
+            faults=FaultInjector([]) if specs else None
         )
         framework = build(
             group, schema, initiator_input,

@@ -152,9 +152,13 @@ class TestRealCrypto:
         )
         result = framework.run()
         assert framework.check_result(result) == []
-        # Wire sizes now reflect compressed 161-bit points.
+        # Measured wire sizes reflect compressed 161-bit points: 2·l
+        # element bodies of a marker byte plus 21 point bytes, and less
+        # than 64 bytes of framing (tags, headers, the AEAD envelope).
+        assert group.wire_bytes == 21
+        body_bits = config.beta_bits * 2 * 8 * (1 + group.wire_bytes)
         beta_entries = [e for e in result.transcript if e.tag == "beta-bits"]
-        assert beta_entries[0].size_bits == config.beta_bits * 2 * 161
+        assert body_bits < beta_entries[0].size_bits < body_bits + 8 * 64
 
     def test_framework_over_dl1024(self, small_schema, small_initiator_input):
         """And at the paper's DL tier (1024-bit safe-prime group)."""

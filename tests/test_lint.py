@@ -42,6 +42,7 @@ SEEDED_VIOLATIONS = [
     ("R-FLOAT", "repro/crypto/bad_float.py", 5),
     ("R-FLOAT", "repro/math/backend.py", 5),
     ("R-EXCEPT", "repro/runtime/bad_except.py", 7),
+    ("R-PICKLE", "repro/runtime/bad_pickle.py", 7),
     ("R-PROTO", "repro/core/proto_unhandled.py", 13),
     ("R-PROTO", "repro/core/proto_phase.py", 15),
     ("R-PROTO", "repro/runtime/transport/frames.py", 15),

@@ -1,4 +1,4 @@
-"""Tests for the canonical wire codec."""
+"""Tests for the canonical wire codec (v2: varint framing + interning)."""
 
 import copy
 
@@ -9,17 +9,25 @@ from hypothesis import strategies as st
 from repro.crypto.bitenc import BitwiseCiphertext, BitwiseElGamal
 from repro.crypto.elgamal import ExponentialElGamal
 from repro.math.rng import SeededRNG
-from repro.runtime.wire import WireCodec
+from repro.runtime.wire import (
+    InternTable,
+    WireCodecV2,
+    decode_varint,
+    encode_varint,
+    fragment_count,
+    unzigzag,
+    zigzag,
+)
 
 
 @pytest.fixture
 def codec(small_dl_group):
-    return WireCodec(small_dl_group)
+    return WireCodecV2(small_dl_group)
 
 
 @pytest.fixture
 def curve_codec(tiny_curve):
-    return WireCodec(tiny_curve)
+    return WireCodecV2(tiny_curve)
 
 
 class TestIntegers:
@@ -28,7 +36,7 @@ class TestIntegers:
     def test_roundtrip(self, value):
         from repro.groups.dl import DLGroup
 
-        codec = WireCodec(DLGroup.random(32, rng=SeededRNG(99)))
+        codec = WireCodecV2(DLGroup.random(32, rng=SeededRNG(99)))
         assert codec.decode(codec.encode(value)) == value
 
     def test_zero(self, codec):
@@ -99,15 +107,10 @@ class TestRobustness:
             codec.decode(b"X\x00\x00\x00\x01\x00")
 
     def test_non_element_bytes_rejected(self, codec, small_dl_group):
-        import struct
-
-        # Encode an out-of-range "element".
-        fake = small_dl_group.modulus.to_bytes(
-            (small_dl_group.element_bits + 7) // 8, "big"
-        )
-        frame = b"E" + struct.pack(">I", len(fake)) + fake
+        # A raw (first-occurrence) body carrying an out-of-range "element".
+        fake = small_dl_group.modulus.to_bytes(small_dl_group.wire_bytes, "big")
         with pytest.raises(ValueError):
-            codec.decode(frame)
+            codec.decode(b"E\x00" + fake)
 
     def test_unencodable_type_rejected(self, codec):
         with pytest.raises(TypeError):
@@ -118,9 +121,9 @@ class TestRobustness:
 
 class TestSizeAccounting:
     def test_declared_protocol_sizes_are_realistic(self, codec, small_dl_group):
-        """The engine's declared size for a bitwise ciphertext
-        (2·l·element_bits) must be within the framing overhead of the
-        real encoding."""
+        """The closed-form size of a bitwise ciphertext (2·l·element_bits,
+        the unit of the paper's communication analysis) must be within
+        the framing overhead of the real encoding."""
         bitenc = BitwiseElGamal(small_dl_group)
         rng = SeededRNG(6)
         keypair = bitenc.scheme.generate_keypair(rng)
@@ -132,29 +135,8 @@ class TestSizeAccounting:
 
 
 # ---------------------------------------------------------------------------
-# v2: varint framing + element interning
+# Varint framing and element interning
 # ---------------------------------------------------------------------------
-
-from repro.runtime.wire import (  # noqa: E402
-    InternTable,
-    WireCodecV2,
-    decode_varint,
-    encode_varint,
-    fragment_count,
-    make_codec,
-    unzigzag,
-    zigzag,
-)
-
-
-@pytest.fixture
-def codec_v2(small_dl_group):
-    return WireCodecV2(small_dl_group)
-
-
-@pytest.fixture
-def curve_codec_v2(tiny_curve):
-    return WireCodecV2(tiny_curve)
 
 
 class TestVarints:
@@ -185,20 +167,21 @@ class TestVarints:
         assert len(encode_varint(zigzag(-64))) == 1
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
+@pytest.mark.parametrize("version", ["v2"])
 class TestBothCodecsRoundtrip:
-    """The property battery runs over both codec generations and both
-    group families — the wire is codec- and group-agnostic."""
+    """The property battery runs one codec per group family (DL and
+    curve) — the wire is group-agnostic.  ``version`` names the codec
+    generation under test; v2 is the only one."""
 
     def _codecs(self, version, small_dl_group, tiny_curve):
-        return make_codec(small_dl_group, version), make_codec(tiny_curve, version)
+        return WireCodecV2(small_dl_group), WireCodecV2(tiny_curve)
 
     @given(value=st.integers(-(10**30), 10**30))
     @settings(max_examples=40)
     def test_integers(self, version, value):
         from repro.groups.dl import DLGroup
 
-        codec = make_codec(DLGroup.random(32, rng=SeededRNG(99)), version)
+        codec = WireCodecV2(DLGroup.random(32, rng=SeededRNG(99)))
         assert codec.decode(codec.encode(value)) == value
 
     def test_none_bytes_str(self, version, small_dl_group, tiny_curve):
@@ -225,7 +208,7 @@ class TestBothCodecsRoundtrip:
 
     def test_nested_ciphertext_lists(self, version, small_dl_group, tiny_curve):
         for group in (small_dl_group, tiny_curve):
-            codec = make_codec(group, version)
+            codec = WireCodecV2(group)
             scheme = ExponentialElGamal(group)
             rng = SeededRNG(5)
             keypair = scheme.generate_keypair(rng)
@@ -239,7 +222,7 @@ class TestBothCodecsRoundtrip:
 
     def test_bitwise_ciphertext(self, version, small_dl_group, tiny_curve):
         for group in (small_dl_group, tiny_curve):
-            codec = make_codec(group, version)
+            codec = WireCodecV2(group)
             bitenc = BitwiseElGamal(group)
             rng = SeededRNG(4)
             keypair = bitenc.scheme.generate_keypair(rng)
@@ -272,40 +255,40 @@ class TestBothCodecsRoundtrip:
 
 
 class TestInterning:
-    def test_repeat_element_sent_once(self, codec_v2, small_dl_group):
+    def test_repeat_element_sent_once(self, codec, small_dl_group):
         element = small_dl_group.random_element(SeededRNG(11))
-        first = codec_v2.encode_element(element)
-        second = codec_v2.encode_element(element)
+        first = codec.encode_element(element)
+        second = codec.encode_element(element)
         assert len(second) < len(first)
         # A paired decoder replays both sends and agrees on both.
         decoder = WireCodecV2(small_dl_group)
         assert small_dl_group.eq(decoder.decode(first), element)
         assert small_dl_group.eq(decoder.decode(second), element)
 
-    def test_decode_out_of_order_fails(self, codec_v2, small_dl_group):
+    def test_decode_out_of_order_fails(self, codec, small_dl_group):
         """A reference frame is meaningless to a decoder that never saw
         the first occurrence — stream order is part of the contract."""
         element = small_dl_group.random_element(SeededRNG(12))
-        codec_v2.encode_element(element)
-        reference_frame = codec_v2.encode_element(element)
+        codec.encode_element(element)
+        reference_frame = codec.encode_element(element)
         fresh_decoder = WireCodecV2(small_dl_group)
         with pytest.raises(ValueError):
             fresh_decoder.decode(reference_frame)
 
-    def test_rollback_undoes_partial_encode(self, codec_v2, small_dl_group):
+    def test_rollback_undoes_partial_encode(self, codec, small_dl_group):
         scheme = ExponentialElGamal(small_dl_group)
         rng = SeededRNG(13)
         keypair = scheme.generate_keypair(rng)
         ciphertext = scheme.encrypt(1, keypair.public, rng)
-        mark = codec_v2.intern_mark()
+        mark = codec.intern_mark()
         payload = [ciphertext, object()]  # second item unencodable
         with pytest.raises(TypeError):
-            codec_v2.encode(payload)
-        codec_v2.intern_rollback(mark)
+            codec.encode(payload)
+        codec.intern_rollback(mark)
         # After rollback the components encode raw again, so a fresh
         # decoder stays in sync despite never seeing the aborted frame.
         decoder = WireCodecV2(small_dl_group)
-        decoded = decoder.decode(codec_v2.encode(ciphertext))
+        decoded = decoder.decode(codec.encode(ciphertext))
         assert scheme.decrypt_small(decoded, keypair.secret, 4) == 1
 
     def test_transcode_keeps_both_tables_in_step(self, small_dl_group):
@@ -339,16 +322,16 @@ class TestInterning:
         assert len(table) == 2
         assert table.lookup("c") is None
 
-    def test_v2_repeat_heavy_payload_smaller_than_v1(self, small_dl_group):
+    def test_repeat_heavy_payload_smaller_than_raw(self, small_dl_group):
         """The win the interning exists for: re-sending the same
         ciphertext many times (retransmits, repeated references)."""
         scheme = ExponentialElGamal(small_dl_group)
         rng = SeededRNG(15)
         keypair = scheme.generate_keypair(rng)
         payload = [scheme.encrypt(1, keypair.public, rng)] * 32
-        v1 = make_codec(small_dl_group, "v1")
-        v2 = make_codec(small_dl_group, "v2")
-        assert len(v2.encode(payload)) < len(v1.encode(payload)) / 4
+        interned = WireCodecV2(small_dl_group)
+        raw = WireCodecV2(small_dl_group, intern=False)
+        assert len(interned.encode(payload)) < len(raw.encode(payload)) / 4
 
 
 class TestFragmentCount:
@@ -372,7 +355,7 @@ class TestFragmentCount:
 
     def test_mixed_payload_is_one_fragment(self, small_dl_group):
         # A (rank, values) tuple or any scalar-bearing structure ships
-        # as one datum in the v1 transport model.
+        # as one datum in the per-datum transport model.
         assert fragment_count((3, [1, 2])) == 1
 
 
@@ -485,6 +468,19 @@ class TestReconnectLifecycle:
         assert prepared.payload is element
         assert WireCodecV2(small_dl_group).decode(prepared.wire.encoded) == element
 
+    def test_unencodable_payload_raises_at_the_sender(self, small_dl_group):
+        """There is no fallback accounting: a payload the codec cannot
+        encode fails the send, naming the channel and tag, and leaves
+        the channel's interning table as it was."""
+        transport = WireTransport(small_dl_group, keep_bytes=True)
+        element = self._element_payload(small_dl_group, 37)
+        with pytest.raises(TypeError, match="P1 -> P2 'tau-sets'"):
+            transport.prepare(self._msg(1, 2, [element, object()]))
+        assert transport.wire_messages == transport.logical_messages == 0
+        prepared = transport.prepare(self._msg(1, 2, element))
+        decoded = WireCodecV2(small_dl_group).decode(prepared.wire.encoded)
+        assert small_dl_group.eq(decoded.c1, element.c1)
+
 
 # -- what a tcp RESEND relies on ----------------------------------------------
 #
@@ -536,7 +532,6 @@ class TestSentPayloadsStayResendable:
         result = framework.run()
 
         assert not framework.check_result(result)
-        assert result.wire_stats.encode_fallbacks == 0
         assert len(sent) == result.wire_stats.logical_messages
         for tag, payload, snapshot, decoded in sent:
             assert decoded == snapshot, tag

@@ -266,16 +266,18 @@ class TestFaults:
         assert result.excluded == []
         assert result.ranks == fault_baseline
 
-    @pytest.mark.parametrize("spec", [
-        FaultSpec(kind="kill_restart", party=2, tag="beta-bits"),
-        FaultSpec(kind="kill_restart", party=2, tag="tau-sets"),
-        FaultSpec(kind="kill_restart", party=0, phase="keying"),
-    ], ids=["P2-beta-bits", "P2-tau-sets", "P0-keying"])
+    @pytest.mark.parametrize("spec,rejoins", [
+        (FaultSpec(kind="kill_restart", party=2, tag="beta-bits"), 1),
+        (FaultSpec(kind="kill_restart", party=2, tag="tau-sets"), 1),
+        (FaultSpec(kind="kill_restart", party=0, phase="keying"), 1),
+        (FaultSpec(kind="kill_restart", party=2, tag="beta-bits", count=2), 2),
+    ], ids=["P2-beta-bits", "P2-tau-sets", "P0-keying", "P2-beta-bits-twice"])
     def test_kill_restart_accounting_matches_the_engine(self, small_dl_group,
-                                                        spec):
+                                                        spec, rejoins):
         """A rejoined party reports its whole run, not only its second
         life: every party's metrics equal those of an in-process run with
-        the same fault and a checkpoint dir."""
+        the same fault and a checkpoint dir.  A second death at the
+        go-live send is a second rejoin under both schedulers."""
         results = []
         for transport in ("inproc", "tcp"):
             with tempfile.TemporaryDirectory() as checkpoint_dir:
@@ -289,7 +291,7 @@ class TestFaults:
                 else:
                     results.append(framework.run(faults=[spec]))
         inproc, tcp = results
-        assert inproc.rejoins == tcp.rejoins == 1
+        assert inproc.rejoins == tcp.rejoins == rejoins
         assert tcp.ranks == inproc.ranks
         assert _accounting(tcp) == _accounting(inproc)
 

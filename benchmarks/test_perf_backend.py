@@ -5,12 +5,15 @@ modular exponentiation — at the paper's real group sizes (DL-1024 and
 DL-2048) under the pure-python reference and every native backend that
 loads here (``gmp``: libgmp through ctypes; ``gmpy2`` when installed),
 plus the end-to-end ``DLGroup.exp`` path (seam dispatch + metering
-included) at 2048 bits.
+included) at 2048 bits.  Each side is the best of several interleaved
+passes: a pass times every backend once, back to back, so a burst of
+host load lands on all of them alike.
 
-A crossover table justifies ``GmpBackend``'s size rule: ``powmod``,
-``jacobi`` and ``invert`` at 48 to 2048 bits, CPython against the
-native call forced at every width (the backend itself keeps moduli
-below 2^64 on CPython).
+A crossover table shows ``GmpBackend``'s size rule at work:
+``powmod``, ``jacobi`` and ``invert`` at 16 to 2048 bits, CPython
+against each native backend called as the library calls it, through
+its own routing.  Where ``gmp`` hands a call back to CPython (a
+one-digit modulus, a small inverse) its column times CPython too.
 
 Acceptance bar (enforced for every native backend that loads): ≥ 5× on
 2048-bit exponentiation.  The python-only portion always runs, so the
@@ -43,7 +46,9 @@ pytestmark = pytest.mark.perf
 
 SIZES = (1024, 2048)
 REPS = {1024: 40, 2048: 12}
-CROSSOVER_BITS = (48, 64, 96, 128, 256, 1024, 2048)
+#: Interleaved passes per size row; each side keeps its best.
+PASSES = 9
+CROSSOVER_BITS = (16, 24, 32, 48, 64, 96, 128, 256, 1024, 2048)
 MIN_SPEEDUP_2048 = 5.0
 MAX_DISPATCH_OVERHEAD = 0.25
 REGRESSION_TOLERANCE = 0.20
@@ -66,36 +71,33 @@ def _workload(group, reps):
     return p, list(zip(bases, exponents))
 
 
-def _time_powmod(impl, p, pairs):
-    impl.powmod(*pairs[0], p)  # warm
+def _checksum(impl, p, pairs):
     checksum = 0
-    t0 = time.perf_counter()
     for base, exponent in pairs:
         checksum ^= impl.powmod(base, exponent, p)
-    return (time.perf_counter() - t0) / len(pairs), checksum
+    return checksum
 
 
-def _time_group_exp(group, pairs):
-    group.exp(*pairs[0])  # warm
-    t0 = time.perf_counter()
-    for base, exponent in pairs:
-        group.exp(base, exponent)
-    return (time.perf_counter() - t0) / len(pairs)
+def _interleaved_best(calls, args, reps=1, passes=PASSES):
+    """Best seconds per call of each of ``calls`` over ``args``.
 
-
-def _best_us(call, args, reps):
-    """Best of three batches, in microseconds per call."""
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for arg in args * reps:
-            call(*arg)
-        best = min(best, (time.perf_counter() - t0) / (reps * len(args)))
-    return best * 1e6
+    A pass times every call once, back to back, each over ``args``
+    ``reps`` times; each call keeps its fastest pass."""
+    for call in calls:
+        call(*args[0])  # warm
+    best = [float("inf")] * len(calls)
+    for _ in range(passes):
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                for arg in args:
+                    call(*arg)
+            best[i] = min(best[i], (time.perf_counter() - t0) / (reps * len(args)))
+    return best
 
 
 def _crossover(impl):
-    """CPython against ``impl`` for each primitive and width."""
+    """CPython against ``impl``, as routed, for each primitive and width."""
     rows = {"powmod": {}, "jacobi": {}, "invert": {}}
     python = PythonBackend()
     rng = random.Random(5)
@@ -118,17 +120,18 @@ def _crossover(impl):
             assert [native(*a) for a in args] == [
                 getattr(python, method)(*a) for a in args
             ]
-            python_us = _best_us(getattr(python, method), args, reps)
-            native_us = _best_us(native, args, reps)
+            python_s, native_s = _interleaved_best(
+                [getattr(python, method), native], args, reps, passes=3
+            )
             rows[primitive][str(bits)] = {
-                "python_us": round(python_us, 2),
-                "native_us": round(native_us, 2),
-                "speedup": round(python_us / native_us, 2),
+                "python_us": round(python_s * 1e6, 2),
+                "native_us": round(native_s * 1e6, 2),
+                "speedup": round(python_s / native_s, 2),
             }
     return rows
 
 
-def test_backend_speedup(monkeypatch):
+def test_backend_speedup():
     python = PythonBackend()
     natives = {}
     for name in _native_backends():
@@ -140,32 +143,32 @@ def test_backend_speedup(monkeypatch):
     for bits in SIZES:
         group = DLGroup.standard(bits)
         p, pairs = _workload(group, REPS[bits])
-        python_s, python_sum = _time_powmod(python, p, pairs)
+        # Equivalence before speed: same math or the number is void.
+        expected = _checksum(python, p, pairs)
+        for impl in natives.values():
+            assert _checksum(impl, p, pairs) == expected
+        timed = [python] + list(natives.values())
+        best = _interleaved_best([impl.powmod for impl in timed],
+                                 [(b, e, p) for b, e in pairs])
+        python_s = best[0]
         entry = {"python_modexp_ms": round(python_s * 1e3, 3)}
-        for name, impl in natives.items():
-            native_s, native_sum = _time_powmod(impl, p, pairs)
-            # Equivalence before speed: same math or the number is void.
-            assert native_sum == python_sum
+        for name, native_s in zip(natives, best[1:]):
             entry[f"{name}_modexp_ms"] = round(native_s * 1e3, 3)
             entry[f"{name}_speedup"] = round(python_s / native_s, 2)
             if bits == 2048:
                 speedup_2048[name] = python_s / native_s
         sizes_payload[str(bits)] = entry
 
-    # The crossover rows time the libgmp call itself at every width, so
-    # the size rule's small-modulus route to CPython is switched off.
-    monkeypatch.setattr(backend, "_NATIVE_MODULUS", 3)
-    monkeypatch.setattr(backend, "_TINY_EXPONENT", 0)
     crossover = {name: _crossover(impl) for name, impl in natives.items()}
-    monkeypatch.undo()
 
     # End-to-end seam path at 2048 bits: group.exp = meter + dispatch +
     # active-backend powmod.
     group = DLGroup.standard(2048)
     p, pairs = _workload(group, REPS[2048])
     with backend.use_backend("python"):
-        group_exp_s = _time_group_exp(group, pairs)
-    raw_s, _ = _time_powmod(python, p, pairs)
+        group_exp_s = _interleaved_best([group.exp], pairs, passes=1)[0]
+    raw_s = _interleaved_best([python.powmod], [(b, e, p) for b, e in pairs],
+                              passes=1)[0]
     dispatch_overhead = group_exp_s / raw_s - 1.0
 
     payload = {

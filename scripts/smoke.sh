@@ -26,21 +26,35 @@ PYTHONPATH=src python -m repro demo -n 64 --shard-size 16
 echo "== crossover model picks the shard size =="
 PYTHONPATH=src python -m repro demo -n 24 --shard-size auto
 
+echo "== one-limb group: the default backend against the python reference =="
+# The demo's 64-bit test group fits one machine word, so under the
+# default gmp backend its powers, inverses and Jacobi symbols cross to
+# libgmp one word per operand; the run must carry exactly the python
+# reference's per-channel streams (same canonical digest).
+INPROC_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1)"
+PYTHON_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1 \
+    --backend python)"
+INPROC_DIGEST="$(echo "$INPROC_OUT" | grep '^wire digest:')"
+PYTHON_DIGEST="$(echo "$PYTHON_OUT" | grep '^wire digest:')"
+echo "$INPROC_DIGEST"
+if [ -z "$INPROC_DIGEST" ] || [ "$INPROC_DIGEST" != "$PYTHON_DIGEST" ]; then
+    echo "default backend $INPROC_DIGEST differs from python $PYTHON_DIGEST" >&2
+    exit 1
+fi
+
 echo "== socket transport: one process per party over loopback TCP =="
 # The parties ship codec bytes, which must carry exactly the in-process
 # run's per-channel streams (same canonical digest).
-INPROC_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1)"
 TCP_OUT="$(PYTHONPATH=src python -m repro demo -n 5 --seed 1 \
     --transport tcp --listen 127.0.0.1:0)"
 echo "$TCP_OUT"
-INPROC_DIGEST="$(echo "$INPROC_OUT" | grep '^wire digest:')"
 TCP_DIGEST="$(echo "$TCP_OUT" | grep '^wire digest:')"
 if [ -z "$TCP_DIGEST" ] || [ "$TCP_DIGEST" != "$INPROC_DIGEST" ]; then
     echo "tcp $TCP_DIGEST differs from in-process $INPROC_DIGEST" >&2
     exit 1
 fi
 
-echo "== paper-size group across processes: each party keeps its own memos (and tables, off libgmp) =="
+echo "== paper-size group across processes: each party keeps its own memos (native powers, no fixed-base tables, under gmp) =="
 PYTHONPATH=src python -m repro demo -n 2 --group dl1024 --transport tcp --listen 127.0.0.1:0
 
 echo "== protocol lint (taint + invariants) =="

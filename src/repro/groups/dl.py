@@ -16,7 +16,7 @@ from repro.groups.base import Element, Group, OperationCounter
 from repro.groups.fixed_base import PrecomputedBase
 from repro.math import backend
 from repro.math.modular import jacobi_symbol, mod_inverse
-from repro.math.multiexp import SMALL_EXPONENT_BITS, centered_exponent
+from repro.math.multiexp import SMALL_EXPONENT_BITS
 from repro.math.primes import is_safe_prime, modp_safe_prime, random_safe_prime
 from repro.math.rng import RNG
 
@@ -33,7 +33,9 @@ class DLGroup(Group):
     #: table holds ``15·|q|/4`` elements, about 0.7 MB at 1024 bits.
     FIXED_BASE_TABLES_MAX = 4
 
-    _TRANSIENT = Group._TRANSIENT + ("_tables",)
+    _TRANSIENT = Group._TRANSIENT + (
+        "_tables", "_plan_backend", "_native", "_short_from", "_q_bits",
+    )
 
     def __init__(
         self,
@@ -97,6 +99,10 @@ class DLGroup(Group):
     def __post_init__(self) -> None:
         super().__post_init__()
         self._tables: "OrderedDict[int, PrecomputedBase]" = OrderedDict()
+        # exp's kernel plan (_plan), made again under each active backend.
+        self._plan_backend: Optional[backend.ArithmeticBackend] = None
+        self._native = False
+        self._short_from = self._q_bits = 0
 
     # -- operations -------------------------------------------------------------
     # Arithmetic dispatches through repro.math.backend at call time, so
@@ -112,45 +118,65 @@ class DLGroup(Group):
 
         Below the meter the element comes from the cheapest exact route:
 
-        * a short centered exponent ``k ≡ e`` with ``-2^16 < e < 0`` (the
-          comparison circuit's ``-weight`` scalars) costs one inverse and
-          a short power instead of a ladder over ``q - |e|``; Euler's
+        * a residue ``e = k mod q`` just below ``q`` (``q - e < 2^16``
+          and ``e > q/2``), i.e. a short centered exponent ``e - q`` like
+          the comparison circuit's ``-weight`` scalars, costs one inverse
+          and a short power instead of a ladder over ``e``; Euler's
           criterion ``a^q = (a/p)`` fixes the sign for any integer ``a``;
-        * a base with a fixed-base table (the generator once it is raised
-          to a long exponent, keys passed to :meth:`exp_fixed`) walks the
-          table with ``backend.mulmod``, unless the backend's ``powmod``
-          is native at this modulus (:func:`backend.native_powmod`): one
-          native power beats a Python-level walk (2-3x at 1024 bits,
-          ABL-fixedbase), so no table is built or walked;
-        * anything else is one ``backend.powmod``.
+        * where the backend's ``powmod`` is native at this modulus
+          (:func:`backend.native_powmod`), anything else is one
+          ``backend.powmod``: one native power beats a Python-level table
+          walk (about 2x at 48 bits and 3x at 1024, ABL-fixedbase), so no
+          table is built or walked;
+        * otherwise a base with a fixed-base table (the generator once it
+          is raised to a long exponent, keys passed to :meth:`exp_fixed`)
+          walks the table with ``backend.mulmod``, and anything else is
+          one ``backend.powmod``.
         """
+        # The plan is checked inline against the module's active backend,
+        # not through get_backend(): at 48 bits a native power costs
+        # about 2.7 us and each Python call here a few percent of it,
+        # which ABL-fixedbase's default/best gate sees.
+        if self._plan_backend is not backend._active:
+            self._plan()
         q, p = self._q, self._p
-        self.counter.record_exp(q.bit_length())
-        e = centered_exponent(k, q)
-        if e < 0:
-            if e > -_SHORT_EXPONENT:
-                symbol = backend.jacobi(a, p)
-                if not symbol:
-                    return 0  # a ≡ 0 (mod p) has no inverse; 0^k = 0
-                power = backend.powmod(a, e, p)
-                return power if symbol == 1 else p - power
-            e += q
+        self.counter.record_exp(self._q_bits)
+        e = k % q
+        if e > self._short_from:
+            symbol = backend.jacobi(a, p)
+            if not symbol:
+                return 0  # a ≡ 0 (mod p) has no inverse; 0^k = 0
+            power = backend.powmod(a, e - q, p)
+            return power if symbol == 1 else p - power
+        if self._native:
+            return backend.powmod(a, e, p)
         table = self._tables.get(a)
         if table is None:
-            if (a != self._g or e.bit_length() <= SMALL_EXPONENT_BITS
-                    or backend.native_powmod(p)):
+            if a != self._g or e.bit_length() <= SMALL_EXPONENT_BITS:
                 return backend.powmod(a, e, p)
             table = self._table_for(a)
-        elif backend.native_powmod(p):
-            return backend.powmod(a, e, p)
         else:
             self._tables.move_to_end(a)
         return table.exp(e)
 
     def exp_fixed(self, base: int, k: int) -> int:
-        if base not in self._tables and not backend.native_powmod(self._p):
+        if self._plan_backend is not backend._active:
+            self._plan()
+        if base not in self._tables and not self._native:
             self._table_for(base)
         return self.exp(base, k)
+
+    def _plan(self) -> None:
+        """Plan :meth:`exp`'s kernels under the active backend, once per
+        (group, backend): whether its ``powmod`` is native here, the
+        residues ``e = k mod q`` above which ``e - q`` is a short
+        centered exponent, and the metered exponent width.  All live in
+        transient fields, so a pickled group carries none of them."""
+        self._plan_backend = active = backend.get_backend()
+        self._native = active.native_powmod(self._p)
+        q = self._q
+        self._short_from = max(q // 2, q - _SHORT_EXPONENT)
+        self._q_bits = q.bit_length()
 
     def _table_for(self, base: int) -> PrecomputedBase:
         """A new fixed-base table for ``base``, evicting the least

@@ -10,9 +10,11 @@ primitives.  This module defines that primitive set once
   available, the reference the rest of the stack is tested against;
 * :class:`GmpBackend` — ``powmod``, ``invert`` and ``jacobi`` on the
   system's libgmp through :mod:`ctypes` (nothing to install), routed by
-  operand size: a modulus that fits one 64-bit limb, and a tiny
-  non-negative exponent, stay on CPython, where the foreign call costs
-  as much as the work; 10-12x faster than CPython at 1024-2048 bits;
+  operand size: a modulus that fits one machine word crosses as that
+  word, one foreign call per operand (about 3.5x CPython's ``powmod``
+  at 48 bits), a wider one as bytes (10-12x at 1024-2048 bits); CPython
+  keeps the few cases where it is faster (one-digit moduli, short
+  exponents, small inverses);
 * :class:`Gmpy2Backend` — the same primitives on :mod:`gmpy2` (GMP),
   when that package is installed.
 
@@ -52,8 +54,8 @@ import powmod`` — so a runtime switch reaches every call site.  A caller
 that picks between a kernel of its own and ``powmod`` (the fixed-base
 tables of :class:`repro.groups.dl.DLGroup`) asks :func:`native_powmod`,
 so the backend alone decides where its native arithmetic starts; only
-``gmp`` has measured that crossover, so it alone answers yes (above one
-64-bit limb).
+``gmp`` has measured that crossover, so it alone answers yes (from a
+30-bit modulus up).
 """
 
 from __future__ import annotations
@@ -222,15 +224,24 @@ class PythonBackend(ArithmeticBackend):
 # libgmp through ctypes
 # ---------------------------------------------------------------------------
 
-#: Moduli below this (one 64-bit limb, or not positive) stay on CPython.
-#: There the foreign call costs about as much as the work: at 48 bits a
-#: native ``invert`` runs at 0.4x CPython's speed and ``jacobi`` at 1.0x,
-#: while from 128 bits up every primitive wins, 10x and more at 1024
-#: (the crossover table in benchmarks/results/BENCH_backend.json).
-_NATIVE_MODULUS = 1 << 64
-#: Non-negative exponents below this stay on CPython at any width (the
+#: Non-negative exponents below this stay on CPython at every width (the
 #: curves' ``z^4`` and ``x^3``).
 _TINY_EXPONENT = 8
+
+#: Single-limb crossovers, below which CPython beats the foreign calls
+#: (measured in EXPERIMENTS.md, NATIVE-WORD; the crossover rows of
+#: benchmarks/results/BENCH_backend.json time this routing):
+#:
+#: * ``powmod`` runs native from this modulus up.  Below it every
+#:   operand is one 30-bit CPython digit, CPython's fastest case.  From
+#:   here up one native power also beats a fixed-base table walk, so
+#:   :meth:`GmpBackend.native_powmod` says yes;
+_NATIVE_POWMOD = 1 << 30
+#: * a single-limb ``powmod`` needs a non-negative exponent of at least
+#:   this;
+_WORD_EXPONENT = 1 << 8
+#: * ``invert`` runs native from this modulus up.
+_NATIVE_INVERT = 1 << 40
 
 #: libgmp's shared-object names, loaded by soname: ``ctypes.util.
 #: find_library`` would fork ``ldconfig`` in every process.
@@ -258,6 +269,7 @@ class _Libgmp:
         if dll is None:
             raise OSError(f"libgmp not found (tried {', '.join(names)})")
         pointer, size, flag = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
+        word = ctypes.c_ulong
 
         def bind(symbol, argtypes, restype=None):
             function = getattr(dll, symbol)
@@ -274,6 +286,15 @@ class _Libgmp:
         self.powm = bind("__gmpz_powm", [pointer] * 4)
         self.invert = bind("__gmpz_invert", [pointer] * 3, flag)
         self.jacobi = bind("__gmpz_jacobi", [pointer] * 2, flag)
+        # One-word entry points: an operand below 2^(8·sizeof(unsigned
+        # long)) crosses as the machine word itself.  ctypes silently
+        # masks a wider int to that width, so every caller must
+        # range-check first.
+        self.set_ui = bind("__gmpz_set_ui", [pointer, word])
+        self.get_ui = bind("__gmpz_get_ui", [pointer], word)
+        self.powm_ui = bind("__gmpz_powm_ui", [pointer, pointer, word, pointer])
+        self.ui_kronecker = bind("__gmpz_ui_kronecker", [word, pointer], flag)
+        self.word_limit = 1 << (8 * ctypes.sizeof(word))
         self.limb_bytes = ctypes.c_int.in_dll(dll, "__gmp_bits_per_limb").value // 8
 
         class Mpz(ctypes.Structure):
@@ -297,7 +318,8 @@ def _load_libgmp() -> _Libgmp:
 
 class _Registers:
     """Four ``mpz_t`` owned by one thread: operands ``a``, ``b``, ``m``
-    and the result ``out``, as addresses for the foreign calls."""
+    and the result ``out``, as addresses for the foreign calls.
+    ``modulus`` is the value resident in ``m`` (``mpz_init`` leaves 0)."""
 
     def __init__(self, lib: _Libgmp):
         self._clear = lib.clear
@@ -307,6 +329,7 @@ class _Registers:
             lib.init(address)
         self.a, self.b, self.m, self.out = self._addresses
         self.result = self._mpz[3]
+        self.modulus = 0
 
     def __del__(self) -> None:
         for address in self._addresses:
@@ -325,50 +348,66 @@ class _ThreadRegisters(threading.local):
 class GmpBackend(PythonBackend):
     """``powmod``, ``invert`` and ``jacobi`` on libgmp through :mod:`ctypes`.
 
-    Operands cross as little-endian bytes (``mpz_import``) and the
-    result's limbs are read back, so every method still takes and
-    returns plain ``int``s; ``mulmod`` and ``gcd`` stay on CPython.
-    Each call is routed by its operands:
+    Every method still takes and returns plain ``int``s; ``mulmod`` and
+    ``gcd`` stay on CPython.  Each thread keeps its modulus resident in
+    a register and reloads it only when the modulus changes.  Each call
+    is routed by its operands:
 
-    * a modulus below 2^64 (which includes 0, 1 and negative moduli) and
-      a non-negative exponent below 8 run on CPython — the small path
-      costs one integer comparison;
-    * a negative exponent is an inverse (``mpz_invert``), then a power
-      of it.  libgmp kills the process with SIGFPE on a zero modulus and
-      on a negative power with no inverse, so neither reaches it: the
-      first is routed to CPython, the second raises CPython's own
-      ``ValueError``;
-    * ``jacobi`` with an even modulus runs the python reference.
+    * a *single-limb* modulus, ``2 < m < 2^(8·sizeof(unsigned long))``,
+      crosses as one machine word: operands are reduced in Python and
+      each crosses in one foreign call (``mpz_set_ui`` in, ``mpz_get_ui``
+      out, ``mpz_powm_ui``, ``mpz_ui_kronecker``).  Exponents must fit
+      the word too; a wider or negative one runs on CPython;
+    * a *multi-limb* modulus crosses as little-endian bytes
+      (``mpz_import``) and the result's limbs are read back.  A negative
+      exponent is an inverse (``mpz_invert``), then a power of it;
+    * CPython keeps what it does faster (``_TINY_EXPONENT`` and the
+      single-limb crossovers) and what libgmp must not see: it kills
+      the process with SIGFPE on a zero modulus and on a negative power
+      with no inverse, so moduli up to 2 and negative moduli stay on
+      CPython, and a missing inverse raises CPython's own ``ValueError``;
+    * ``jacobi`` with an even modulus, or one below 3, runs the python
+      reference: for even ``n``, ``mpz_ui_kronecker`` is the Kronecker
+      symbol, not the Jacobi symbol.
     """
 
     name = "gmp"
     native = True
 
     def __init__(self) -> None:
-        self._lib = _load_libgmp()
-        self._local = _ThreadRegisters(self._lib)
+        self._lib = lib = _load_libgmp()
+        self._local = _ThreadRegisters(lib)
+        self._word = lib.word_limit
+        self._set_ui, self._get_ui = lib.set_ui, lib.get_ui
+        self._powm_ui, self._kronecker = lib.powm_ui, lib.ui_kronecker
 
     def native_powmod(self, modulus: int) -> bool:
-        return modulus >= _NATIVE_MODULUS
+        return modulus >= _NATIVE_POWMOD
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        if modulus < _NATIVE_MODULUS:
+        if modulus < self._word:
+            if (_NATIVE_POWMOD <= modulus
+                    and _WORD_EXPONENT <= exponent < self._word):
+                regs = self._local.registers
+                if regs.modulus != modulus:
+                    regs = self._registers(modulus)
+                self._set_ui(regs.a, base % modulus)
+                self._powm_ui(regs.out, regs.a, exponent, regs.m)
+                return self._get_ui(regs.out)
             return pow(base, exponent, modulus)
         if exponent < 0:
             return self._negative_power(base, exponent, modulus)
         if exponent < _TINY_EXPONENT:
             return pow(base, exponent, modulus)
-        regs = self._local.registers
+        regs = self._registers(modulus)
         self._load(regs.a, base % modulus if base < 0 else base)
         self._load(regs.b, exponent)
-        self._load(regs.m, modulus)
         self._lib.powm(regs.out, regs.a, regs.b, regs.m)
         return self._read(regs.result)
 
     def _negative_power(self, base: int, exponent: int, modulus: int) -> int:
-        regs = self._local.registers
+        regs = self._registers(modulus)
         self._load(regs.a, base % modulus)
-        self._load(regs.m, modulus)
         if not self._lib.invert(regs.out, regs.a, regs.m):
             return pow(base, exponent, modulus)  # raises: no inverse
         if exponent != -1:
@@ -377,22 +416,39 @@ class GmpBackend(PythonBackend):
         return self._read(regs.result)
 
     def invert(self, a: int, modulus: int) -> int:
-        if modulus < _NATIVE_MODULUS:
+        if modulus < _NATIVE_INVERT:
             return PythonBackend.invert(self, a, modulus)
-        regs = self._local.registers
-        self._load(regs.a, a % modulus if a < 0 else a)
-        self._load(regs.m, modulus)
+        regs = self._registers(modulus)
+        word = modulus < self._word
+        if word:
+            self._set_ui(regs.a, a % modulus)
+        else:
+            self._load(regs.a, a % modulus if a < 0 else a)
         if not self._lib.invert(regs.out, regs.a, regs.m):
             raise ValueError(f"value is not invertible modulo {modulus}")
-        return self._read(regs.result)
+        return self._get_ui(regs.out) if word else self._read(regs.result)
 
     def jacobi(self, a: int, n: int) -> int:
-        if n < _NATIVE_MODULUS or not n & 1:
+        if n < 3 or not n & 1:
             return PythonBackend.jacobi(self, a, n)
         regs = self._local.registers
+        if regs.modulus != n:
+            regs = self._registers(n)
+        if n < self._word:
+            return self._kronecker(a % n, regs.m)
         self._load(regs.a, a % n if a < 0 else a)
-        self._load(regs.m, n)
         return self._lib.jacobi(regs.a, regs.m)
+
+    def _registers(self, modulus: int) -> _Registers:
+        """This thread's registers, with ``modulus`` resident in ``m``.
+
+        The word paths inline the check for a modulus already resident
+        and call this only to reload it."""
+        regs = self._local.registers
+        if regs.modulus != modulus:
+            self._load(regs.m, modulus)
+            regs.modulus = modulus
+        return regs
 
     def _load(self, address: int, value: int) -> None:
         data = value.to_bytes((value.bit_length() + 7) // 8, "little")

@@ -13,15 +13,17 @@ Two "other" backends are exercised against the pure-python reference:
   end-to-end covered on every CI run;
 * ``gmp`` — :class:`~repro.math.backend.GmpBackend`, libgmp through
   ctypes, skipped when libgmp does not load.  At the 48-bit test group
-  every call takes its CPython path, so the full ranking is also run
-  over a 96-bit group, where every ``powmod``, ``invert`` and ``jacobi``
-  goes native;
+  ``powmod``, ``invert`` and ``jacobi`` take its single-limb path, one
+  machine word per operand (a spy on the libgmp entry points checks
+  that the ranking reaches them); the full ranking is also run over a
+  96-bit group, where every operand crosses as bytes;
 * ``gmpy2`` — the real library, skipped when not installed (CI's
   dedicated backend job installs it).
 """
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 
 import pytest
@@ -143,6 +145,42 @@ class TestRankingEquivalence:
                 (excinfo.value.blamed, excinfo.value.phase, str(excinfo.value))
             )
         assert outcomes[0] == outcomes[1]
+
+
+@needs_gmp
+def test_48_bit_gmp_ranking_reaches_libgmp(
+    small_dl_group, small_schema, small_initiator_input, monkeypatch
+):
+    # Count every call into the one-word entry points and mpz_invert;
+    # the spies go in before the framework builds its GmpBackend, and
+    # the backend active before the test is restored after it.
+    monkeypatch.setattr(backend, "_active", backend.get_backend())
+    lib = backend._load_libgmp()
+    calls = collections.Counter()
+    for name in ("powm_ui", "ui_kronecker", "invert", "set_ui", "get_ui"):
+        original = getattr(lib, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(lib, name, spy)
+    reference = build_framework(
+        small_dl_group, small_schema, small_initiator_input, "python"
+    ).run()
+    assert not calls
+    candidate = build_framework(
+        small_dl_group, small_schema, small_initiator_input, "gmp"
+    ).run()
+    assert outcome_fingerprint(candidate) == outcome_fingerprint(reference)
+    assert wire_fingerprint(candidate) == wire_fingerprint(reference)
+    # Powers, Jacobi symbols and inverses all ran on libgmp, and each
+    # power and inverse moved one word in and one word out.
+    assert calls["powm_ui"] > 1000
+    assert calls["ui_kronecker"] > 1000
+    assert calls["invert"] > 1000
+    assert calls["set_ui"] == calls["powm_ui"] + calls["invert"]
+    assert calls["get_ui"] == calls["set_ui"]
 
 
 @needs_gmp

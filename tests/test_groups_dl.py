@@ -271,7 +271,8 @@ class TestExactKernels:
 @pytest.mark.skipif("gmp" not in backend.available_backends(),
                     reason="libgmp does not load")
 class TestNativeKernelChoice:
-    """Under a native ``powmod`` a 1024-bit group keeps no tables."""
+    """Under a native ``powmod`` a group from one CPython digit (30 bits)
+    up keeps no tables; below that the table walk wins and stays."""
 
     def test_gmp_1024_builds_no_table_and_matches_textbook(self):
         with backend.use_backend("gmp"):
@@ -304,13 +305,60 @@ class TestNativeKernelChoice:
         assert value == pow(group.generator(), k, group.modulus)
 
     def test_small_modulus_keeps_its_tables_under_gmp(self):
+        # Below the crossover (backend._NATIVE_POWMOD) a table walk beats
+        # one native power, so the generator's table is built and walked.
+        with backend.use_backend("gmp"):
+            group = DLGroup.random(24, rng=SeededRNG(5))
+            g, p, q = group.generator(), group.modulus, group.order
+            assert p < backend._NATIVE_POWMOD
+            group.exp_generator(q // 3)
+            assert g in group._tables
+            walks = []
+            table, original = group._tables[g], group._tables[g].exp
+            table.exp = lambda e: walks.append(e) or original(e)
+            assert group.exp_generator(q // 7) == pow(g, q // 7, p)
+            assert walks == [q // 7]
+
+    def test_48_bit_group_builds_no_table_under_gmp(self):
+        # From the crossover up one native power beats the table walk,
+        # so the 48-bit test groups take the native route everywhere.
         with backend.use_backend("gmp"):
             group = _fresh(SMALL)
-            group.exp_generator(Q // 3)
-            assert group.generator() in group._tables
-            assert group.exp_generator(Q // 7) == pow(
-                group.generator(), Q // 7, P
-            )
+            textbook = TextbookDLGroup(P, SMALL.generator(), verify=False)
+            assert P >= backend._NATIVE_POWMOD
+            rng = SeededRNG(9)
+            key = group.random_element(rng)
+            for k in (0, 1, 5, 255, 256, Q - 1, Q - 3, Q // 3, -7,
+                      group.random_exponent(rng)):
+                assert group.exp_generator(k) == textbook.exp_generator(k)
+                assert group.exp_fixed(key, k) == textbook.exp_fixed(key, k)
+            assert not group._tables
+
+    def test_route_is_planned_once_per_backend(self):
+        group = _fresh(SMALL)
+        asked = []
+
+        class Counting(backend.PythonBackend):
+            def native_powmod(self, modulus):
+                asked.append(modulus)
+                return False
+
+        backend.register_backend("counting", Counting)
+        try:
+            with backend.use_backend("counting"):
+                for k in (Q // 3, Q // 5, Q // 7):
+                    group.exp_generator(k)
+                    group.exp_fixed(group.generator(), k)
+            assert asked == [P]
+            with backend.use_backend("gmp"):
+                assert group.exp_generator(Q // 3) == pow(
+                    group.generator(), Q // 3, P
+                )
+            with backend.use_backend("counting"):  # a new backend object
+                group.exp_generator(Q // 3)
+            assert asked == [P, P]
+        finally:
+            backend._FACTORIES.pop("counting", None)
 
 
 class TestTextbookReference:

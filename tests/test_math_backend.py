@@ -385,24 +385,40 @@ HAVE_GMP = "gmp" in backend.available_backends()
 needs_gmp = pytest.mark.skipif(not HAVE_GMP, reason="libgmp does not load")
 
 LIMB = 1 << 64
+#: The word edges: a single-limb operand crosses as one ``unsigned long``
+#: (64 bits here, 32 where ``long`` is), and ctypes silently masks a
+#: wider one (``c_ulong(2**64).value == 0``).
+WORD_EDGES = [
+    edge + delta for edge in (1 << 32, LIMB) for delta in (-1, 0, 1)
+]
+#: The single-limb crossovers of :class:`GmpBackend`.
+CROSSOVERS = [
+    edge + delta
+    for edge in (backend._NATIVE_POWMOD, backend._NATIVE_INVERT)
+    for delta in (-1, 0, 1)
+]
 #: Moduli around and past every routing boundary, at every sign.
 MODULI = st.one_of(
     st.sampled_from([
-        0, 1, -1, 2, 3, LIMB - 1, LIMB, LIMB + 1, -LIMB, -LIMB - 1,
-        (1 << 1024) - 105, 12 << 100,
-    ]),
+        0, 1, -1, 2, 3, 4, -LIMB, -LIMB - 1, (1 << 1024) - 105, 12 << 100,
+    ] + WORD_EDGES + CROSSOVERS),
     st.integers(-(1 << 200), 1 << 200),
+    st.integers(3, LIMB - 1),                         # one limb
+    st.integers(backend._NATIVE_POWMOD, LIMB - 1).map(lambda m: m & ~1),
     st.integers(LIMB, 1 << 1100),                     # native, odd or even
     st.integers(LIMB, 1 << 1100).map(lambda m: m & ~1),  # even
     st.integers(max_value=-LIMB),                     # negative, > 64 bits
     st.integers(1 << 8000, 1 << 8300),                # above 8,000 bits
 )
 EXPONENTS = st.one_of(
-    st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 7, 8, 9]),
+    st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 7, 8, 9, 255, 256]
+                    + WORD_EDGES),
     st.integers(-(1 << 300), 1 << 300),
+    st.integers(0, LIMB + 1),
 )
 BASES = st.one_of(
-    st.sampled_from([0, 1, -1, 2, -2]),
+    st.sampled_from([0, 1, -1, 2, -2]
+                    + WORD_EDGES + [-edge for edge in WORD_EDGES]),
     st.integers(),
     st.integers(-(1 << 8300), 1 << 8300),             # above 8,000 bits
 )
@@ -469,10 +485,59 @@ class TestGmpBackend:
             assert type(value) is int
 
     def test_routing_by_operand_size(self):
+        # Tables stay where a table walk beats one native power: below
+        # one CPython digit (30 bits), where powmod itself runs CPython.
         gmp = GmpBackend()
-        assert not gmp.native_powmod(LIMB - 1)
+        assert backend._NATIVE_POWMOD == 1 << 30
+        assert not gmp.native_powmod((1 << 30) - 1)
         assert not gmp.native_powmod(-(1 << 100))
-        assert gmp.native_powmod(LIMB)
+        for modulus in (1 << 30, (1 << 48) - 59, LIMB - 1, LIMB, 1 << 1024):
+            assert gmp.native_powmod(modulus)
+
+    @pytest.mark.parametrize("modulus", WORD_EDGES + CROSSOVERS + [
+        (1 << 48) - 59, (1 << 48) - 58, 3, 4, 1, 2, 0, -((1 << 48) - 59),
+    ])
+    def test_word_edges_match_cpython(self, modulus):
+        # Every operand at and around the word and the crossovers, with
+        # negative bases: a guard one off would mask an operand to a
+        # wrong element, or hand libgmp a zero modulus (SIGFPE).
+        gmp, python = GmpBackend(), PythonBackend()
+        operands = WORD_EDGES + [-edge for edge in WORD_EDGES] + [
+            0, 1, -1, 2, -2, 255, 256, -256, modulus - 1, -modulus - 1,
+        ]
+        for base in operands:
+            for exponent in WORD_EDGES + [0, 1, 7, 8, 255, 256, -1, -3]:
+                assert (_outcome(gmp.powmod, base, exponent, modulus)
+                        == _outcome(pow, base, exponent, modulus))
+            assert (_outcome(gmp.invert, base, modulus)
+                    == _outcome(python.invert, base, modulus))
+            for n in (modulus, modulus | 1):
+                assert (_outcome(gmp.jacobi, base, n)
+                        == _outcome(python.jacobi, base, n))
+
+    def test_single_limb_path_reaches_libgmp(self, monkeypatch):
+        # A 48-bit modulus takes the one-word entry points and reloads
+        # the resident modulus only when it changes.
+        lib = backend._load_libgmp()
+        calls = []
+        for name in ("set_ui", "get_ui", "powm_ui", "ui_kronecker",
+                     "invert", "import_bytes"):
+            original = getattr(lib, name)
+            monkeypatch.setattr(lib, name, lambda *args, _name=name,
+                                _original=original: calls.append(_name)
+                                or _original(*args))
+        gmp, p = GmpBackend(), (1 << 48) - 59
+        assert gmp.powmod(-3, p - 2, p) == pow(-3, p - 2, p)
+        assert calls == ["import_bytes", "set_ui", "powm_ui", "get_ui"]
+        del calls[:]
+        assert gmp.jacobi(-5, p) == PythonBackend().jacobi(-5, p)
+        assert gmp.invert(-5, p) == pow(-5, -1, p)
+        assert calls == ["ui_kronecker", "set_ui", "invert", "get_ui"]
+        del calls[:]
+        assert gmp.powmod(3, 255, p) == pow(3, 255, p)       # CPython
+        assert gmp.powmod(3, LIMB, p) == pow(3, LIMB, p)     # CPython
+        assert gmp.powmod(3, -7, p) == pow(3, -7, p)         # CPython
+        assert calls == []
 
     def test_threads_share_no_operands(self):
         # ctypes drops the GIL for each foreign call: four threads
@@ -509,6 +574,66 @@ class TestGmpBackend:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+
+    def test_threads_switching_resident_modulus(self):
+        # Each thread alternates a 48-bit and a 1024-bit modulus, so its
+        # resident modulus register is reloaded on every other call while
+        # the other threads do the same with theirs.
+        gmp, python = GmpBackend(), PythonBackend()
+        errors = []
+
+        def work(seed):
+            moduli = ((1 << 48) - 59 - 2 * seed, (1 << 1024) - 105 - 2 * seed)
+            for i in range(150):
+                modulus = moduli[i % 2]
+                base = (seed + 3) ** (40 + i) % modulus
+                exponent = (1 << (40 + seed)) + i
+                cases = (
+                    (gmp.powmod(base, exponent, modulus),
+                     pow(base, exponent, modulus)),
+                    (_outcome(gmp.powmod, base, -exponent, modulus),
+                     _outcome(pow, base, -exponent, modulus)),
+                    (_outcome(gmp.invert, base, modulus),
+                     _outcome(python.invert, base, modulus)),
+                    (gmp.jacobi(base, modulus), python.jacobi(base, modulus)),
+                )
+                errors.extend(case for case in cases if case[0] != case[1])
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_computes_like_its_parent_at_48_bits(self):
+        # The parent leaves a 48-bit modulus resident; the child inherits
+        # it, computes on it, then switches to another modulus and back.
+        gmp = GmpBackend()
+        p, other = (1 << 48) - 59, (1 << 1024) - 105
+        expected = [pow(3 + i, p - 2 - i, p) for i in range(8)]
+        assert [gmp.powmod(3 + i, p - 2 - i, p) for i in range(8)] == expected
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            code = 1
+            try:
+                if ([gmp.powmod(3 + i, p - 2 - i, p) for i in range(8)] == expected
+                        and gmp.invert(3, p) == pow(3, -1, p)
+                        and gmp.jacobi(3, p) == PythonBackend().jacobi(3, p)
+                        and gmp.powmod(3, other - 2, other) == pow(3, -1, other)
+                        and gmp.powmod(5, p - 2, p) == pow(5, -1, p)):
+                    code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_computes_like_its_parent(self):
@@ -563,6 +688,39 @@ class TestGmpBackend:
         assert probe.stdout.split() == (
             ["ValueError"] * 7 + ["ZeroDivisionError"]
         )
+
+    def test_single_limb_edge_moduli_never_reach_libgmp(self):
+        # Moduli 0, 1 and 2 stay on CPython at every primitive (0 is
+        # SIGFPE in libgmp); an even single-limb modulus runs powmod and
+        # invert natively but jacobi on the reference, where
+        # mpz_ui_kronecker would return the Kronecker symbol instead.
+        probe = self._probe("""
+            from repro.math.backend import PythonBackend
+            python = PythonBackend()
+
+            def outcome(function, *args):
+                try:
+                    return function(*args)
+                except (ValueError, ZeroDivisionError) as exc:
+                    return type(exc).__name__, str(exc)
+
+            even = (1 << 47) + 6
+            for m in (0, 1, 2, 4, 10, even, (1 << 63) + 2, -7, -even):
+                for a in (-(1 << 64), -3, 0, 3, 7, even + 1, 1 << 64):
+                    for e in (0, 3, 300, (1 << 64) - 1, -1, -300):
+                        assert outcome(gmp.powmod, a, e, m) == outcome(
+                            pow, a, e, m), (a, e, m)
+                    assert outcome(gmp.invert, a, m) == outcome(
+                        python.invert, a, m), (a, m)
+                    assert outcome(gmp.jacobi, a, m) == outcome(
+                        python.jacobi, a, m), (a, m)
+            # The control: on an even modulus the Kronecker symbol is not
+            # the reference's answer.
+            regs = gmp._registers(10)
+            print(gmp._kronecker(3, regs.m), python.jacobi(3, 10))
+        """)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.split() == ["1", "-1"]
 
     def test_libgmp_itself_dies_on_a_zero_modulus(self):
         # The control for the probe above: the raw call does crash.

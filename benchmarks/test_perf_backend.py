@@ -18,7 +18,8 @@ one-digit modulus, a small inverse) its column times CPython too.
 Acceptance bar (enforced for every native backend that loads): ≥ 5× on
 2048-bit exponentiation.  The python-only portion always runs, so the
 bench also acts as a smoke test of the seam's dispatch overhead:
-``DLGroup.exp`` must stay within 25 % of a raw ``pow`` call.
+``DLGroup.exp`` must stay within 25 % of a raw ``pow`` call, the two
+timed in the same interleaved passes.
 
 Emits machine-readable ``results/BENCH_backend.json``.  With
 ``REPRO_BENCH_ENFORCE=1`` each measured native speedup is compared
@@ -162,13 +163,14 @@ def test_backend_speedup():
     crossover = {name: _crossover(impl) for name, impl in natives.items()}
 
     # End-to-end seam path at 2048 bits: group.exp = meter + dispatch +
-    # active-backend powmod.
+    # active-backend powmod, interleaved with the raw powmod it wraps.
     group = DLGroup.standard(2048)
     p, pairs = _workload(group, REPS[2048])
     with backend.use_backend("python"):
-        group_exp_s = _interleaved_best([group.exp], pairs, passes=1)[0]
-    raw_s = _interleaved_best([python.powmod], [(b, e, p) for b, e in pairs],
-                              passes=1)[0]
+        group_exp_s, raw_s = _interleaved_best(
+            [group.exp, lambda base, exponent: python.powmod(base, exponent, p)],
+            pairs,
+        )
     dispatch_overhead = group_exp_s / raw_s - 1.0
 
     payload = {

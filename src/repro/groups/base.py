@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.math.rng import RNG
 
@@ -48,11 +48,6 @@ class OperationCounter:
 
     def record_inv(self, count: int = 1) -> None:
         self.inversions += count
-
-    def record_membership(self, hit: bool) -> None:
-        self.membership_checks += 1
-        if hit:
-            self.membership_cache_hits += 1
 
     @property
     def equivalent_multiplications(self) -> int:
@@ -225,10 +220,7 @@ class Group:
 
     def deserialize(self, data: bytes) -> Element:
         """Inverse of :meth:`serialize` with membership validation."""
-        a = int.from_bytes(data, "big")
-        if not self.is_element(a):
-            raise ValueError("decoded value is not a group element")
-        return a
+        raise NotImplementedError
 
     # -- wire facts ---------------------------------------------------------
     @property
@@ -266,8 +258,8 @@ class Group:
                 cache[a] = data
         return data
 
-    def _membership_cached(self, key: Any, compute: Callable[[], bool]) -> bool:
-        """Bounded LRU memo for subgroup-membership verdicts.
+    def _membership_cached(self, key: Element) -> bool:
+        """Bounded LRU memo over :meth:`_check_membership` verdicts.
 
         Groups are immutable, so a membership verdict never changes —
         the memo needs no invalidation.  Protocol runs re-validate the
@@ -277,20 +269,28 @@ class Group:
         scalar-multiplication test is paid once per distinct element.
         Hits and misses are tallied on the attached
         :class:`OperationCounter` (``membership_*`` fields); the check
-        itself stays unmetered, matching the paper's cost model.
+        itself stays unmetered, matching the paper's cost model.  The
+        wire decoder calls this once per element it reads, so it stays
+        one frame plus the check.
         """
         cache = self._membership_cache
         verdict = cache.get(key)
         if verdict is not None:
             cache.move_to_end(key)
-            self.counter.record_membership(hit=True)
+            counter = self.counter
+            counter.membership_checks += 1
+            counter.membership_cache_hits += 1
             return verdict
-        verdict = bool(compute())
-        self.counter.record_membership(hit=False)
-        cache[key] = verdict
+        verdict = cache[key] = self._check_membership(key)
+        self.counter.membership_checks += 1
         if len(cache) > self.MEMBERSHIP_CACHE_MAX:
             cache.popitem(last=False)
         return verdict
+
+    def _check_membership(self, a: Element) -> bool:
+        """The uncached membership test behind :meth:`_membership_cached`,
+        for a value already known to be well formed."""
+        raise NotImplementedError
 
     def deserialize_cached(self, data: bytes) -> Element:
         """:meth:`deserialize` with a bounded per-group memo.

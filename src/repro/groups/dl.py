@@ -54,6 +54,7 @@ class DLGroup(Group):
         if generator in (0, 1) or jacobi_symbol(generator, p) != 1:
             raise ValueError("generator must be a non-trivial quadratic residue")
         self._g = generator
+        self._wire_width = (p.bit_length() + 7) // 8
         self._security_bits = security_bits or _nist_equivalent_security(p.bit_length())
 
     # -- class constructors --------------------------------------------------
@@ -207,24 +208,52 @@ class DLGroup(Group):
             return False
         if a == 1:
             return True
-        return self._membership_cached(
-            a, lambda: jacobi_symbol(a, self._p) == 1
-        )
+        return self._membership_cached(a)
+
+    def _check_membership(self, a: int) -> bool:
+        # p is an odd prime, so the symbol needs no argument checks.
+        return backend.jacobi(a, self._p) == 1
 
     def serialize(self, a: int) -> bytes:
-        return int(a).to_bytes((self.element_bits + 7) // 8, "big")
+        return int(a).to_bytes(self._wire_width, "big")
+
+    # One to_bytes call costs less than a lookup in the serialize memo
+    # (about 0.3 against 0.6 us per fresh element at 48 bits, and most
+    # elements a run sends are fresh), so DL elements skip it.
+    serialize_cached = serialize
 
     def deserialize(self, data: bytes) -> int:
         # The wire format ships fixed-width element bodies, so a length
         # mismatch means framing corruption — reject it before the
         # residue check can misread a short/long buffer as some other
         # (valid) element.
-        if len(data) != self.wire_bytes:
-            raise ValueError(
-                f"{self.name}: element body must be {self.wire_bytes} bytes, "
-                f"got {len(data)}"
-            )
-        return super().deserialize(data)
+        if len(data) != self._wire_width:
+            raise self._width_error(data)
+        a = int.from_bytes(data, "big")
+        if not self.is_element(a):
+            raise ValueError("decoded value is not a group element")
+        return a
+
+    def deserialize_cached(self, data: bytes) -> int:
+        # Group.deserialize_cached with deserialize inlined: the wire
+        # decoder calls this once per raw element body it reads.
+        cache = self._deserialize_cache
+        a = cache.get(data)
+        if a is None:
+            if len(data) != self._wire_width:
+                raise self._width_error(data)
+            a = int.from_bytes(data, "big")
+            if not self.is_element(a):
+                raise ValueError("decoded value is not a group element")
+            if len(cache) < self.SERIALIZE_CACHE_MAX:
+                cache[data] = a
+        return a
+
+    def _width_error(self, data: bytes) -> ValueError:
+        return ValueError(
+            f"{self.name}: element body must be {self._wire_width} bytes, "
+            f"got {len(data)}"
+        )
 
     def __repr__(self) -> str:
         return f"DLGroup(bits={self._p.bit_length()}, security={self._security_bits})"

@@ -257,7 +257,7 @@ class EllipticCurveGroup(Group):
             return False
         # Memoized: the on-curve test (and, for cofactor curves, a full
         # order-n scalar multiplication) is paid once per distinct point.
-        return self._membership_cached(a, lambda: self._check_membership(a))
+        return self._membership_cached(a)
 
     def _check_membership(self, a: Tuple[int, int]) -> bool:
         x, y = a

@@ -240,7 +240,8 @@ _NATIVE_POWMOD = 1 << 30
 #: * a single-limb ``powmod`` needs a non-negative exponent of at least
 #:   this;
 _WORD_EXPONENT = 1 << 8
-#: * ``invert`` runs native from this modulus up.
+#: * ``invert``, and ``powmod`` with a negative exponent (an inverse,
+#:   then a power of it), run native from this modulus up.
 _NATIVE_INVERT = 1 << 40
 
 #: libgmp's shared-object names, loaded by soname: ``ctypes.util.
@@ -356,11 +357,12 @@ class GmpBackend(PythonBackend):
     * a *single-limb* modulus, ``2 < m < 2^(8·sizeof(unsigned long))``,
       crosses as one machine word: operands are reduced in Python and
       each crosses in one foreign call (``mpz_set_ui`` in, ``mpz_get_ui``
-      out, ``mpz_powm_ui``, ``mpz_ui_kronecker``).  Exponents must fit
-      the word too; a wider or negative one runs on CPython;
+      out, ``mpz_powm_ui``, ``mpz_ui_kronecker``).  A non-negative
+      exponent must fit the word too; a wider one runs on CPython;
     * a *multi-limb* modulus crosses as little-endian bytes
-      (``mpz_import``) and the result's limbs are read back.  A negative
-      exponent is an inverse (``mpz_invert``), then a power of it;
+      (``mpz_import``) and the result's limbs are read back;
+    * at any width, a negative exponent is an inverse (``mpz_invert``),
+      then a power of it, the exponent crossing as a word where it fits;
     * CPython keeps what it does faster (``_TINY_EXPONENT`` and the
       single-limb crossovers) and what libgmp must not see: it kills
       the process with SIGFPE on a zero modulus and on a negative power
@@ -394,6 +396,8 @@ class GmpBackend(PythonBackend):
                 self._set_ui(regs.a, base % modulus)
                 self._powm_ui(regs.out, regs.a, exponent, regs.m)
                 return self._get_ui(regs.out)
+            if exponent < 0 and _NATIVE_INVERT <= modulus:
+                return self._negative_power(base, exponent, modulus)
             return pow(base, exponent, modulus)
         if exponent < 0:
             return self._negative_power(base, exponent, modulus)
@@ -406,14 +410,23 @@ class GmpBackend(PythonBackend):
         return self._read(regs.result)
 
     def _negative_power(self, base: int, exponent: int, modulus: int) -> int:
+        """``mpz_invert``, then a power of the inverse; a one-limb
+        modulus crosses as a word, as does an exponent that fits one."""
         regs = self._registers(modulus)
-        self._load(regs.a, base % modulus)
+        word = modulus < self._word
+        if word:
+            self._set_ui(regs.a, base % modulus)
+        else:
+            self._load(regs.a, base % modulus)
         if not self._lib.invert(regs.out, regs.a, regs.m):
             return pow(base, exponent, modulus)  # raises: no inverse
         if exponent != -1:
-            self._load(regs.b, -exponent)
-            self._lib.powm(regs.out, regs.out, regs.b, regs.m)
-        return self._read(regs.result)
+            if -exponent < self._word:
+                self._powm_ui(regs.out, regs.out, -exponent, regs.m)
+            else:
+                self._load(regs.b, -exponent)
+                self._lib.powm(regs.out, regs.out, regs.b, regs.m)
+        return self._get_ui(regs.out) if word else self._read(regs.result)
 
     def invert(self, a: int, modulus: int) -> int:
         if modulus < _NATIVE_INVERT:

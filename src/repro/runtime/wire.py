@@ -30,6 +30,13 @@ the order they were encoded: in process the transport *transcodes*
 (encodes then immediately decodes) every message, over sockets the
 receiver decodes the shipped stream.
 
+Lists, tuples and objects nest at most :data:`MAX_NESTING` deep, far
+below Python's recursion limit and far above any protocol payload (the
+chain vector, ``L[L[C]]``, is two deep).  Each direction walks a
+message once, in one loop with an explicit stack of open containers, so
+no payload and no peer's bytes can recurse: :meth:`WireCodecV2.decode`
+turns every malformed input into a :class:`ValueError`.
+
 Bare group elements are type-ambiguous with integers (DL groups) and
 tuples (curves), so ``encode`` treats them structurally; only
 :meth:`WireCodecV2.encode_element` asserts elementhood.  Ciphertext
@@ -45,15 +52,34 @@ from repro.crypto.bitenc import BitProof, BitwiseCiphertext
 from repro.crypto.elgamal import Ciphertext
 from repro.groups.base import Group
 
+#: Deepest nesting of lists, tuples and registered objects either
+#: direction accepts; a value at depth ``MAX_NESTING + 1`` fails to
+#: encode (``TypeError``) and to decode (``ValueError``).
+MAX_NESTING = 32
+
 
 # ---------------------------------------------------------------------------
 # Varint / zigzag primitives
 # ---------------------------------------------------------------------------
 
+#: The one-byte varints, 0..127.
+_SMALL_VARINTS = tuple(bytes((value,)) for value in range(0x80))
+
+#: Each byte's 7 value bits as a binary string (``decode_varint``).
+_GROUP_BITS = tuple(format(byte & 0x7F, "07b") for byte in range(0x100))
+
+#: Varints up to this many bytes are summed group by group; longer ones
+#: are converted once, as a binary string, so decoding stays linear in
+#: the varint's length.
+_SHORT_VARINT = 10
+
+
 def encode_varint(value: int) -> bytes:
     """Unsigned LEB128: 7 value bits per byte, MSB = continuation."""
     if value < 0:
         raise ValueError("varint requires a non-negative integer")
+    if value < 0x80:
+        return _SMALL_VARINTS[value]
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -67,17 +93,20 @@ def encode_varint(value: int) -> bytes:
 
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     """Decode one LEB128 varint; returns ``(value, next_offset)``."""
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
+    size = len(data)
+    end = offset
+    while end < size and data[end] & 0x80:
+        end += 1
+    if end >= size:
+        raise ValueError("truncated varint")
+    end += 1
+    if end - offset <= _SHORT_VARINT:
+        value = 0
+        for index in range(end - 1, offset - 1, -1):
+            value = (value << 7) | (data[index] & 0x7F)
+        return value, end
+    groups = data[offset:end]
+    return int("".join([_GROUP_BITS[byte] for byte in reversed(groups)]), 2), end
 
 
 def zigzag(value: int) -> int:
@@ -98,6 +127,7 @@ def unzigzag(encoded: int) -> int:
 # decoded object is rebuilt with ``cls(*fields)``.
 
 _REGISTRY: Optional[Tuple[Tuple[type, Tuple[str, ...]], ...]] = None
+_REGISTERED_IDS: Dict[type, int] = {}
 
 
 def registered_types() -> Tuple[Tuple[type, Tuple[str, ...]], ...]:
@@ -112,21 +142,18 @@ def registered_types() -> Tuple[Tuple[type, Tuple[str, ...]], ...]:
         from repro.crypto.zkp import NIZKProof
         from repro.dotproduct.ioannidis import AliceResponse, BobRequest
 
-        _REGISTRY = (
+        registry = (
             (BobRequest, ("qx", "c_blinded", "g_blinded")),
             (AliceResponse, ("a", "h")),
             (NIZKProof, ("commitment", "response")),
             (BitProof, ("a0", "b0", "a1", "b1", "e0", "e1", "z0", "z1")),
             (Submission, ("rank", "values")),
         )
+        _REGISTERED_IDS.update(
+            (cls, type_id) for type_id, (cls, _) in enumerate(registry)
+        )
+        _REGISTRY = registry
     return _REGISTRY
-
-
-def _registered_id(value: Any) -> Optional[int]:
-    for type_id, (cls, _) in enumerate(registered_types()):
-        if type(value) is cls:
-            return type_id
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +165,8 @@ class InternTable:
 
     Bounded: once ``max_size`` entries exist, further elements are sent
     raw and *not* registered — both ends apply the same rule against the
-    same stream, so their tables never diverge.
+    same stream, so their tables never diverge.  :class:`WireCodecV2`
+    applies :meth:`lookup` and :meth:`register` inline on its hot path.
     """
 
     __slots__ = ("max_size", "index_of", "elements")
@@ -155,9 +183,6 @@ class InternTable:
         if len(self.elements) < self.max_size and element not in self.index_of:
             self.index_of[element] = len(self.elements)
             self.elements.append(element)
-
-    def get(self, index: int) -> Any:
-        return self.elements[index]
 
     def truncate(self, size: int) -> None:
         """Roll back to ``size`` entries (undo a failed partial encode)."""
@@ -178,7 +203,9 @@ class WireCodecV2:
     Holds two interning tables — one advanced by :meth:`encode`, one by
     :meth:`decode` — so the transcode pattern
     ``codec.decode(codec.encode(payload))`` keeps both ends of the
-    simulated channel synchronized message by message.
+    simulated channel synchronized message by message.  The group's
+    element width and its memoized (de)serializers are bound once, when
+    the codec is built.
     """
 
     def __init__(self, group: Group, intern: Optional[bool] = None,
@@ -190,147 +217,226 @@ class WireCodecV2:
         self.intern = group.wire_faithful if intern is None else intern
         self._enc_table = InternTable(max_intern)
         self._dec_table = InternTable(max_intern)
+        self._width = group.wire_bytes
+        self._serialize = group.serialize_cached
+        self._deserialize = group.deserialize_cached
 
     # -- encoding ---------------------------------------------------------------
     def encode(self, value: Any) -> bytes:
-        return b"".join(self._encode_value(value))
+        """One pass over ``value``, appending every piece to one list.
 
-    def _encode_value(self, value: Any) -> List[bytes]:
-        if value is None:
-            return [b"N"]
-        if isinstance(value, bool):
-            raise TypeError("encode booleans as integers explicitly")
-        if isinstance(value, int):
-            return [b"S", encode_varint(zigzag(value))]
-        if isinstance(value, Ciphertext):
-            return [b"C", self._encode_element_body(value.c1),
-                    self._encode_element_body(value.c2)]
-        if isinstance(value, BitwiseCiphertext):
-            parts = [b"B", encode_varint(value.bit_length)]
-            for bit in value:
-                parts.append(self._encode_element_body(bit.c1))
-                parts.append(self._encode_element_body(bit.c2))
-            return parts
-        if isinstance(value, (bytes, bytearray)):
-            return [b"Y", encode_varint(len(value)), bytes(value)]
-        if isinstance(value, str):
-            raw = value.encode("utf-8")
-            return [b"U", encode_varint(len(raw)), raw]
-        type_id = _registered_id(value)
-        if type_id is not None:
-            _, names = registered_types()[type_id]
-            parts = [b"O", encode_varint(type_id)]
-            for name in names:
-                parts.extend(self._encode_value(getattr(value, name)))
-            return parts
-        if isinstance(value, (list, tuple)):
-            parts = [b"T" if isinstance(value, tuple) else b"L",
-                     encode_varint(len(value))]
-            for item in value:
-                parts.extend(self._encode_value(item))
-            return parts
-        raise TypeError(f"cannot wire-encode {type(value).__name__}")
+        ``pending`` holds an iterator per open container (the payload
+        itself is the outermost), so nesting costs no recursion.  A
+        value the grammar has no tag for, or one nested deeper than
+        :data:`MAX_NESTING`, raises :class:`TypeError`."""
+        out: List[bytes] = []
+        append = out.append
+        registry = registered_types()
+        registered_ids = _REGISTERED_IDS
+        pending = [iter((value,))]
+        while pending:
+            for value in pending[-1]:
+                if isinstance(value, Ciphertext):
+                    append(b"C")
+                    self._encode_bodies((value.c1, value.c2), append)
+                elif isinstance(value, int):
+                    if value is True or value is False:
+                        raise TypeError("encode booleans as integers explicitly")
+                    append(b"S")
+                    append(encode_varint(zigzag(value)))
+                elif isinstance(value, (list, tuple)):
+                    if len(pending) > MAX_NESTING:
+                        raise TypeError(f"payload nested deeper than {MAX_NESTING}")
+                    append(b"T" if isinstance(value, tuple) else b"L")
+                    append(encode_varint(len(value)))
+                    pending.append(iter(value))
+                    break
+                elif value is None:
+                    append(b"N")
+                elif isinstance(value, BitwiseCiphertext):
+                    append(b"B")
+                    append(encode_varint(value.bit_length))
+                    self._encode_bodies(
+                        [element for bit in value for element in (bit.c1, bit.c2)],
+                        append,
+                    )
+                elif isinstance(value, (bytes, bytearray)):
+                    append(b"Y")
+                    append(encode_varint(len(value)))
+                    append(bytes(value))
+                elif isinstance(value, str):
+                    raw = value.encode("utf-8")
+                    append(b"U")
+                    append(encode_varint(len(raw)))
+                    append(raw)
+                elif type(value) in registered_ids:
+                    if len(pending) > MAX_NESTING:
+                        raise TypeError(f"payload nested deeper than {MAX_NESTING}")
+                    type_id = registered_ids[type(value)]
+                    append(b"O")
+                    append(encode_varint(type_id))
+                    _, names = registry[type_id]
+                    pending.append(iter([getattr(value, name) for name in names]))
+                    break
+                else:
+                    raise TypeError(f"cannot wire-encode {type(value).__name__}")
+            else:
+                pending.pop()
+        return b"".join(out)
 
     def encode_element(self, element: Any) -> bytes:
         """Explicit encoding of one bare group element."""
         if not self.group.is_element(element):
             raise TypeError("value is not an element of this codec's group")
-        return b"E" + self._encode_element_body(element)
+        out = [b"E"]
+        self._encode_bodies((element,), out.append)
+        return b"".join(out)
 
-    def _encode_element_body(self, element: Any) -> bytes:
-        if self.intern:
-            index = self._enc_table.lookup(element)
+    def _encode_bodies(self, elements: Any, append: Any) -> None:
+        """Append one element body per element: an interned reference
+        ``varint(index+1)``, or ``varint(0) ‖ raw`` (interning it)."""
+        serialize = self._serialize
+        if not self.intern:
+            for element in elements:
+                append(b"\x00")
+                append(serialize(element))
+            return
+        table = self._enc_table
+        index_of, interned = table.index_of, table.elements
+        for element in elements:
+            index = index_of.get(element)
             if index is not None:
-                return encode_varint(index + 1)
-            raw = self.group.serialize_cached(element)
-            self._enc_table.register(element)
-            return b"\x00" + raw
-        return b"\x00" + self.group.serialize_cached(element)
+                append(encode_varint(index + 1))
+                continue
+            raw = serialize(element)
+            if len(interned) < table.max_size:
+                index_of[element] = len(interned)
+                interned.append(element)
+            append(b"\x00")
+            append(raw)
 
     # -- decoding ---------------------------------------------------------------
     def decode(self, data: bytes) -> Any:
-        value, offset = self._decode_value(data, 0)
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes after decode")
-        return value
+        """One pass over ``data``, dispatching on each tag byte.
 
-    def _decode_value(self, data: bytes, offset: int) -> Tuple[Any, int]:
-        if offset >= len(data):
-            raise ValueError("truncated value")
-        tag = data[offset:offset + 1]
-        offset += 1
-        if tag == b"S":
-            z, offset = decode_varint(data, offset)
-            return unzigzag(z), offset
-        if tag == b"N":
-            return None, offset
-        if tag == b"Y":
-            length, offset = decode_varint(data, offset)
-            body = data[offset:offset + length]
-            if len(body) != length:
-                raise ValueError("truncated bytes body")
-            return body, offset + length
-        if tag == b"U":
-            length, offset = decode_varint(data, offset)
-            body = data[offset:offset + length]
-            if len(body) != length:
-                raise ValueError("truncated string body")
-            return body.decode("utf-8"), offset + length
-        if tag == b"E":
-            return self._decode_element_body(data, offset)
-        if tag == b"C":
-            c1, offset = self._decode_element_body(data, offset)
-            c2, offset = self._decode_element_body(data, offset)
-            return Ciphertext(c1=c1, c2=c2), offset
-        if tag == b"B":
-            count, offset = decode_varint(data, offset)
-            bits: List[Ciphertext] = []
-            for _ in range(count):
-                c1, offset = self._decode_element_body(data, offset)
-                c2, offset = self._decode_element_body(data, offset)
-                bits.append(Ciphertext(c1=c1, c2=c2))
-            return BitwiseCiphertext(bits=tuple(bits)), offset
-        if tag == b"O":
-            type_id, offset = decode_varint(data, offset)
-            registry = registered_types()
-            if type_id >= len(registry):
-                raise ValueError(f"unknown object type id {type_id}")
-            cls, names = registry[type_id]
-            values = []
-            for _ in names:
-                item, offset = self._decode_value(data, offset)
-                values.append(item)
-            return cls(*values), offset
-        if tag in (b"L", b"T"):
-            count, offset = decode_varint(data, offset)
-            items = []
-            for _ in range(count):
-                item, offset = self._decode_value(data, offset)
-                items.append(item)
-            return (tuple(items) if tag == b"T" else items), offset
-        raise ValueError(f"unknown wire tag {tag!r}")
-
-    def _decode_element_body(self, data: bytes, offset: int) -> Tuple[Any, int]:
-        if not self.intern:
-            if offset >= len(data) or data[offset] != 0:
-                raise ValueError("expected raw element marker")
+        Element markers and integers read one-byte varints inline.
+        ``open_containers`` holds ``(kind, count, items)`` for each
+        list, tuple or object whose items are still being read,
+        innermost last; each finished value is handed to the innermost
+        one, closing every container it completes.  Any malformed input
+        raises :class:`ValueError`."""
+        size = len(data)
+        width, deserialize, intern = self._width, self._deserialize, self.intern
+        table = self._dec_table
+        index_of, interned, max_intern = table.index_of, table.elements, table.max_size
+        open_containers: List[Tuple[Any, int, List[Any]]] = []
+        offset = 0
+        while True:
+            tag = data[offset:offset + 1]
             offset += 1
-            raw = data[offset:offset + self.group.wire_bytes]
-            if len(raw) != self.group.wire_bytes:
-                raise ValueError("truncated element body")
-            return self.group.deserialize_cached(raw), offset + len(raw)
-        marker, offset = decode_varint(data, offset)
-        if marker == 0:
-            raw = data[offset:offset + self.group.wire_bytes]
-            if len(raw) != self.group.wire_bytes:
-                raise ValueError("truncated element body")
-            element = self.group.deserialize_cached(raw)
-            self._dec_table.register(element)
-            return element, offset + len(raw)
-        index = marker - 1
-        if index >= len(self._dec_table):
-            raise ValueError(f"interned element reference {index} out of range")
-        return self._dec_table.get(index), offset
+            if tag == b"C" or tag == b"B" or tag == b"E":
+                if tag == b"C":
+                    bodies_left = 2
+                elif tag == b"E":
+                    bodies_left = 1
+                else:
+                    count, offset = decode_varint(data, offset)
+                    bodies_left = 2 * count
+                bodies: List[Any] = []
+                for _ in range(bodies_left):
+                    if offset >= size:
+                        raise ValueError("truncated varint" if intern
+                                         else "expected raw element marker")
+                    marker = data[offset]
+                    offset += 1
+                    if marker:
+                        if not intern:
+                            raise ValueError("expected raw element marker")
+                        if marker > 0x7F:
+                            marker, offset = decode_varint(data, offset - 1)
+                        if marker:
+                            if marker > len(interned):
+                                raise ValueError(
+                                    f"interned element reference {marker - 1}"
+                                    " out of range"
+                                )
+                            bodies.append(interned[marker - 1])
+                            continue
+                    # varint(0): the raw first occurrence, interned here
+                    end = offset + width
+                    raw = data[offset:end]
+                    if len(raw) != width:
+                        raise ValueError("truncated element body")
+                    element = deserialize(raw)
+                    if (intern and len(interned) < max_intern
+                            and element not in index_of):
+                        index_of[element] = len(interned)
+                        interned.append(element)
+                    bodies.append(element)
+                    offset = end
+                if tag == b"C":
+                    value = Ciphertext(*bodies)
+                elif tag == b"E":
+                    value = bodies[0]
+                else:
+                    value = BitwiseCiphertext(
+                        bits=tuple(map(Ciphertext, bodies[0::2], bodies[1::2]))
+                    )
+            elif tag == b"S":
+                if offset >= size:
+                    raise ValueError("truncated varint")
+                value = data[offset]
+                offset += 1
+                if value > 0x7F:
+                    value, offset = decode_varint(data, offset - 1)
+                value = unzigzag(value)
+            elif tag == b"L" or tag == b"T" or tag == b"O":
+                count, offset = decode_varint(data, offset)
+                kind: Any = list if tag == b"L" else tuple
+                if tag == b"O":
+                    registry = registered_types()
+                    if count >= len(registry):
+                        raise ValueError(f"unknown object type id {count}")
+                    kind, names = registry[count]
+                    count = len(names)
+                if len(open_containers) >= MAX_NESTING:
+                    raise ValueError(f"wire value nested deeper than {MAX_NESTING}")
+                if count:
+                    open_containers.append((kind, count, []))
+                    continue
+                value = kind()
+            elif tag == b"N":
+                value = None
+            elif tag == b"Y" or tag == b"U":
+                length, offset = decode_varint(data, offset)
+                end = offset + length
+                value = data[offset:end]
+                if len(value) != length:
+                    raise ValueError("truncated bytes body" if tag == b"Y"
+                                     else "truncated string body")
+                if tag == b"U":
+                    value = value.decode("utf-8")
+                offset = end
+            elif tag:
+                raise ValueError(f"unknown wire tag {tag!r}")
+            else:
+                raise ValueError("truncated value")
+            while open_containers:
+                kind, count, items = open_containers[-1]
+                items.append(value)
+                if len(items) < count:
+                    break
+                open_containers.pop()
+                if kind is list:
+                    value = items
+                elif kind is tuple:
+                    value = tuple(items)
+                else:
+                    value = kind(*items)
+            else:
+                if offset != size:
+                    raise ValueError(f"{size - offset} trailing bytes after decode")
+                return value
 
     # -- size accounting ----------------------------------------------------------
     def encoded_bits(self, value: Any) -> int:

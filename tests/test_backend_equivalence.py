@@ -175,12 +175,14 @@ def test_48_bit_gmp_ranking_reaches_libgmp(
     assert outcome_fingerprint(candidate) == outcome_fingerprint(reference)
     assert wire_fingerprint(candidate) == wire_fingerprint(reference)
     # Powers, Jacobi symbols and inverses all ran on libgmp, and each
-    # power and inverse moved one word in and one word out.
+    # call moved one word in and one word out; the short centered
+    # route's negative powers (an inverse, then a power of it) share
+    # theirs between their invert and their power.
     assert calls["powm_ui"] > 1000
     assert calls["ui_kronecker"] > 1000
     assert calls["invert"] > 1000
-    assert calls["set_ui"] == calls["powm_ui"] + calls["invert"]
     assert calls["get_ui"] == calls["set_ui"]
+    assert calls["powm_ui"] + calls["invert"] - calls["set_ui"] > 1000
 
 
 @needs_gmp

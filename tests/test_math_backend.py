@@ -459,6 +459,32 @@ class TestGmpBackend:
         assert (_outcome(GmpBackend().powmod, base, exponent, modulus)
                 == _outcome(pow, base, exponent, modulus))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.one_of(BASES, st.integers(0, 4).map(lambda k: k * 3)),
+        exponent=st.one_of(
+            st.sampled_from([-1, -2, -3, -255, -256, -(1 << 16)]
+                            + [-edge for edge in WORD_EDGES]),
+            st.integers(-(1 << 16), -1),
+            st.integers(-LIMB - 1, -1),
+            st.integers(-(1 << 300), -1),
+        ),
+        modulus=st.one_of(
+            st.sampled_from(CROSSOVERS + WORD_EDGES[:3] + [
+                (1 << 48) - 59, LIMB - 1, 3 * ((1 << 40) + 1),
+            ]),
+            st.integers(backend._NATIVE_INVERT - 2, LIMB - 1),
+        ),
+    )
+    def test_negative_powers_at_one_limb_match_cpython(
+        self, base, exponent, modulus
+    ):
+        # One-limb inverse-then-power: the exponent crosses as a word
+        # where it fits, and a base with no inverse (a multiple of 3
+        # over 3·(2^40 + 1)) still raises CPython's ValueError.
+        assert (_outcome(GmpBackend().powmod, base, exponent, modulus)
+                == _outcome(pow, base, exponent, modulus))
+
     @settings(max_examples=400, deadline=None)
     @given(case=_power_cases())
     def test_invert_matches_cpython(self, case):
@@ -534,9 +560,13 @@ class TestGmpBackend:
         assert gmp.invert(-5, p) == pow(-5, -1, p)
         assert calls == ["ui_kronecker", "set_ui", "invert", "get_ui"]
         del calls[:]
+        assert gmp.powmod(3, -7, p) == pow(3, -7, p)
+        assert calls == ["set_ui", "invert", "powm_ui", "get_ui"]
+        del calls[:]
         assert gmp.powmod(3, 255, p) == pow(3, 255, p)       # CPython
         assert gmp.powmod(3, LIMB, p) == pow(3, LIMB, p)     # CPython
-        assert gmp.powmod(3, -7, p) == pow(3, -7, p)         # CPython
+        below = backend._NATIVE_INVERT - 1
+        assert gmp.powmod(7, -3, below) == pow(7, -3, below)  # CPython
         assert calls == []
 
     def test_threads_share_no_operands(self):

@@ -1,15 +1,21 @@
 """Tests for the canonical wire codec (v2: varint framing + interning)."""
 
 import copy
+import dataclasses
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.bitenc import BitwiseCiphertext, BitwiseElGamal
-from repro.crypto.elgamal import ExponentialElGamal
+from repro.crypto.elgamal import Ciphertext, ExponentialElGamal
+from repro.crypto.zkp import NIZKProof
+from repro.groups.curves import build_tiny_curve
+from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
 from repro.runtime.wire import (
+    MAX_NESTING,
     InternTable,
     WireCodecV2,
     decode_varint,
@@ -117,6 +123,184 @@ class TestRobustness:
             codec.encode(object())
         with pytest.raises(TypeError):
             codec.encode(True)
+
+
+# ---------------------------------------------------------------------------
+# The format, pinned: golden bytes of one payload that uses every tag
+# ---------------------------------------------------------------------------
+
+
+def _golden_payload(group):
+    """Every tag but ``E`` (``encode_element`` sends that one), and the
+    two element bodies: ``C`` interns ``a`` and ``g`` raw, ``B``
+    references both.  A DL proof's commitment is a bare integer (``S``),
+    a curve's a bare point tuple (``T`` of ``S``)."""
+    g = group.generator()
+    a = group.exp(g, 12345)
+    return [
+        0, -1, 300, None, b"\x00\xff", "π",
+        Ciphertext(a, g),
+        BitwiseCiphertext(bits=(Ciphertext(g, a),)),
+        (NIZKProof(commitment=a, response=-(2 ** 70)), []),
+    ], a
+
+
+#: The v2 bytes of ``_golden_payload``, then of ``encode_element(a)`` on
+#: the same codec (an interned reference) and of a fresh element on a
+#: fresh codec (a raw body), on the 48-bit test group and the tiny
+#: curve.  Recorded with the recursive codec the one-pass codec
+#: replaced; any change to them is a change of the wire format.
+GOLDEN = {
+    "dl48": (
+        "4c095300530153d8044e590200ff5502cf8043006dce1c8b4e4f000000000000"
+        "044201020154024f02539eb9dac8c3f33653ffffffffffffffffffff014c00",
+        "4501",
+        "450010011e4598a9",
+    ),
+    "curve": (
+        "4c095300530153d8044e590200ff5502cf8043000300b300032d9b4201020154"
+        "024f02540253e60253c68c0153ffffffffffffffffffff014c00",
+        "4501",
+        "4500032966",
+    ),
+}
+
+
+def _golden_groups():
+    return {
+        "dl48": DLGroup.random(48, rng=SeededRNG(101)),
+        "curve": build_tiny_curve(field_bits=14, rng=SeededRNG(303)),
+    }
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_format_is_pinned(self, name):
+        group = _golden_groups()[name]
+        payload, a = _golden_payload(group)
+        message, interned, raw = GOLDEN[name]
+        sender = WireCodecV2(group)
+        assert sender.encode(payload).hex() == message
+        assert sender.encode_element(a).hex() == interned
+        fresh_element = group.exp(group.generator(), 777)
+        assert WireCodecV2(group).encode_element(fresh_element).hex() == raw
+
+        receiver = WireCodecV2(group)
+        assert receiver.decode(bytes.fromhex(message)) == payload
+        assert receiver.decode(bytes.fromhex(interned)) == a
+        assert WireCodecV2(group).decode(bytes.fromhex(raw)) == fresh_element
+
+
+# ---------------------------------------------------------------------------
+# A total, bounded decoder
+# ---------------------------------------------------------------------------
+
+#: Process-time budget for decoding one fuzzed input.  Each input below
+#: decodes in milliseconds; the recursive codec spent seconds on the
+#: long-varint example alone.
+DECODE_BUDGET_S = 1.0
+
+_FUZZ_GROUPS = _golden_groups()
+
+
+def _fuzz_payloads(group):
+    pool = [group.exp(group.generator(), k) for k in (1, 2, 3, 12345)]
+    elements = st.sampled_from(pool)
+    ciphertexts = st.builds(Ciphertext, elements, elements)
+    leaves = st.one_of(
+        st.none(), st.integers(-(1 << 80), 1 << 80), st.binary(max_size=6),
+        st.text(max_size=4), ciphertexts,
+        st.lists(ciphertexts, max_size=3).map(
+            lambda bits: BitwiseCiphertext(bits=tuple(bits))),
+        st.builds(NIZKProof, st.just(pool[0]), st.integers(0, 1 << 40)),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+        ),
+        max_leaves=10,
+    )
+
+
+@st.composite
+def _wire_inputs(draw):
+    """Arbitrary bytes, or a valid message with a few bytes flipped,
+    cut, inserted or appended."""
+    name = draw(st.sampled_from(sorted(_FUZZ_GROUPS)))
+    if draw(st.booleans()):
+        return name, draw(st.binary(max_size=80))
+    group = _FUZZ_GROUPS[name]
+    data = bytearray(WireCodecV2(group).encode(draw(_fuzz_payloads(group))))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("flip", "cut", "insert", "append")))
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        if edit == "flip" and at < len(data):
+            data[at] ^= byte or 1
+        elif edit == "cut":
+            del data[at:]
+        elif edit == "insert":
+            data.insert(at, byte)
+        else:
+            data.extend(draw(st.binary(min_size=1, max_size=8)))
+    return name, bytes(data)
+
+
+class TestDecoderIsTotalAndBounded:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_wire_inputs())
+    # Nested 1,000 deep: the recursive codec raised RecursionError.
+    @example(case=("dl48", b"L\x01" * 1000 + b"N"))
+    # A 300,000-byte varint: quadratic in the recursive codec.
+    @example(case=("dl48", b"S" + b"\xff" * 300_000 + b"\x01"))
+    def test_any_bytes_decode_or_raise_value_error(self, case):
+        name, data = case
+        codec = WireCodecV2(_FUZZ_GROUPS[name])
+        start = time.process_time()
+        try:
+            codec.decode(data)
+        except ValueError:
+            pass
+        assert time.process_time() - start < DECODE_BUDGET_S
+
+    def test_nesting_is_capped_on_both_sides(self, codec):
+        deepest = None
+        for _ in range(MAX_NESTING):
+            deepest = [deepest]
+        assert codec.decode(codec.encode(deepest)) == deepest
+        with pytest.raises(TypeError, match="nested deeper"):
+            codec.encode([deepest])
+        too_deep = b"L\x01" * (MAX_NESTING + 1) + b"N"
+        with pytest.raises(ValueError, match="nested deeper"):
+            codec.decode(too_deep)
+        # Registered objects count as one level, and so does an empty
+        # container.
+        with pytest.raises(ValueError, match="nested deeper"):
+            codec.decode(b"L\x01" * MAX_NESTING + b"L\x00")
+        proof = codec.encode(NIZKProof(commitment=4, response=1))
+        with pytest.raises(ValueError, match="nested deeper"):
+            codec.decode(b"T\x01" * MAX_NESTING + proof)
+
+    def test_long_varint_is_linear_and_exact(self):
+        value = (1 << 140_000) - 12345
+        encoded = encode_varint(value)
+        assert len(encoded) == 20_000
+        start = time.process_time()
+        assert decode_varint(encoded) == (value, len(encoded))
+        assert decode_varint(b"\x00" + encoded, 1) == (value, len(encoded) + 1)
+        assert time.process_time() - start < DECODE_BUDGET_S
+        # Non-minimal encodings keep their value; a cut one its error.
+        assert decode_varint(b"\x85" + b"\x80" * 40 + b"\x00") == (5, 42)
+        with pytest.raises(ValueError, match="truncated varint"):
+            decode_varint(b"\x85" + b"\x80" * 40)
+
+    def test_non_minimal_zero_marker_is_a_raw_body(self, codec, small_dl_group):
+        # varint(0) spelled in two bytes still announces a raw body.
+        element = small_dl_group.exp(small_dl_group.generator(), 99)
+        raw = small_dl_group.serialize(element)
+        assert codec.decode(b"E\x80\x00" + raw) == element
 
 
 class TestSizeAccounting:
@@ -536,3 +720,54 @@ class TestSentPayloadsStayResendable:
         for tag, payload, snapshot, decoded in sent:
             assert decoded == snapshot, tag
             assert payload == snapshot, tag
+
+
+def _element_bodies(value):
+    """How many element bodies encoding ``value`` writes."""
+    if isinstance(value, Ciphertext):
+        return 2
+    if isinstance(value, BitwiseCiphertext):
+        return 2 * value.bit_length
+    if isinstance(value, (list, tuple)):
+        return sum(map(_element_bodies, value))
+    if dataclasses.is_dataclass(value):
+        return sum(_element_bodies(getattr(value, field.name))
+                   for field in dataclasses.fields(value))
+    return 0
+
+
+class TestInternedReferencesOnTheWire:
+    def test_run_without_rerandomization_keeps_its_digest(
+        self, small_dl_group, small_schema, small_initiator_input,
+        participants_factory, monkeypatch,
+    ):
+        """Without rerandomization the chain forwards ciphertexts their
+        receivers have already seen, so this is a run whose messages
+        carry interned references (200 of its 3,564 element bodies; a
+        rerandomized run sends none).  Its canonical digest, recorded
+        with the recursive codec the one-pass codec replaced, pins
+        those bytes."""
+        counts = {"bodies": 0, "raw": 0}
+        encode = WireCodecV2.encode
+
+        def counting_encode(codec, value):
+            interned = len(codec._enc_table)
+            encoded = encode(codec, value)
+            counts["raw"] += len(codec._enc_table) - interned
+            counts["bodies"] += _element_bodies(value)
+            return encoded
+
+        monkeypatch.setattr(WireCodecV2, "encode", counting_encode)
+        participants = participants_factory(small_schema, 4, seed=43)
+        config = FrameworkConfig(
+            group=small_dl_group, schema=small_schema, num_participants=4,
+            k=2, rho_bits=6, wire="measured", rerandomize=False,
+        )
+        result = GroupRankingFramework(
+            config, small_initiator_input, participants, rng=SeededRNG(5)
+        ).run()
+
+        assert result.wire_stats.canonical_digest == (
+            "dc0f9cdb3fbe2bc9f0ad8a3fc197a3eaef1c7b0efd399512465dd5eeb35ff1ce"
+        )
+        assert (counts["bodies"] - counts["raw"], counts["bodies"]) == (200, 3564)

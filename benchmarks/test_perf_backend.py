@@ -15,11 +15,18 @@ against each native backend called as the library calls it, through
 its own routing.  Where ``gmp`` hands a call back to CPython (a
 one-digit modulus, a small inverse) its column times CPython too.
 
+A set-kernel row times ``powmod_each`` over one set of pairs against
+the loop of ``powmod`` calls it replaces, at 48 and 1024 bits, under
+every backend that loads (python included): each pass times both back
+to back, and the row keeps the median of the per-pass ratios, as
+ABL-fixedbase does.
+
 Acceptance bar (enforced for every native backend that loads): ≥ 5× on
 2048-bit exponentiation.  The python-only portion always runs, so the
 bench also acts as a smoke test of the seam's dispatch overhead:
 ``DLGroup.exp`` must stay within 25 % of a raw ``pow`` call, the two
-timed in the same interleaved passes.
+timed in the same interleaved passes.  On every backend and width the
+set kernel must not lose to its loop: set/per-call ≤ 1.10.
 
 Emits machine-readable ``results/BENCH_backend.json``.  With
 ``REPRO_BENCH_ENFORCE=1`` each measured native speedup is compared
@@ -33,6 +40,7 @@ import json
 import math
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -53,6 +61,10 @@ CROSSOVER_BITS = (16, 24, 32, 48, 64, 96, 128, 256, 1024, 2048)
 MIN_SPEEDUP_2048 = 5.0
 MAX_DISPATCH_OVERHEAD = 0.25
 REGRESSION_TOLERANCE = 0.20
+#: Set-kernel row: width -> (pairs per set, sets per timing); passes.
+SET_SHAPES = {48: (64, 20), 1024: (8, 1)}
+SET_PASSES = 15
+MAX_SET_RATIO = 1.10
 
 
 def _native_backends():
@@ -79,22 +91,29 @@ def _checksum(impl, p, pairs):
     return checksum
 
 
-def _interleaved_best(calls, args, reps=1, passes=PASSES):
-    """Best seconds per call of each of ``calls`` over ``args``.
-
-    A pass times every call once, back to back, each over ``args``
-    ``reps`` times; each call keeps its fastest pass."""
+def _interleaved_passes(calls, args, reps=1, passes=PASSES):
+    """Seconds per call of each of ``calls`` over ``args``, one row per
+    pass: a pass times every call once, back to back, each over
+    ``args`` ``reps`` times."""
     for call in calls:
         call(*args[0])  # warm
-    best = [float("inf")] * len(calls)
+    rows = []
     for _ in range(passes):
-        for i, call in enumerate(calls):
+        row = []
+        for call in calls:
             t0 = time.perf_counter()
             for _ in range(reps):
                 for arg in args:
                     call(*arg)
-            best[i] = min(best[i], (time.perf_counter() - t0) / (reps * len(args)))
-    return best
+            row.append((time.perf_counter() - t0) / (reps * len(args)))
+        rows.append(row)
+    return rows
+
+
+def _interleaved_best(calls, args, reps=1, passes=PASSES):
+    """Best seconds per call of each of ``calls``: its fastest pass."""
+    return [min(column)
+            for column in zip(*_interleaved_passes(calls, args, reps, passes))]
 
 
 def _crossover(impl):
@@ -132,6 +151,38 @@ def _crossover(impl):
     return rows
 
 
+def _set_kernel(names):
+    """``powmod_each`` against the ``powmod`` loop, per backend and width:
+    the median over passes of each pass's set/per-call ratio."""
+    rows = {}
+    for bits, (size, reps) in SET_SHAPES.items():
+        group = (DLGroup.random(bits, rng=SeededRNG(101)) if bits < 1024
+                 else DLGroup.standard(bits))
+        p, pairs = _workload(group, size)
+        bases = [base for base, _ in pairs]
+        exponents = [exponent for _, exponent in pairs]
+        for name in names:
+            with backend.use_backend(name) as impl:
+                def per_call(impl=impl):
+                    return [impl.powmod(b, e, p) for b, e in pairs]
+
+                def each(impl=impl):
+                    return impl.powmod_each(bases, exponents, p)
+
+                assert each() == per_call()
+                passes = _interleaved_passes([per_call, each], [()], reps,
+                                             passes=SET_PASSES)
+                per_call_s, each_s = (min(column) / size
+                                      for column in zip(*passes))
+                rows.setdefault(name, {})[str(bits)] = {
+                    "per_call_us": round(per_call_s * 1e6, 3),
+                    "set_us": round(each_s * 1e6, 3),
+                    "set_over_per_call": round(statistics.median(
+                        set_s / loop_s for loop_s, set_s in passes), 3),
+                }
+    return rows
+
+
 def test_backend_speedup():
     python = PythonBackend()
     natives = {}
@@ -161,6 +212,7 @@ def test_backend_speedup():
         sizes_payload[str(bits)] = entry
 
     crossover = {name: _crossover(impl) for name, impl in natives.items()}
+    set_kernel = _set_kernel(backend.available_backends())
 
     # End-to-end seam path at 2048 bits: group.exp = meter + dispatch +
     # active-backend powmod, interleaved with the raw powmod it wraps.
@@ -178,6 +230,7 @@ def test_backend_speedup():
         "native_backends": sorted(natives),
         "sizes": sizes_payload,
         "crossover": crossover,
+        "set_kernel": set_kernel,
         "group_exp_2048_ms": round(group_exp_s * 1e3, 3),
         "dispatch_overhead": round(dispatch_overhead, 4),
         "speedup_2048": {
@@ -194,6 +247,9 @@ def test_backend_speedup():
     write_result("BENCH_backend", json.dumps(payload, indent=2), suffix="json")
 
     assert dispatch_overhead <= MAX_DISPATCH_OVERHEAD, payload
+    for name, widths in set_kernel.items():
+        for bits, row in widths.items():
+            assert row["set_over_per_call"] <= MAX_SET_RATIO, (name, bits, row)
     for name, speedup in speedup_2048.items():
         assert speedup >= MIN_SPEEDUP_2048, (name, payload)
 

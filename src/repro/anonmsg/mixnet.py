@@ -158,16 +158,13 @@ class DecryptionMixnet:
         scheme = (
             ElGamal(self.group, pool=pool) if pool is not None else self.scheme
         )
-        processed = []
-        for ciphertext in ciphertexts:
-            # repro-lint: ignore[R-GUARD] -- hot hop path; batches are
-            # membership-checked at receipt (mix_hop validate_from /
-            # StreamingMixHop.absorb) before any peeling
-            peeled = self._distkey.peel_layer(ciphertext, secret)
-            if not is_last:
-                peeled = scheme.rerandomize(peeled, remaining, rng)
-            processed.append(peeled)
-        return processed
+        # repro-lint: ignore[R-GUARD] -- hot hop path; batches are
+        # membership-checked at receipt (mix_hop validate_from /
+        # StreamingMixHop.absorb) before any peeling
+        processed = self._distkey.peel_layers(ciphertexts, secret)
+        if is_last:
+            return processed
+        return [scheme.rerandomize(peeled, remaining, rng) for peeled in processed]
 
     def _mix_hop_parallel(
         self,

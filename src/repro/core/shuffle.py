@@ -82,19 +82,16 @@ class ShuffleProcessor:
     ) -> CiphertextSet:
         """RNG-free half of :meth:`process_set`: peel + rerandomize with
         the pre-drawn exponents + apply the pre-drawn permutation."""
-        processed: CiphertextSet = []
-        for index, ciphertext in enumerate(ciphertexts):
-            # repro-lint: ignore[R-GUARD] -- hot chain path; every incoming
-            # set was membership-checked at receipt via chain_set_flaw
-            # (repro.core.parties._validate_set) before reaching here
-            peeled = self._distkey.peel_layer(ciphertext, secret)
-            if rerandomizers is not None:
-                # repro-lint: ignore[R-GUARD] -- operates on the just-peeled
-                # ciphertext, validated at receipt as above
-                peeled = self._distkey.rerandomize_with_exponent(
-                    peeled, rerandomizers[index]
-                )
-            processed.append(peeled)
+        # repro-lint: ignore[R-GUARD] -- hot chain path; every incoming
+        # set was membership-checked at receipt via chain_set_flaw
+        # (repro.core.parties._validate_set) before reaching here
+        processed = self._distkey.peel_layers(ciphertexts, secret)
+        if rerandomizers is not None:
+            # repro-lint: ignore[R-GUARD] -- operates on the just-peeled
+            # set, validated at receipt as above
+            processed = self._distkey.rerandomize_with_exponents(
+                processed, rerandomizers
+            )
         if permutation is not None:
             processed = [processed[source] for source in permutation]
         return processed
@@ -178,15 +175,12 @@ class ShuffleProcessor:
         security-game harness hands an *adversarial* owner's residues to
         the attack code, never an honest party's.
         """
-        residues = []
-        zeros = 0
-        for ciphertext in ciphertexts:
-            # repro-lint: ignore[R-GUARD] -- final own-set peel; the set was
-            # membership-checked at receipt via chain_set_flaw
-            residue = self._distkey.peel_layer(ciphertext, secret)
-            residues.append(residue.c1)
-            if self.group.is_identity(residue.c1):
-                zeros += 1
+        # repro-lint: ignore[R-GUARD] -- final own-set peel; the set was
+        # membership-checked at receipt via chain_set_flaw
+        peeled = self._distkey.peel_layers(ciphertexts, secret)
+        residues = [ciphertext.c1 for ciphertext in peeled]
+        is_identity = self.group.is_identity
+        zeros = sum(1 for residue in residues if is_identity(residue))
         return zeros, residues
 
 

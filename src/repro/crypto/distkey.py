@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import Ciphertext
-from repro.groups.base import Element, Group
+from repro.groups.base import Element, Group, require_pairs
 from repro.math.rng import RNG
 
 
@@ -101,11 +101,28 @@ class DistributedKey:
     def peel_layer(self, ciphertext: Ciphertext, secret: int) -> Ciphertext:
         """Remove one share's layer: ``c -> c / c'^{x_i}`` (step 8, bullet 1).
 
+        A one-element :meth:`peel_layers`, on the same group kernels.
+        """
+        group = self.group
+        (c1,) = group.div_each(
+            (ciphertext.c1,), group.exp_each((ciphertext.c2,), (secret,))
+        )
+        return Ciphertext(c1=c1, c2=ciphertext.c2)
+
+    def peel_layers(
+        self, ciphertexts: Sequence[Ciphertext], secret: int
+    ) -> List[Ciphertext]:
+        """:meth:`peel_layer` of every ciphertext in a set: one
+        ``exp_each`` for the masks ``c'^{x_i}`` and one ``div_each``.
+
         Hot primitive: callers validate ciphertexts at receipt (see
         ``ShuffleProcessor``/``DecryptionMixnet``), so no per-call check.
         """
-        mask = self.group.exp(ciphertext.c2, secret)
-        return Ciphertext(c1=self.group.div(ciphertext.c1, mask), c2=ciphertext.c2)
+        group = self.group
+        c2s = [ciphertext.c2 for ciphertext in ciphertexts]
+        masks = group.exp_each(c2s, [secret] * len(c2s))
+        c1s = group.div_each([ciphertext.c1 for ciphertext in ciphertexts], masks)
+        return [Ciphertext(c1, c2) for c1, c2 in zip(c1s, c2s)]
 
     def rerandomize_exponent(
         self, ciphertext: Ciphertext, rng: RNG
@@ -121,11 +138,26 @@ class DistributedKey:
         return self.rerandomize_with_exponent(ciphertext, r)
 
     def rerandomize_with_exponent(self, ciphertext: Ciphertext, r: int) -> Ciphertext:
-        """Deterministic half of :meth:`rerandomize_exponent` — the parallel
-        engine pre-draws ``r`` in serial order and ships it to a worker."""
-        return Ciphertext(
-            c1=self.group.exp(ciphertext.c1, r), c2=self.group.exp(ciphertext.c2, r)
+        """Deterministic half of :meth:`rerandomize_exponent`: a one-element
+        :meth:`rerandomize_with_exponents`, on the same group kernel."""
+        c1, c2 = self.group.exp_each((ciphertext.c1, ciphertext.c2), (r, r))
+        return Ciphertext(c1=c1, c2=c2)
+
+    def rerandomize_with_exponents(
+        self, ciphertexts: Sequence[Ciphertext], exponents: Sequence[int]
+    ) -> List[Ciphertext]:
+        """``(c, c') -> (c^r, c'^r)`` for each ciphertext and its pre-drawn
+        ``r`` (the chain draws them in serial order, possibly for a
+        worker), as one ``exp_each`` over both components."""
+        require_pairs(ciphertexts, exponents)
+        count = len(ciphertexts)
+        exponents = list(exponents)
+        powers = self.group.exp_each(
+            [ciphertext.c1 for ciphertext in ciphertexts]
+            + [ciphertext.c2 for ciphertext in ciphertexts],
+            exponents + exponents,
         )
+        return [Ciphertext(c1, c2) for c1, c2 in zip(powers, powers[count:])]
 
     def full_decrypt(self, ciphertext: Ciphertext, secrets: Iterable[int]) -> Element:
         """Peel all layers at once (test helper; real parties decrypt in turn)."""

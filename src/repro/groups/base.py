@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.math.rng import RNG
 
@@ -42,9 +42,9 @@ class OperationCounter:
     def record_mul(self, count: int = 1) -> None:
         self.multiplications += count
 
-    def record_exp(self, bits: int) -> None:
-        self.exponentiations += 1
-        self.exponent_bits += bits
+    def record_exp(self, bits: int, count: int = 1) -> None:
+        self.exponentiations += count
+        self.exponent_bits += bits * count
 
     def record_inv(self, count: int = 1) -> None:
         self.inversions += count
@@ -189,6 +189,27 @@ class Group:
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
 
+    # -- set kernels ---------------------------------------------------------
+    # One call per ciphertext set: the decrypt-rerandomize chain raises
+    # and divides whole sets at a time.  The defaults are the
+    # per-element loops; a group may compute the same elements, with
+    # the same metering, in fewer Python calls (DLGroup does).
+    def exp_each(
+        self, bases: Sequence[Element], exponents: Sequence[int]
+    ) -> List[Element]:
+        """:meth:`exp` of each ``(base, exponent)`` pair."""
+        require_pairs(bases, exponents)
+        exp = self.exp
+        return [exp(a, k) for a, k in zip(bases, exponents)]
+
+    def div_each(
+        self, numerators: Sequence[Element], denominators: Sequence[Element]
+    ) -> List[Element]:
+        """:meth:`div` of each ``(numerator, denominator)`` pair."""
+        require_pairs(numerators, denominators)
+        div = self.div
+        return [div(a, b) for a, b in zip(numerators, denominators)]
+
     def exp_generator(self, k: int) -> Element:
         return self.exp(self.generator(), k)
 
@@ -309,3 +330,9 @@ class Group:
     def attach_counter(self, counter: Optional[OperationCounter]) -> None:
         """Redirect this group's operation metering to ``counter``."""
         self.counter = counter if counter is not None else OperationCounter()
+
+
+def require_pairs(first: Sequence[Any], second: Sequence[Any]) -> None:
+    """Reject a set-kernel call whose two sequences differ in length."""
+    if len(first) != len(second):
+        raise ValueError("a set kernel needs two sequences of one length")

@@ -10,9 +10,9 @@ the whole subgroup.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from repro.groups.base import Element, Group, OperationCounter
+from repro.groups.base import Element, Group, OperationCounter, require_pairs
 from repro.groups.fixed_base import PrecomputedBase
 from repro.math import backend
 from repro.math.modular import jacobi_symbol, mod_inverse
@@ -137,17 +137,42 @@ class DLGroup(Group):
         # The plan is checked inline against the module's active backend,
         # not through get_backend(): at 48 bits a native power costs
         # about 2.7 us and each Python call here a few percent of it,
-        # which ABL-fixedbase's default/best gate sees.
+        # which ABL-fixedbase's default/best gate sees.  The native
+        # power, the common case, is inlined too.
         if self._plan_backend is not backend._active:
             self._plan()
-        q, p = self._q, self._p
         self.counter.record_exp(self._q_bits)
-        e = k % q
+        e = k % self._q
+        if self._native and e <= self._short_from:
+            return backend.powmod(a, e, self._p)
+        return self._exp_reduced(a, e)
+
+    def exp_each(self, bases: Sequence[int], exponents: Sequence[int]) -> List[int]:
+        """:meth:`exp` of each pair, metered in bulk as one |q|-bit
+        exponentiation per element.  Where ``powmod`` is native and no
+        reduced exponent takes the short centered route, the whole set
+        is one :func:`backend.powmod_each` call; otherwise each element
+        takes :meth:`exp`'s route."""
+        if self._plan_backend is not backend._active:
+            self._plan()
+        require_pairs(bases, exponents)
+        q = self._q
+        reduced = [k % q for k in exponents]
+        self.counter.record_exp(self._q_bits, len(reduced))
+        if self._native and (not reduced or max(reduced) <= self._short_from):
+            return backend.powmod_each(bases, reduced, self._p)
+        kernel = self._exp_reduced
+        return [kernel(a, e) for a, e in zip(bases, reduced)]
+
+    def _exp_reduced(self, a: int, e: int) -> int:
+        """:meth:`exp`'s routes for a reduced exponent ``0 <= e < q``,
+        unmetered."""
+        p = self._p
         if e > self._short_from:
             symbol = backend.jacobi(a, p)
             if not symbol:
                 return 0  # a ≡ 0 (mod p) has no inverse; 0^k = 0
-            power = backend.powmod(a, e - q, p)
+            power = backend.powmod(a, e - self._q, p)
             return power if symbol == 1 else p - power
         if self._native:
             return backend.powmod(a, e, p)
@@ -194,6 +219,44 @@ class DLGroup(Group):
     def inv(self, a: int) -> int:
         self.counter.record_inv()
         return mod_inverse(a, self._p)
+
+    def div_each(
+        self, numerators: Sequence[int], denominators: Sequence[int]
+    ) -> List[int]:
+        """:meth:`div` of each pair through one inverse for the whole set
+        (Montgomery's batch inversion), metered as :meth:`div` is: one
+        inversion and one multiplication per element.  A denominator
+        ``≡ 0 (mod p)`` raises :meth:`inv`'s ``ValueError`` with the
+        counts the per-element loop reaches before it."""
+        require_pairs(numerators, denominators)
+        count = len(denominators)
+        if not count:
+            return []
+        p, mulmod = self._p, backend.get_backend().mulmod
+        # prefix[i] = b_0 ... b_i; one inverse of the whole product, then
+        # walk back: b_i^-1 = prefix[i-1] * (b_0 ... b_i)^-1.
+        prefix = []
+        running = 1
+        for b in denominators:
+            running = mulmod(running, b, p)
+            prefix.append(running)
+        counter = self.counter
+        if not running:
+            # As the per-element loop: the divisions before the first
+            # zero, then inv's metered ValueError.
+            zero = next(i for i, b in enumerate(denominators) if not b % p)
+            counter.record_inv(zero)
+            counter.record_mul(zero)
+            self.inv(denominators[zero])
+        counter.record_inv(count)
+        counter.record_mul(count)
+        inverse = mod_inverse(running, p)
+        quotients = [0] * count
+        for i in range(count - 1, 0, -1):
+            quotients[i] = mulmod(numerators[i], mulmod(inverse, prefix[i - 1], p), p)
+            inverse = mulmod(inverse, denominators[i], p)
+        quotients[0] = mulmod(numerators[0], inverse, p)
+        return quotients
 
     def eq(self, a: int, b: int) -> bool:
         return a % self._p == b % self._p
@@ -274,6 +337,10 @@ class TextbookDLGroup(DLGroup):
 
     def exp_fixed(self, base: int, k: int) -> int:
         return self.exp(base, k)
+
+    # The per-element loops: the reference for DLGroup's set kernels.
+    exp_each = Group.exp_each
+    div_each = Group.div_each
 
 
 def _nist_equivalent_security(modulus_bits: int) -> int:

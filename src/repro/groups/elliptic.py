@@ -283,12 +283,18 @@ class EllipticCurveGroup(Group):
         byte_len = (self._params.p.bit_length() + 7) // 8
         if len(data) != byte_len + 1:
             raise ValueError("bad encoded point length")
+        # A peer gets no second body for a point past the decoder: the
+        # identity is all zero bytes, and x must be reduced.
         if data[0] == 0:
+            if any(data):
+                raise ValueError("identity encoding must be all zero bytes")
             return None
         if data[0] not in (2, 3):
             raise ValueError("bad point compression prefix")
         x = int.from_bytes(data[1:], "big")
         p = self._params.p
+        if x >= p:
+            raise ValueError("x coordinate is not reduced modulo p")
         rhs = (backend.powmod(x, 3, p) + self._params.a * x + self._params.b) % p
         if rhs != 0 and not is_quadratic_residue(rhs, p):
             raise ValueError("x is not on the curve")

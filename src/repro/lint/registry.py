@@ -88,6 +88,7 @@ SANITIZERS: FrozenSet[str] = frozenset(
         "hash_to_exponent",
         # g^x-style exponentiation is public under DL
         "exp",
+        "exp_each",
         "exp_generator",
         "small_exp",
         "multi_exp",
@@ -97,9 +98,11 @@ SANITIZERS: FrozenSet[str] = frozenset(
         "pow",
         # blinded/encrypted transforms
         "peel_layer",
+        "peel_layers",
         "rerandomize",
         "rerandomize_exponent",
         "rerandomize_with_exponent",
+        "rerandomize_with_exponents",
         "decrypt",  # honest decryption output is protocol-visible
         "decrypt_is_zero",
         "decrypt_small",
@@ -150,9 +153,11 @@ SENSITIVE_CALLS: FrozenSet[str] = frozenset(
         "decrypt_small",
         "full_decrypt",
         "peel_layer",
+        "peel_layers",
         "rerandomize",
         "rerandomize_exponent",
         "rerandomize_with_exponent",
+        "rerandomize_with_exponents",
     }
 )
 
@@ -251,10 +256,12 @@ BLOCKING_RECEIVERS: Dict[str, str] = {
 HEAVY_CALLS: FrozenSet[str] = frozenset(
     {
         "powmod",
+        "powmod_each",
         "mulmod",
         "invert",
         "jacobi",
         "exp",
+        "exp_each",
         "exp_generator",
         "multi_exp",
         "small_exp",

@@ -66,7 +66,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ArithmeticBackend",
@@ -83,6 +83,7 @@ __all__ = [
     "register_backend",
     "worker_initializer",
     "powmod",
+    "powmod_each",
     "native_powmod",
     "mulmod",
     "invert",
@@ -114,6 +115,19 @@ class ArithmeticBackend:
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         """``base ** exponent mod modulus`` (exponent may be negative)."""
         raise NotImplementedError
+
+    def powmod_each(
+        self, bases: Sequence[int], exponents: Sequence[int], modulus: int
+    ) -> List[int]:
+        """:meth:`powmod` of each ``(base, exponent)`` pair, one call per
+        set: the same values, routed per operand as :meth:`powmod`
+        routes them.  Raises :class:`ValueError` when the two sequences
+        differ in length."""
+        powmod = self.powmod
+        return [
+            powmod(base, exponent, modulus)
+            for base, exponent in _pairs(bases, exponents)
+        ]
 
     def native_powmod(self, modulus: int) -> bool:
         """True when a full-width :meth:`powmod` modulo ``modulus`` is
@@ -172,6 +186,12 @@ class ArithmeticBackend:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, native={self.native})"
+
+
+def _pairs(bases: Sequence[int], exponents: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    if len(bases) != len(exponents):
+        raise ValueError("powmod_each needs exactly one exponent per base")
+    return zip(bases, exponents)
 
 
 class PythonBackend(ArithmeticBackend):
@@ -385,6 +405,30 @@ class GmpBackend(PythonBackend):
 
     def native_powmod(self, modulus: int) -> bool:
         return modulus >= _NATIVE_POWMOD
+
+    def powmod_each(
+        self, bases: Sequence[int], exponents: Sequence[int], modulus: int
+    ) -> List[int]:
+        # The one-limb word path of powmod in one frame: the modulus stays
+        # resident and the three word calls are bound once per set.  Any
+        # other pair takes powmod's own route.
+        if not _NATIVE_POWMOD <= modulus < self._word:
+            return ArithmeticBackend.powmod_each(self, bases, exponents, modulus)
+        regs = self._local.registers
+        if regs.modulus != modulus:
+            regs = self._registers(modulus)
+        a, m, out, word = regs.a, regs.m, regs.out, self._word
+        set_ui, powm_ui, get_ui = self._set_ui, self._powm_ui, self._get_ui
+        powers = []
+        append = powers.append
+        for base, exponent in _pairs(bases, exponents):
+            if _WORD_EXPONENT <= exponent < word:
+                set_ui(a, base % modulus)
+                powm_ui(out, a, exponent, m)
+                append(get_ui(out))
+            else:
+                append(self.powmod(base, exponent, modulus))
+        return powers
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         if modulus < self._word:
@@ -668,6 +712,12 @@ def worker_initializer(backend_name: Optional[str]) -> None:
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
     return _active.powmod(base, exponent, modulus)
+
+
+def powmod_each(
+    bases: Sequence[int], exponents: Sequence[int], modulus: int
+) -> List[int]:
+    return _active.powmod_each(bases, exponents, modulus)
 
 
 def native_powmod(modulus: int) -> bool:

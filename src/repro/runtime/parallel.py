@@ -197,25 +197,22 @@ def evaluate_mix_hop_job(job: MixHopJob) -> Tuple[List[Ciphertext], OperationCou
     previous = job.group.counter
     job.group.attach_counter(counter)
     try:
-        distkey = DistributedKey(job.group)
-        processed: List[Ciphertext] = []
-        for index, ciphertext in enumerate(job.ciphertexts):
-            # repro-lint: ignore[R-GUARD] -- job ciphertexts were membership-
-            # checked at receipt (mixnet validate_from) before slicing
-            peeled = distkey.peel_layer(ciphertext, job.secret)
+        # repro-lint: ignore[R-GUARD] -- job ciphertexts were membership-
+        # checked at receipt (mixnet validate_from) before slicing
+        processed = DistributedKey(job.group).peel_layers(job.ciphertexts, job.secret)
+        for index, peeled in enumerate(processed):
             if job.rerandomizer_pairs is not None:
                 g_r, y_r = job.rerandomizer_pairs[index]
-                peeled = Ciphertext(
+                processed[index] = Ciphertext(
                     c1=job.group.mul(peeled.c1, y_r),
                     c2=job.group.mul(peeled.c2, g_r),
                 )
             elif job.rerandomizers is not None:
                 r = job.rerandomizers[index]
-                peeled = Ciphertext(
+                processed[index] = Ciphertext(
                     c1=job.group.mul(peeled.c1, job.group.exp(job.remaining_key, r)),
                     c2=job.group.mul(peeled.c2, job.group.exp_generator(r)),
                 )
-            processed.append(peeled)
     finally:
         job.group.attach_counter(previous)
     return processed, counter

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.distkey import DistributedKey
-from repro.crypto.elgamal import ExponentialElGamal
+from repro.crypto.elgamal import Ciphertext, ExponentialElGamal
 from repro.math.rng import SeededRNG
 
 
@@ -109,3 +109,54 @@ class TestLayeredDecryption:
         # Now encrypted under parties 3 and 4 only.
         remaining = distkey.full_decrypt(current, [shares[2].secret, shares[3].secret])
         assert group.is_identity(remaining)
+
+
+class TestSetLevelLayers:
+    """peel_layers and rerandomize_with_exponents against the per-element
+    group composition they replace: same ciphertexts, same counts."""
+
+    @staticmethod
+    def _set(group, distkey, rng, size=9):
+        scheme = ExponentialElGamal(group)
+        joint = distkey.joint_public_key()
+        return [scheme.encrypt(m % 3, joint, rng) for m in range(size)]
+
+    @pytest.mark.parametrize("group_fixture", ["small_dl_group", "tiny_curve"])
+    def test_set_calls_equal_per_element_composition(self, group_fixture, request):
+        group = request.getfixturevalue(group_fixture)
+        distkey = DistributedKey(group)
+        rng = SeededRNG(31)
+        share = distkey.make_share(1, rng)
+        distkey.register_public(1, share.public)
+        ciphertexts = self._set(group, distkey, rng)
+        exponents = [group.random_nonzero_exponent(rng) for _ in ciphertexts]
+
+        before = group.counter.snapshot()
+        peeled = distkey.peel_layers(ciphertexts, share.secret)
+        rerandomized = distkey.rerandomize_with_exponents(peeled, exponents)
+        set_ops = group.counter.diff(before)
+
+        before = group.counter.snapshot()
+        composed = []
+        for ciphertext, r in zip(ciphertexts, exponents):
+            mask = group.exp(ciphertext.c2, share.secret)
+            c1 = group.div(ciphertext.c1, mask)
+            composed.append(Ciphertext(group.exp(c1, r), group.exp(ciphertext.c2, r)))
+        element_ops = group.counter.diff(before)
+
+        assert rerandomized == composed
+        assert set_ops == element_ops
+        assert [distkey.peel_layer(c, share.secret) for c in ciphertexts] == peeled
+        assert [distkey.rerandomize_with_exponent(c, r)
+                for c, r in zip(peeled, exponents)] == rerandomized
+
+    def test_empty_set(self, setup):
+        _, distkey, shares, _ = setup
+        assert distkey.peel_layers([], shares[0].secret) == []
+        assert distkey.rerandomize_with_exponents([], []) == []
+
+    def test_one_exponent_per_ciphertext(self, setup):
+        group, distkey, _, rng = setup
+        ciphertexts = self._set(group, distkey, rng, size=2)
+        with pytest.raises(ValueError):
+            distkey.rerandomize_with_exponents(ciphertexts, [5])

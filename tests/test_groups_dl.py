@@ -361,6 +361,189 @@ class TestNativeKernelChoice:
             backend._FACTORIES.pop("counting", None)
 
 
+# -- set kernels ---------------------------------------------------------------
+
+SET_BACKENDS = ["python"] + [
+    pytest.param("gmp", marks=pytest.mark.skipif(
+        "gmp" not in backend.available_backends(), reason="libgmp does not load"
+    ))
+]
+
+#: One group per route exp_each takes under gmp: a 24-bit modulus walks
+#: its tables (below the native crossover), 48 bits is one machine word,
+#: DL-1024 crosses as bytes.
+SET_GROUPS = {
+    "dl24": lambda: DLGroup.random(24, rng=SeededRNG(5)),
+    "dl48": lambda: _fresh(SMALL),
+    "dl1024": lambda: DLGroup.standard(1024),
+}
+
+
+def _twins(name):
+    """Two fresh copies of one group, each with its generator table
+    built (used wherever tables are walked)."""
+    group = SET_GROUPS[name]()
+    twins = []
+    for _ in range(2):
+        twin = _fresh(group)
+        twin.exp_generator(twin.order // 3)
+        twin.counter.reset()
+        twins.append(twin)
+    return twins
+
+
+def _non_residue(p):
+    return next(a for a in range(2, p) if jacobi_symbol(a, p) == -1)
+
+
+def _kernel_bases(group):
+    p, g = group.modulus, group.generator()
+    element = pow(g, 0xC0FFEE, p)
+    return [0, 1, -1, p, -p, p - 1, _non_residue(p), -_non_residue(p),
+            g, element, 3 * p + 7]
+
+
+def _kernel_exponents(q):
+    """Each exponent class exp routes differently, short centered ones
+    included."""
+    return [0, 1, q - 1, q, q + 1, -5, -(q + 2), 3 * q + 11, q - 3, q // 3,
+            (1 << 300) + 7]
+
+
+def _metered(group, call):
+    before = group.counter.snapshot()
+    value = call()
+    return value, group.counter.diff(before)
+
+
+@pytest.mark.parametrize("backend_name", SET_BACKENDS)
+@pytest.mark.parametrize("group_name", sorted(SET_GROUPS))
+class TestSetKernels:
+    """exp_each and div_each against the per-element exp and div: same
+    elements, same counts, one set at a time or mixed."""
+
+    def test_exp_each_equals_exp(self, backend_name, group_name, monkeypatch):
+        # Jacobi symbols are counted too: a short centered exponent takes
+        # exp's route (a sign, then a short power) in a set as well.
+        symbols = []
+        jacobi = backend.jacobi
+        monkeypatch.setattr(backend, "jacobi",
+                            lambda a, n: symbols.append(a) or jacobi(a, n))
+        with backend.use_backend(backend_name):
+            kernel, reference = _twins(group_name)
+            bases = _kernel_bases(kernel)
+            exponents = _kernel_exponents(kernel.order)
+            # One set per exponent class (short centered or not, so both
+            # the bulk path and the per-element routes run), then every
+            # pair in one mixed set.
+            sets = [(bases, [k] * len(bases)) for k in exponents]
+            sets.append((
+                [a for a in bases for _ in exponents],
+                [k for _ in bases for k in exponents],
+            ))
+            del symbols[:]  # the twins' own generator checks
+            for set_bases, set_exponents in sets:
+                got, got_ops = _metered(
+                    kernel, lambda: kernel.exp_each(set_bases, set_exponents)
+                )
+                got_symbols = symbols[:]
+                del symbols[:]
+                want, want_ops = _metered(reference, lambda: [
+                    reference.exp(a, k) for a, k in zip(set_bases, set_exponents)
+                ])
+                assert got == want
+                assert got_ops == want_ops
+                assert got_symbols == symbols
+                del symbols[:]
+                assert got == [pow(a, k % kernel.order, kernel.modulus)
+                               for a, k in zip(set_bases, set_exponents)]
+            assert kernel.exp_each([], []) == []
+
+    def test_div_each_equals_div(self, backend_name, group_name):
+        with backend.use_backend(backend_name):
+            kernel, reference = _twins(group_name)
+            p = kernel.modulus
+            numerators = _kernel_bases(kernel)
+            denominators = [b for b in numerators if b % p] + [2, -3, p + 5]
+            assert len(denominators) == len(numerators)
+            got, got_ops = _metered(
+                kernel, lambda: kernel.div_each(numerators, denominators)
+            )
+            want, want_ops = _metered(reference, lambda: [
+                reference.div(a, b) for a, b in zip(numerators, denominators)
+            ])
+            assert got == want
+            assert got_ops == want_ops
+            assert kernel.div_each([], []) == []
+
+    def test_zero_denominator_raises_like_div(self, backend_name, group_name):
+        with backend.use_backend(backend_name):
+            kernel, reference = _twins(group_name)
+            p = kernel.modulus
+            numerators, denominators = [3, 5, 7, 11], [2, 9, -p, 4]
+            with pytest.raises(ValueError) as expected:
+                for a, b in zip(numerators, denominators):
+                    reference.div(a, b)
+            with pytest.raises(ValueError) as raised:
+                kernel.div_each(numerators, denominators)
+            assert str(raised.value) == str(expected.value)
+            assert kernel.counter == reference.counter
+
+
+class TestSetKernelContracts:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(_bases(SMALL), _exponents(Q)), max_size=12))
+    def test_exp_each_equals_exp_on_any_set(self, pairs):
+        for name in ("python", "gmp"):
+            if name not in backend.available_backends():
+                continue
+            with backend.use_backend(name):
+                kernel, reference = _fresh(SMALL), _fresh(SMALL)
+                bases = [a for a, _ in pairs]
+                exponents = [k for _, k in pairs]
+                assert kernel.exp_each(bases, exponents) == [
+                    reference.exp(a, k) for a, k in pairs
+                ]
+                assert kernel.counter == reference.counter
+
+    def test_mismatched_lengths_raise(self):
+        group = _fresh(SMALL)
+        for kernel in (group.exp_each, group.div_each,
+                       TextbookDLGroup.random(24, rng=SeededRNG(5)).exp_each):
+            with pytest.raises(ValueError):
+                kernel([2, 3], [5])
+        assert group.counter == OperationCounter()
+
+    def test_textbook_group_keeps_the_per_element_loops(self):
+        from repro.groups.base import Group
+
+        assert TextbookDLGroup.exp_each is Group.exp_each
+        assert TextbookDLGroup.div_each is Group.div_each
+        group = TextbookDLGroup(P, SMALL.generator(), verify=False)
+        calls = []
+        group.exp = lambda a, k: calls.append((a, k)) or 1
+        group.div = lambda a, b: calls.append((a, b)) or 1
+        group.exp_each([4, 9], [5, 6])
+        group.div_each([4, 9], [2, 3])
+        assert calls == [(4, 5), (9, 6), (4, 2), (9, 3)]
+
+    def test_native_set_is_one_backend_call(self, monkeypatch):
+        if "gmp" not in backend.available_backends():
+            pytest.skip("libgmp does not load")
+        with backend.use_backend("gmp") as impl:
+            group = _fresh(SMALL)
+            calls = []
+            monkeypatch.setattr(impl, "powmod", lambda *args: calls.append(args))
+            original = impl.powmod_each
+            monkeypatch.setattr(impl, "powmod_each", lambda *args: calls.append(
+                "each") or original(*args))
+            exponents = [Q // 3, Q // 5, 257]
+            assert group.exp_each([4, 9, 16], exponents) == [
+                pow(a, k, P) for a, k in zip([4, 9, 16], exponents)
+            ]
+            assert calls == ["each"]
+
+
 class TestTextbookReference:
     def test_ranking_identical_to_textbook_exp(
         self, small_schema, small_initiator_input
@@ -391,6 +574,10 @@ class TestPickling:
     def test_warm_group_pickles_like_a_fresh_one(self, tiny_curve):
         # deepcopy goes through the same state hooks: a cold copy.
         for fresh in (_fresh(SMALL), copy.deepcopy(tiny_curve)):
+            # The session-scoped curve carries the counts of earlier
+            # tests; compare against a copy with a zeroed counter, as
+            # the warm copy's is below.
+            fresh.counter.reset()
             warm = copy.deepcopy(fresh)
             rng = SeededRNG(8)
             elements = [warm.random_element(rng) for _ in range(20)]

@@ -10,6 +10,7 @@ from repro.groups.curves import (
 )
 from repro.groups.elliptic import CurveParams, EllipticCurveGroup, _CurveArithmetic
 from repro.math.rng import SeededRNG
+from repro.runtime.wire import WireCodecV2
 
 
 class TestTinyCurveArithmetic:
@@ -84,6 +85,42 @@ class TestMembershipAndSerialization:
             g.deserialize(b"\xff" * len(g.serialize(None)))
         with pytest.raises(ValueError):
             g.deserialize(b"\x02")
+
+    def test_only_canonical_bodies_decode(self, tiny_curve):
+        # Two bodies that named a point without being its encoding: the
+        # generator's x plus p, which decoded to a non-element, and an
+        # identity prefix followed by non-zero bytes.
+        g = tiny_curve
+        p, (x, _) = g.params.p, g.generator()
+        body = g.serialize(g.generator())
+        width = len(body) - 1
+        non_canonical = [
+            body[:1] + (x + p).to_bytes(width, "big"),
+            b"\x00" + b"\x01" * width,
+            b"\x00" * width + b"\x01",
+        ]
+        for data in non_canonical:
+            with pytest.raises(ValueError):
+                g.deserialize(data)
+            with pytest.raises(ValueError):
+                WireCodecV2(g).decode(b"E\x00" + data)
+        assert WireCodecV2(g).decode(b"E\x00" + body) == g.generator()
+        assert WireCodecV2(g).decode(b"E\x00" + g.serialize(None)) is None
+
+    def test_every_point_has_one_body(self, tiny_curve):
+        # Over the whole field, the bodies that decode are exactly the
+        # encodings of the points they decode to.
+        g = tiny_curve
+        width = len(g.serialize(None)) - 1
+        for x in range(g.params.p + 16):
+            for prefix in (b"\x02", b"\x03"):
+                data = prefix + x.to_bytes(width, "big")
+                try:
+                    point = g.deserialize(data)
+                except ValueError:
+                    continue
+                assert g.is_element(point)
+                assert g.serialize(point) == data
 
 
 class TestStandardCurves:

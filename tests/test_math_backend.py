@@ -111,6 +111,16 @@ class TestPrimitives:
         assert impl.powmod(3, -1, P) == pow(3, -1, P)
 
     @pytest.mark.parametrize("impl", both_backends(), ids=lambda b: b.name)
+    def test_powmod_each(self, impl):
+        bases, exponents = [3, -4, 0, P + 2], [100, -1, 5, 7]
+        assert impl.powmod_each(bases, exponents, P) == [
+            pow(b, e, P) for b, e in zip(bases, exponents)
+        ]
+        assert impl.powmod_each([], [], P) == []
+        with pytest.raises(ValueError):
+            impl.powmod_each([3, 4], [5], P)
+
+    @pytest.mark.parametrize("impl", both_backends(), ids=lambda b: b.name)
     def test_mulmod(self, impl):
         a, b = P - 2, P - 3
         assert impl.mulmod(a, b, P) == a * b % P
@@ -568,6 +578,85 @@ class TestGmpBackend:
         below = backend._NATIVE_INVERT - 1
         assert gmp.powmod(7, -3, below) == pow(7, -3, below)  # CPython
         assert calls == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(modulus=MODULI, pairs=st.lists(st.tuples(BASES, EXPONENTS), max_size=6))
+    def test_powmod_each_matches_cpython(self, modulus, pairs):
+        bases = [base for base, _ in pairs]
+        exponents = [exponent for _, exponent in pairs]
+        assert (_outcome(GmpBackend().powmod_each, bases, exponents, modulus)
+                == _outcome(lambda: [pow(b, e, modulus) for b, e in pairs]))
+
+    @pytest.mark.parametrize("modulus", [1 << 30, 1 << 40, LIMB - 1])
+    def test_powmod_each_at_word_moduli(self, modulus):
+        # Exponents below, at and past the one-limb routing edges, each
+        # as a whole set and all in one mixed set.
+        bases = [0, 1, -1, 2, modulus, -modulus, modulus - 1, 3 * modulus + 5,
+                 (1 << 70) + 9, -(1 << 90) - 11]
+        exponents = [0, 255, 256, LIMB - 1, LIMB, LIMB + 7, 1 << 200]
+        gmp = GmpBackend()
+        for exponent_set in [[e] * len(bases) for e in exponents] + [
+            [exponents[i % len(exponents)] for i in range(len(bases))]
+        ]:
+            assert gmp.powmod_each(bases, exponent_set, modulus) == [
+                pow(b, e, modulus) for b, e in zip(bases, exponent_set)
+            ]
+        # Negative exponents take powmod's inverse-then-power route, and
+        # raise CPython's ValueError where no inverse exists.
+        assert (_outcome(gmp.powmod_each, [3, 5], [-3, -(1 << 70)], modulus)
+                == _outcome(lambda: [pow(3, -3, modulus),
+                                     pow(5, -(1 << 70), modulus)]))
+        assert (_outcome(gmp.powmod_each, [3, 2 * modulus], [5, -1], modulus)
+                == _outcome(pow, 2 * modulus, -1, modulus))
+
+    def test_powmod_each_keeps_the_modulus_resident(self, monkeypatch):
+        # One 48-bit set: the modulus loads once, then each word pair
+        # costs three word calls; a short exponent goes to CPython.
+        lib = backend._load_libgmp()
+        calls = []
+        for name in ("set_ui", "get_ui", "powm_ui", "import_bytes"):
+            original = getattr(lib, name)
+            monkeypatch.setattr(lib, name, lambda *args, _name=name,
+                                _original=original: calls.append(_name)
+                                or _original(*args))
+        gmp, p = GmpBackend(), (1 << 48) - 59
+        bases, exponents = [3, -5, 7, 11], [p - 2, 1 << 40, 300, 9]
+        assert gmp.powmod_each(bases, exponents, p) == [
+            pow(b, e, p) for b, e in zip(bases, exponents)
+        ]
+        assert calls == ["import_bytes"] + ["set_ui", "powm_ui", "get_ui"] * 3
+        del calls[:]
+        gmp.powmod_each(bases[:2], exponents[:2], p)
+        assert calls == ["set_ui", "powm_ui", "get_ui"] * 2
+
+    def test_powmod_each_from_two_threads(self):
+        # Two threads run word-path sets at their own moduli on one
+        # backend object; ctypes drops the GIL inside every word call.
+        gmp = GmpBackend()
+        errors = []
+
+        def work(modulus):
+            for i in range(120):
+                bases = [(i + j + 2) ** 5 for j in range(16)]
+                exponents = [(1 << 40) + 97 * i + j for j in range(16)]
+                got = gmp.powmod_each(bases, exponents, modulus)
+                want = [pow(b, e, modulus) for b, e in zip(bases, exponents)]
+                if got != want:
+                    errors.append((modulus, i))
+
+        threads = [threading.Thread(target=work, args=(m,))
+                   for m in ((1 << 48) - 59, LIMB - 59)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_threads_share_no_operands(self):
         # ctypes drops the GIL for each foreign call: four threads

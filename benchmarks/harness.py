@@ -34,6 +34,7 @@ from repro.analysis.counting import CountingGroup
 from repro.core.framework import FrameworkConfig, FrameworkResult, GroupRankingFramework
 from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
 from repro.groups.base import OperationCounter
+from repro.groups.params import TIERS
 from repro.math.rng import SeededRNG
 from repro.runtime.transcript import Transcript
 
@@ -42,9 +43,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Paper defaults (Section VII): n=25, m=10, d1=15, h=15.  d2 is not
 #: stated; we use d2=15 to match the symmetric sweep ranges.
 PAPER_DEFAULTS = dict(n=25, m=10, t=4, d1=15, d2=15, h=15)
-
-#: Fig. 3(a) tiers: symmetric level -> (DL modulus bits, curve bits).
-TIERS = {80: (1024, 160), 112: (2048, 224), 128: (3072, 256)}
 
 
 def full_sweeps() -> bool:
@@ -130,11 +128,15 @@ def counting_run(
 
 def counting_run_for_family(family: str, level: int = 80, **params) -> CountedRun:
     """Counting run with the wire sizes of the given family/tier."""
-    dl_bits, curve_bits = TIERS[level]
+    tier = TIERS[level]
     if family.upper() == "DL":
-        return counting_run(element_bits=dl_bits, order_bits=dl_bits - 1, **params)
+        return counting_run(
+            element_bits=tier.dl_bits, order_bits=tier.dl_bits - 1, **params
+        )
     if family.upper() == "ECC":
-        return counting_run(element_bits=curve_bits + 1, order_bits=curve_bits, **params)
+        return counting_run(
+            element_bits=tier.curve_bits + 1, order_bits=tier.curve_bits, **params
+        )
     raise ValueError("family must be DL or ECC")
 
 
@@ -144,11 +146,11 @@ def counting_run_for_family(family: str, level: int = 80, **params) -> CountedRu
 
 def framework_participant_seconds(run: CountedRun, family: str, level: int = 80) -> float:
     """Counted participant workload at calibrated per-op costs."""
-    dl_bits, curve_bits = TIERS[level]
+    tier = TIERS[level]
     if family.upper() == "DL":
-        model = calibrate_dl(dl_bits)
+        model = calibrate_dl(tier.dl_bits)
     else:
-        model = calibrate_ecc({160: "secp160r1", 224: "secp224r1", 256: "secp256r1"}[curve_bits])
+        model = calibrate_ecc(tier.curve)
     return model.seconds_for(run.max_participant_ops)
 
 

@@ -24,11 +24,10 @@ from benchmarks.harness import (
     write_result,
 )
 from repro.analysis.costmodel import calibrate_dl, calibrate_ecc
+from repro.groups.params import TIERS
 from repro.math import backend
 
-LEVELS = [80, 112, 128]
-CURVES = {80: "secp160r1", 112: "secp224r1", 128: "secp256r1"}
-DL_BITS = {80: 1024, 112: 2048, 128: 3072}
+LEVELS = sorted(TIERS)
 TARGET_N = 70
 
 
@@ -42,8 +41,8 @@ def ops_at_70():
 def test_fig3a_series(ops_at_70, benchmark):
     dl_times, ecc_times = [], []
     for level in LEVELS:
-        dl_times.append(calibrate_dl(DL_BITS[level]).seconds_for(ops_at_70))
-        ecc_times.append(calibrate_ecc(CURVES[level]).seconds_for(ops_at_70))
+        dl_times.append(calibrate_dl(TIERS[level].dl_bits).seconds_for(ops_at_70))
+        ecc_times.append(calibrate_ecc(TIERS[level].curve).seconds_for(ops_at_70))
     table = format_series_table(
         f"FIG-3a: participant computation time (s) vs security level  [n={TARGET_N}]",
         "level", LEVELS, {"DL": dl_times, "ECC": ecc_times},
@@ -51,7 +50,7 @@ def test_fig3a_series(ops_at_70, benchmark):
     native = backend.active_backend_name()
     if backend.get_backend().native:
         native_times = [
-            calibrate_dl(DL_BITS[level], arithmetic=native).seconds_for(ops_at_70)
+            calibrate_dl(TIERS[level].dl_bits, arithmetic=native).seconds_for(ops_at_70)
             for level in LEVELS
         ]
         table += (f"\n  DL under the {native} backend (not gated): "
@@ -59,7 +58,7 @@ def test_fig3a_series(ops_at_70, benchmark):
     print("\n" + table)
     write_result("fig3a_security_levels", table)
 
-    benchmark(lambda: calibrate_ecc(CURVES[80]).seconds_for(ops_at_70))
+    benchmark(lambda: calibrate_ecc(TIERS[80].curve).seconds_for(ops_at_70))
 
     # Paper claims: ECC cheaper at every equivalent level ...
     for dl, ecc in zip(dl_times, ecc_times):

@@ -9,7 +9,7 @@ PYTHONPATH=src python -m pytest -x -q
 
 echo "== demo with batching + streaming on =="
 PYTHONPATH=src python -m repro demo -n 5 --zkp fiat-shamir \
-    --batch-verify --bit-proofs --streaming --chunk-sets 2
+    --batch-verify --bit-proofs --chunk-sets 2
 
 echo "== demo with auto-detected arithmetic backend =="
 PYTHONPATH=src python -m repro demo -n 4 --backend auto

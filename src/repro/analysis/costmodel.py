@@ -27,12 +27,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from repro.groups.base import Group, OperationCounter
 from repro.groups.curves import get_curve
 from repro.groups.dl import DLGroup
+from repro.groups.params import TIERS
 from repro.math import backend
 from repro.math.rng import SeededRNG
 
-#: The paper's Fig. 3(a) tiers: security level -> (DL modulus bits, curve).
-_TIERS = {80: (1024, "secp160r1"), 112: (2048, "secp224r1"), 128: (3072, "secp256r1")}
-_TIER_CURVES = tuple(curve for _, curve in _TIERS.values())
+_TIER_CURVES = tuple(tier.curve for tier in TIERS.values())
 
 
 @dataclass(frozen=True)
@@ -165,12 +164,12 @@ def calibrate_field(field_bits: int, repetitions: int = 50_000) -> CostModel:
 
 def cost_model_for(family: str, security_level: int) -> CostModel:
     """The paper's Fig. 3(a) tiers: family in {"DL", "ECC"}."""
-    if security_level not in _TIERS:
+    if security_level not in TIERS:
         raise ValueError(f"unsupported security level {security_level}")
-    dl_bits, curve = _TIERS[security_level]
+    tier = TIERS[security_level]
     family = family.upper()
     if family == "DL":
-        return calibrate_dl(dl_bits)
+        return calibrate_dl(tier.dl_bits)
     if family == "ECC":
-        return calibrate_ecc(curve)
+        return calibrate_ecc(tier.curve)
     raise ValueError("family must be 'DL' or 'ECC'")

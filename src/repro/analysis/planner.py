@@ -21,9 +21,8 @@ from repro.analysis.costmodel import calibrate_dl, calibrate_ecc
 from repro.analysis.counting import CountingGroup
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
+from repro.groups.params import TIERS
 from repro.math.rng import SeededRNG
-
-_TIERS = {80: (1024, "secp160r1"), 112: (2048, "secp224r1"), 128: (3072, "secp256r1")}
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,17 @@ def estimate_deployment(
     (EXPERIMENTS.md, FIG-3a).
     """
     family = family.upper()
-    if level not in _TIERS:
-        raise ValueError(f"level must be one of {sorted(_TIERS)}")
+    if level not in TIERS:
+        raise ValueError(f"level must be one of {sorted(TIERS)}")
     if family not in ("DL", "ECC"):
         raise ValueError("family must be 'DL' or 'ECC'")
-    dl_bits, curve = _TIERS[level]
+    tier = TIERS[level]
     if family == "DL":
-        group = CountingGroup.like_dl(dl_bits)
-        cost_model = calibrate_dl(dl_bits)
+        group = CountingGroup.like_dl(tier.dl_bits)
+        cost_model = calibrate_dl(tier.dl_bits)
     else:
-        curve_bits = {80: 160, 112: 224, 128: 256}[level]
-        group = CountingGroup.like_ecc(curve_bits)
-        cost_model = calibrate_ecc(curve)
+        group = CountingGroup.like_ecc(tier.curve_bits)
+        cost_model = calibrate_ecc(tier.curve)
 
     num_equal = m // 2 if num_equal is None else num_equal
     schema = AttributeSchema(

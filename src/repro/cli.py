@@ -56,10 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--listen", default=None, metavar="HOST:PORT",
                       help="with --transport tcp: coordinator bind address "
                            "(default 127.0.0.1 with an ephemeral port)")
-    demo.add_argument("--streaming", action="store_true",
-                      help="pipeline the shuffle chain in chunks")
-    demo.add_argument("--chunk-sets", type=int, default=1, metavar="C",
-                      help="ciphertext sets per streamed chunk (with --streaming)")
+    demo.add_argument("--chunk-sets", type=int, default=0, metavar="C",
+                      help="pipeline the shuffle chain in chunks of C "
+                           "ciphertext sets (0 = send the whole vector)")
     _add_wire_flags(demo)
     _add_backend_flag(demo)
     _add_checkpoint_flags(demo)
@@ -211,7 +210,6 @@ def cmd_demo(args, out) -> int:
         zkp_mode=args.zkp,
         batch_verify=args.batch_verify,
         bit_proofs=args.bit_proofs,
-        streaming=args.streaming,
         stream_chunk_sets=args.chunk_sets,
         coalesce=args.coalesce,
         backend=args.backend,
@@ -230,7 +228,7 @@ def cmd_demo(args, out) -> int:
         return 130
     flags = [name for name, on in (
         ("batch-verify", args.batch_verify), ("bit-proofs", args.bit_proofs),
-        ("streaming", args.streaming),
+        (f"chunk-sets={args.chunk_sets}", args.chunk_sets),
     ) if on]
     from repro.math import backend as arith_backend
 

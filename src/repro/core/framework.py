@@ -32,6 +32,7 @@ not re-fire on the rerun.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -53,10 +54,10 @@ from repro.math import backend
 from repro.math.rng import RNG, SeededRNG
 from repro.runtime.channels import WireStats, WireTransport
 from repro.runtime.engine import Engine
-from repro.runtime.errors import PartyTimeout, ProtocolAbort, ProtocolError
+from repro.runtime.errors import PartyTimeout, ProtocolAbort
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.metrics import PartyMetrics
-from repro.runtime.supervisor import Supervisor
+from repro.runtime.supervisor import Supervisor, exclude_blamed
 from repro.runtime.transcript import Transcript
 
 __all__ = ["FrameworkConfig", "FrameworkResult", "GroupRankingFramework"]
@@ -176,16 +177,6 @@ class GroupRankingFramework:
         with backend.use_backend(config.backend):
             return self._run_with_recovery(faults, resume, known_betas)
 
-    def _make_checkpoints(self):
-        """A checkpoint manager when the config asks for one."""
-        if self.config.checkpoint_dir is None:
-            return None
-        from repro.runtime.checkpoint import CheckpointManager
-
-        return CheckpointManager(
-            self.config.checkpoint_dir, sync_every=self.config.checkpoint_every
-        )
-
     def _run_with_recovery(
         self,
         faults: Union[FaultInjector, Sequence[FaultSpec], None],
@@ -198,7 +189,7 @@ class GroupRankingFramework:
         excluded: List[int] = []
         known_betas: Dict[int, int] = dict(seed_betas) if seed_betas else {}
         attempt = 0
-        manager = self._make_checkpoints()
+        manager = make_checkpoints(config)
         # Exposed for tests/operators: rejoin bookkeeping lives here.
         self.last_checkpoints = manager
         if resume and not known_betas:
@@ -212,20 +203,7 @@ class GroupRankingFramework:
                         active, known_betas, attempt, injector, manager
                     )
                 except (PartyTimeout, ProtocolAbort) as failure:
-                    blamed = failure.blamed
-                    if not (
-                        config.recovery
-                        and blamed is not None
-                        and blamed != INITIATOR_ID
-                        and blamed in active
-                    ):
-                        raise
-                    if len(active) - 1 < 2:
-                        raise ProtocolError(
-                            f"cannot recover: excluding P{blamed} leaves fewer "
-                            "than 2 participants"
-                        ) from failure
-                    active = [j for j in active if j != blamed]
+                    blamed, active = exclude_blamed(failure, active, config.recovery)
                     excluded.append(blamed)
                     known_betas = self._harvest_betas(active)
                     attempt += 1
@@ -283,13 +261,6 @@ class GroupRankingFramework:
             from repro.runtime.parallel import WorkerPool
 
             worker_pool = WorkerPool(config.workers)
-        supervisor = Supervisor(
-            timeout_rounds=config.timeout_rounds,
-            max_retries=config.max_retries,
-            phase_of=phase_of_tag,
-            adaptive=config.adaptive_timeouts,
-        )
-        transport = WireTransport(config.group, coalesce=config.coalesce)
         rng = self._rng
         prefix = "" if attempt == 0 else f"A{attempt}|"
         resume = bool(known_betas) and all(j in known_betas for j in active)
@@ -326,14 +297,7 @@ class GroupRankingFramework:
 
         if manager is not None:
             manager.start_attempt(attempt, build_party)
-        engine = Engine(
-            metered_groups=[config.group],
-            worker_pool=worker_pool,
-            faults=injector,
-            supervisor=supervisor,
-            wire=transport,
-            checkpoints=manager,
-        )
+        engine = make_engine(config, injector, manager, worker_pool)
         engine.add_party(build_party(INITIATOR_ID))
         participants: List[ParticipantParty] = []
         for j in active:
@@ -348,8 +312,8 @@ class GroupRankingFramework:
         # parties' internals) and for β harvesting after a failed attempt.
         self.last_parties = engine.parties
         # Kept so tests/operators can read retransmit/timeout counters
-        # and the adaptive-deadline state after the run.
-        self.last_supervisor = supervisor
+        # after the run.
+        self.last_supervisor = engine.supervisor
         try:
             outputs = engine.run()
         finally:
@@ -362,14 +326,14 @@ class GroupRankingFramework:
         ranks = {party.party_id: party.rank for party in participants}
         betas = {party.party_id: party.beta_unsigned for party in participants}
         return FrameworkResult(
-            rejoins=supervisor.rejoins,
+            rejoins=engine.supervisor.rejoins,
             ranks=ranks,
             initiator_output=outputs[0],
             transcript=engine.transcript,
             metrics={pid: party.metrics for pid, party in engine.parties.items()},
             rounds=engine.transcript.rounds,
             betas=betas,
-            wire_stats=transport.stats(),
+            wire_stats=engine.wire.stats(),
         )
 
     # -- reference computations for verification --------------------------------
@@ -490,6 +454,37 @@ class GroupRankingFramework:
                 f"initiator flagged anomalies: {result.initiator_output.anomalies}"
             )
         return problems
+
+
+def make_checkpoints(config: FrameworkConfig, leaf: Optional[str] = None):
+    """A checkpoint manager when the config asks for one, over
+    ``config.checkpoint_dir`` or its ``leaf`` subdirectory."""
+    if config.checkpoint_dir is None:
+        return None
+    from repro.runtime.checkpoint import CheckpointManager
+
+    directory = config.checkpoint_dir
+    if leaf is not None:
+        directory = os.path.join(directory, leaf)
+    return CheckpointManager(directory, sync_every=config.checkpoint_every)
+
+
+def make_engine(config: FrameworkConfig, injector=None, manager=None,
+                worker_pool=None) -> Engine:
+    """An engine as every framework stage runs one: metering the config's
+    group, under its deadline supervisor, on a measured wire."""
+    return Engine(
+        metered_groups=[config.group],
+        worker_pool=worker_pool,
+        faults=injector,
+        supervisor=Supervisor(
+            timeout_rounds=config.timeout_rounds,
+            max_retries=config.max_retries,
+            phase_of=phase_of_tag,
+        ),
+        wire=WireTransport(config.group, coalesce=config.coalesce),
+        checkpoints=manager,
+    )
 
 
 def _fork(rng: RNG, label: str) -> RNG:

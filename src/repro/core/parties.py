@@ -110,10 +110,14 @@ class FrameworkConfig:
     """Everything public: the group, the questionnaire, and parameters.
 
     ``rerandomize``/``permute``/``naive_suffix`` are ablation switches
-    (defaults reproduce the paper's protocol).
+    (defaults reproduce the paper's protocol).  ``beta_bits`` (the
+    masked-gain width l) and ``dp_field_prime`` (the dot product's
+    field) are derived from the schema, ``rho_bits`` and ``beta_mode``;
+    they can be read but not passed in.
 
     Performance switches (all default-off; they change operation cost,
-    never protocol values).  The default path already has the
+    never a rank; ``tests/test_config_space.py`` classes what each
+    field may change).  The default path already has the
     short-scalar and fixed-base speed: ``DLGroup.exp`` computes each
     exponentiation by the cheapest exact kernel below its meter, so the
     first two switches mainly change the *accounting*:
@@ -123,7 +127,9 @@ class FrameworkConfig:
       they perform instead of as exponentiations.
     * ``precompute`` — per-party offline randomness pool size; each
       party pre-generates this many ``(g^r, y^r)`` pairs under the joint
-      key before the online comparison phase.
+      key before the online comparison phase.  A pool larger than the
+      comparison phase uses draws ahead, so the chain's randomness (and
+      its ciphertexts, not its ranks) differ from the default run.
     * ``workers`` — process-pool width for the comparison and shuffle
       fan-out.  ``1`` (default) runs fully serial; any value produces
       the same ranks and a byte-identical transcript for the same seed.
@@ -151,12 +157,14 @@ class FrameworkConfig:
       sub-runs: when off, phase 3 still runs its decline round (so the
       round structure is unchanged) but nobody submits values and the
       initiator's minimum-submission anomaly check is waived.
-    * ``streaming`` — pipeline the step-8 chain: the head emits the
-      vector in chunks of ``stream_chunk_sets`` comparison sets, pausing
-      a round between chunks, so hop ``i+1`` decrypt–rerandomizes chunk
-      ``c`` while hop ``i`` is still emitting chunk ``c+1``.  Randomness
-      is drawn in the exact serial set order, so every produced element
-      (and every rank) matches the unstreamed run.
+    * ``stream_chunk_sets`` — ``0`` (default) sends the step-8 vector
+      whole.  ``c ≥ 1`` pipelines the chain: the head emits the vector
+      in chunks of ``c`` comparison sets, pausing a round between
+      chunks, so hop ``i+1`` decrypt–rerandomizes chunk ``j`` while hop
+      ``i`` is still emitting chunk ``j+1``.  Randomness is drawn in
+      the exact serial set order, so every produced element (and every
+      rank) matches the whole-vector run; a ``c`` of at least the
+      active set's size is one chunk and sends the same bytes as ``0``.
 
     Soundness switches:
 
@@ -190,11 +198,12 @@ class FrameworkConfig:
     * ``checkpoint_every`` — additionally fsync the journal every this
       many engine rounds (``0`` = phase boundaries only).
     * ``timeout_rounds``/``max_retries`` — the supervisor's per-receive
-      deadline (in engine rounds) and retransmit budget per lost
+      deadline (in engine rounds; over tcp the transport's own
+      wall-clock deadline applies) and retransmit budget per lost
       message.
-    * ``validate_elements`` — group-membership-check every ciphertext
-      received in the comparison and chain phases (cheap, unmetered;
-      disable only for benchmarking the paper's original cost model).
+
+    Every received ciphertext of the comparison and chain phases is
+    group-membership-checked (unmetered), whatever the config.
     """
 
     group: Group
@@ -202,9 +211,6 @@ class FrameworkConfig:
     num_participants: int
     k: int
     rho_bits: int = 15                     # paper's h
-    beta_bits: int = 0                     # l; 0 means "derive from schema"
-    dp_field_prime: int = 0                # 0 means "derive from beta_bits"
-    dp_expansion: int = 2
     beta_mode: str = "safe"
     rerandomize: bool = True
     permute: bool = True
@@ -216,13 +222,10 @@ class FrameworkConfig:
     workers: int = 1
     batch_verify: bool = False
     bit_proofs: bool = False
-    streaming: bool = False
-    stream_chunk_sets: int = 1
-    adaptive_timeouts: bool = False
+    stream_chunk_sets: int = 0      # 0 = the whole chain vector at once
     recovery: bool = False
     timeout_rounds: int = 6
     max_retries: int = 2
-    validate_elements: bool = True
     wire: str = "measured"          # the only accounting (kept for callers)
     coalesce: bool = True           # batch per (sender, receiver, round)
     backend: str = "auto"           # arithmetic backend: "auto"/"gmp"/"gmpy2"/"python"
@@ -235,6 +238,8 @@ class FrameworkConfig:
     #: loopback sockets (:mod:`repro.runtime.transport`) — same values,
     #: op counts and per-channel wire bytes, real wall-clock overlap.
     transport: str = "inproc"
+    beta_bits: int = field(init=False)       # l, from the schema
+    dp_field_prime: int = field(init=False)  # the dot product's field
 
     def __post_init__(self):
         if self.zkp_mode not in ("interactive", "fiat-shamir"):
@@ -254,8 +259,8 @@ class FrameworkConfig:
             raise ValueError("workers must be at least 1")
         if self.precompute < 0:
             raise ValueError("precompute must be non-negative")
-        if self.stream_chunk_sets < 1:
-            raise ValueError("stream_chunk_sets must be at least 1")
+        if self.stream_chunk_sets < 0:
+            raise ValueError("stream_chunk_sets must be non-negative")
         if self.timeout_rounds < 1:
             raise ValueError("timeout_rounds must be at least 1")
         if self.max_retries < 0:
@@ -291,25 +296,36 @@ class FrameworkConfig:
             raise ValueError("k must be in [1, n]")
         if self.rho_bits < 1:
             raise ValueError("rho_bits must be positive")
-        if self.beta_bits == 0:
-            self.beta_bits = beta_bit_length(
-                self.schema.dimension,
-                self.schema.value_bits,
-                self.schema.weight_bits,
-                self.rho_bits,
-                mode=self.beta_mode,
+        if 0 < self.shard_size < self.num_participants:
+            from repro.sharding.partition import shard_sizes
+
+            champions = sum(
+                min(self.k, size)
+                for size in shard_sizes(self.num_participants, self.shard_size)
             )
-        if self.dp_field_prime == 0:
-            # The dot product w'·v' equals the signed β, |β| < 2^(l-1);
-            # +8 guard bits keep centered decoding unambiguous.
-            self.dp_field_prime = next_prime(1 << (self.beta_bits + 8))
+            if champions == 2:
+                raise ValueError(
+                    "this shard plan ranks exactly 2 shard champions; the "
+                    "champion round's honest-majority secret sharing needs "
+                    "1 or at least 3, so choose another shard_size or k"
+                )
+        self.beta_bits = beta_bit_length(
+            self.schema.dimension,
+            self.schema.value_bits,
+            self.schema.weight_bits,
+            self.rho_bits,
+            mode=self.beta_mode,
+        )
+        # The dot product w'·v' equals the signed β, |β| < 2^(l-1);
+        # +8 guard bits keep centered decoding unambiguous.
+        self.dp_field_prime = next_prime(1 << (self.beta_bits + 8))
 
     @property
     def participant_ids(self) -> List[int]:
         return list(range(1, self.num_participants + 1))
 
     def dot_protocol(self) -> DotProductProtocol:
-        return DotProductProtocol(self.dp_field_prime, expansion=self.dp_expansion)
+        return DotProductProtocol(self.dp_field_prime)
 
     def ciphertext_bits(self) -> int:
         return 2 * self.group.element_bits
@@ -842,10 +858,7 @@ class ParticipantParty(Party):
     def _validate_set(self, cipher_set, blamed: int) -> None:
         """Size + group-membership check on one comparison set."""
         flaw = chain_set_flaw(
-            self.config.group,
-            cipher_set,
-            self._expected_set_size(),
-            check_membership=self.config.validate_elements,
+            self.config.group, cipher_set, self._expected_set_size()
         )
         if flaw is not None:
             raise ProtocolAbort(
@@ -853,14 +866,44 @@ class ParticipantParty(Party):
                 blamed=blamed, phase=PHASE_CHAIN,
             )
 
-    def _validate_vector(self, sets, blamed: int) -> None:
-        if not isinstance(sets, (list, tuple)) or len(sets) != len(self.active_ids):
+    def _chain_chunks(self) -> List[Tuple[int, int]]:
+        """Consecutive ``[start, stop)`` bounds covering the chain vector,
+        each at most ``stream_chunk_sets`` comparison sets wide (the
+        whole vector when it is 0).  Every party derives the same layout
+        from public parameters."""
+        total = len(self.active_ids)
+        size = self.config.stream_chunk_sets or total
+        return [
+            (start, min(start + size, total))
+            for start in range(0, total, size)
+        ]
+
+    def _validated_chunk(self, payload, index: int, chunked: bool,
+                         expected_sets: int, blamed: int) -> List[List[Ciphertext]]:
+        """Structure + per-set validation of one received chain chunk.
+
+        A chunked chain tags each chunk with its index: delivery is FIFO
+        by arrival, not by send, so a delayed chunk can overtake."""
+        if chunked:
+            if not (isinstance(payload, tuple) and len(payload) == 2):
+                raise ProtocolAbort(
+                    "chain vector tampered: malformed stream chunk",
+                    blamed=blamed, phase=PHASE_CHAIN,
+                )
+            received_index, payload = payload
+            if received_index != index:
+                raise ProtocolAbort(
+                    "chain vector tampered: stream chunk out of sequence",
+                    blamed=blamed, phase=PHASE_CHAIN,
+                )
+        if not isinstance(payload, (list, tuple)) or len(payload) != expected_sets:
             raise ProtocolAbort(
                 "chain vector tampered: wrong number of comparison sets",
                 blamed=blamed, phase=PHASE_CHAIN,
             )
-        for cipher_set in sets:
+        for cipher_set in payload:
             self._validate_set(cipher_set, blamed)
+        return [list(cipher_set) for cipher_set in payload]
 
     def _run_shuffle_chain(self, my_set: List[Ciphertext], secret: int):
         """Step 8 plus the first half of step 9 (count own zeros).
@@ -869,6 +912,15 @@ class ParticipantParty(Party):
         participant gathers the ℰ sets, the last distributes the final
         vector — so the same code runs a full group or a survivor
         subset.
+
+        The vector travels in the chunks of :meth:`_chain_chunks`.  One
+        chunk goes as the bare vector.  Several go as ``(index, sets)``
+        with the head pausing one engine round between emissions (see
+        :class:`~repro.runtime.channels.NextRound`), so its successor is
+        already peeling chunk ``c`` while the head emits ``c+1``.
+        Set-level randomness is drawn in the exact order the whole-vector
+        walk uses, so every ciphertext, every final set, and every rank
+        is the same however the vector is cut.
         """
         config = self.config
         active = self.active_ids
@@ -881,12 +933,19 @@ class ParticipantParty(Party):
         head, tail = active[0], active[-1]
         if len(my_set) != self._expected_set_size():
             raise ProtocolError("own comparison set has the wrong size")
+        bounds = self._chain_chunks()
+        chunked = len(bounds) > 1
 
-        if config.streaming:
-            zeros = yield from self._stream_shuffle_chain(
-                my_set, secret, processor, executor
+        def process(sets, start: int, stop: int):
+            own_local = position - start if start <= position < stop else -1
+            return processor.process_vector(
+                sets, own_index=own_local, secret=secret, rng=self.rng,
+                executor=executor,
             )
-            return zeros
+
+        def forward(index: int, processed) -> None:
+            payload = (index, processed) if chunked else processed
+            self.send(active[position + 1], TAG_CHAIN, payload)
 
         if position == 0:
             # The chain head gathers every ℰ_j, builds V, processes, forwards.
@@ -895,134 +954,34 @@ class ParticipantParty(Party):
             for j in sorted(received):
                 self._validate_set(received[j], blamed=j)
                 vector.append(list(received[j]))
-            vector = processor.process_vector(
-                vector, own_index=0, secret=secret, rng=self.rng, executor=executor
-            )
-            self.send(active[1], TAG_CHAIN, vector)
-            final_msg = yield from self.recv(tail, TAG_FINAL_SET)
-            final_set = final_msg.payload
-        else:
-            self.send(head, TAG_TAU_SETS, self._outgoing_tau_set(my_set))
-            predecessor = active[position - 1]
-            chain_msg = yield from self.recv(predecessor, TAG_CHAIN)
-            self._validate_vector(chain_msg.payload, blamed=predecessor)
-            vector = processor.process_vector(
-                chain_msg.payload, own_index=position, secret=secret, rng=self.rng,
-                executor=executor,
-            )
-            if position < len(active) - 1:
-                self.send(active[position + 1], TAG_CHAIN, vector)
-                final_msg = yield from self.recv(tail, TAG_FINAL_SET)
-                final_set = final_msg.payload
-            else:
-                # The chain tail distributes the processed sets to their owners.
-                for j in others:
-                    self.send(j, TAG_FINAL_SET, vector[active.index(j)])
-                final_set = vector[position]
-
-        if self.party_id != tail:
-            self._validate_set(final_set, blamed=tail)
-        zeros, residues = processor.decrypt_residues(final_set, secret)
-        self.final_residues = residues
-        return zeros
-
-    # -- Step 8, streaming variant ------------------------------------------------
-    def _stream_chunks(self, total_sets: int) -> List[Tuple[int, int]]:
-        """Consecutive ``[start, stop)`` bounds covering the vector, each
-        at most ``stream_chunk_sets`` comparison sets wide.  Every party
-        derives the same layout from public parameters."""
-        size = self.config.stream_chunk_sets
-        return [
-            (start, min(start + size, total_sets))
-            for start in range(0, total_sets, size)
-        ]
-
-    def _validated_chunk(self, payload, expected_index: int, expected_sets: int,
-                         blamed: int) -> List[List[Ciphertext]]:
-        """Structure + per-set validation of one streamed chain chunk."""
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            raise ProtocolAbort(
-                "chain vector tampered: malformed stream chunk",
-                blamed=blamed, phase=PHASE_CHAIN,
-            )
-        index, sets = payload
-        if (
-            index != expected_index
-            or not isinstance(sets, (list, tuple))
-            or len(sets) != expected_sets
-        ):
-            raise ProtocolAbort(
-                "chain vector tampered: stream chunk out of sequence",
-                blamed=blamed, phase=PHASE_CHAIN,
-            )
-        for cipher_set in sets:
-            self._validate_set(cipher_set, blamed)
-        return [list(cipher_set) for cipher_set in sets]
-
-    def _stream_shuffle_chain(self, my_set: List[Ciphertext], secret: int,
-                              processor: ShuffleProcessor, executor):
-        """Step 8 as a pipeline: the vector travels in chunks.
-
-        The head pauses one engine round between chunk emissions (see
-        :class:`~repro.runtime.channels.NextRound`), so its successor is
-        already peeling chunk ``c`` while the head emits ``c+1`` — the
-        chain's wall-clock becomes ``rounds(n + chunks)`` of *chunk-sized*
-        work instead of ``rounds(n)`` of whole-vector work.  Set-level
-        randomness is drawn in the exact order the serial walk uses, so
-        every ciphertext, every final set, and every rank is identical
-        to the unstreamed run.
-        """
-        active = self.active_ids
-        position = self._position
-        others = self._others
-        head, tail = active[0], active[-1]
-        bounds = self._stream_chunks(len(active))
-
-        if position == 0:
-            received = yield from self.recv_from_all(others, TAG_TAU_SETS)
-            vector: List[List[Ciphertext]] = [my_set]
-            for j in sorted(received):
-                self._validate_set(received[j], blamed=j)
-                vector.append(list(received[j]))
-            successor = active[1]
-            for c, (start, stop) in enumerate(bounds):
-                own_local = position - start if start <= position < stop else -1
-                processed = processor.process_vector(
-                    vector[start:stop], own_index=own_local, secret=secret,
-                    rng=self.rng, executor=executor,
-                )
-                self.send(successor, TAG_CHAIN, (c, processed))
-                if c + 1 < len(bounds):
+            for index, (start, stop) in enumerate(bounds):
+                forward(index, process(vector[start:stop], start, stop))
+                if index + 1 < len(bounds):
                     yield from self.pause()
-            final_msg = yield from self.recv(tail, TAG_FINAL_SET)
-            final_set = final_msg.payload
         else:
             self.send(head, TAG_TAU_SETS, self._outgoing_tau_set(my_set))
             predecessor = active[position - 1]
             collected: List[List[Ciphertext]] = []
-            for c, (start, stop) in enumerate(bounds):
+            for index, (start, stop) in enumerate(bounds):
                 chain_msg = yield from self.recv(predecessor, TAG_CHAIN)
                 chunk = self._validated_chunk(
-                    chain_msg.payload, c, stop - start, blamed=predecessor
+                    chain_msg.payload, index, chunked, stop - start,
+                    blamed=predecessor,
                 )
-                own_local = position - start if start <= position < stop else -1
-                processed = processor.process_vector(
-                    chunk, own_index=own_local, secret=secret, rng=self.rng,
-                    executor=executor,
-                )
-                if position < len(active) - 1:
-                    self.send(active[position + 1], TAG_CHAIN, (c, processed))
+                processed = process(chunk, start, stop)
+                if self.party_id != tail:
+                    forward(index, processed)
                 else:
                     collected.extend(processed)
-            if position == len(active) - 1:
-                for j in others:
-                    self.send(j, TAG_FINAL_SET, collected[active.index(j)])
-                final_set = collected[position]
-            else:
-                final_msg = yield from self.recv(tail, TAG_FINAL_SET)
-                final_set = final_msg.payload
 
-        if self.party_id != tail:
+        if self.party_id == tail:
+            # The chain tail distributes the processed sets to their owners.
+            for j in others:
+                self.send(j, TAG_FINAL_SET, collected[active.index(j)])
+            final_set = collected[position]
+        else:
+            final_msg = yield from self.recv(tail, TAG_FINAL_SET)
+            final_set = final_msg.payload
             self._validate_set(final_set, blamed=tail)
         zeros, residues = processor.decrypt_residues(final_set, secret)
         self.final_residues = residues

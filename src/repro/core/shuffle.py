@@ -185,25 +185,19 @@ class ShuffleProcessor:
 
 
 def chain_set_flaw(
-    group: Group,
-    cipher_set: object,
-    expected_size: int,
-    *,
-    check_membership: bool = True,
+    group: Group, cipher_set: object, expected_size: int
 ) -> Optional[str]:
     """Why ``cipher_set`` cannot be a step-8 comparison set, or ``None``.
 
     The mechanism-level half of chain validation: geometry (a sequence of
-    exactly ``expected_size`` ciphertexts) and, unless disabled,
-    group membership of every component.  Membership uses the unmetered
-    ``is_element`` predicate so validating does not disturb the paper's
-    operation accounting.  The protocol layer (``repro.core.parties``)
-    turns a non-``None`` answer into a blamed ``ProtocolAbort``.
+    exactly ``expected_size`` ciphertexts) and group membership of every
+    component.  Membership uses the unmetered ``is_element`` predicate
+    so validating does not disturb the paper's operation accounting.
+    The protocol layer (``repro.core.parties``) turns a non-``None``
+    answer into a blamed ``ProtocolAbort``.
     """
     if not isinstance(cipher_set, (list, tuple)) or len(cipher_set) != expected_size:
         return "a comparison set has the wrong size"
-    if not check_membership:
-        return None
     for ciphertext in cipher_set:
         if not (
             isinstance(ciphertext, Ciphertext)

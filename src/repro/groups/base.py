@@ -284,8 +284,8 @@ class Group:
 
         Groups are immutable, so a membership verdict never changes —
         the memo needs no invalidation.  Protocol runs re-validate the
-        same elements constantly (``validate_elements`` checks every
-        received ciphertext component, and hot elements like ``g``,
+        same elements constantly (the chain checks every received
+        ciphertext component, and hot elements like ``g``,
         ``y`` and pooled pairs recur across rounds), so the residue /
         scalar-multiplication test is paid once per distinct element.
         Hits and misses are tallied on the attached

@@ -7,19 +7,33 @@ equivalences (FIPS 140-2 IG): 80-bit ⇔ DL-1024 / ECC-160,
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.groups.base import Group, OperationCounter
-from repro.groups.curves import CURVE_FOR_SECURITY, get_curve
+from repro.groups.curves import get_curve
 from repro.groups.dl import DLGroup
 from repro.math.rng import RNG, SeededRNG
 
-#: symmetric security level -> (DL modulus bits, curve name)
-SECURITY_LEVELS = {
-    80: (1024, "secp160r1"),
-    112: (2048, "secp224r1"),
-    128: (3072, "secp256r1"),
+
+class Tier(NamedTuple):
+    """One Fig. 3(a) security tier."""
+
+    dl_bits: int      # DL modulus bits
+    curve: str        # the standard curve
+    curve_bits: int   # the curve width counting runs mimic (CountingGroup)
+
+
+#: The paper's Fig. 3(a) tiers: symmetric security level -> :class:`Tier`.
+#: The one copy; the cost model, the planner and the figure benches
+#: read it from here.
+TIERS = {
+    80: Tier(1024, "secp160r1", 160),
+    112: Tier(2048, "secp224r1", 224),
+    128: Tier(3072, "secp256r1", 256),
 }
+
+#: symmetric security level -> (DL modulus bits, curve name)
+SECURITY_LEVELS = {level: (tier.dl_bits, tier.curve) for level, tier in TIERS.items()}
 
 
 def make_dl_group(bits: int, counter: Optional[OperationCounter] = None) -> DLGroup:
@@ -41,14 +55,14 @@ def group_for_security_level(
 
     ``family`` is ``"DL"`` or ``"ECC"``; ``level`` one of 80, 112, 128.
     """
-    if level not in SECURITY_LEVELS:
-        raise ValueError(f"unsupported level {level}; supported: {sorted(SECURITY_LEVELS)}")
-    dl_bits, curve_name = SECURITY_LEVELS[level]
+    if level not in TIERS:
+        raise ValueError(f"unsupported level {level}; supported: {sorted(TIERS)}")
+    tier = TIERS[level]
     family = family.upper()
     if family == "DL":
-        return make_dl_group(dl_bits, counter=counter)
+        return make_dl_group(tier.dl_bits, counter=counter)
     if family == "ECC":
-        return make_ecc_group(CURVE_FOR_SECURITY[level] if level in CURVE_FOR_SECURITY else curve_name, counter=counter)
+        return make_ecc_group(tier.curve, counter=counter)
     raise ValueError("family must be 'DL' or 'ECC'")
 
 

@@ -168,8 +168,8 @@ RULES: Dict[str, Rule] = {
             title="event-loop blocking or dropped coroutine/task",
             rationale=(
                 "A blocking call (sleep, sync IO, modexp-heavy crypto)"
-                " inside async def stalls PINGs and deadlines for every"
-                " party on the loop; an unawaited coroutine or dropped"
+                " inside async def stalls frame routing and deadlines for"
+                " every party on the loop; an unawaited coroutine or dropped"
                 " Task silently never runs or eats its own exception."
             ),
         ),

@@ -127,8 +127,6 @@ FRAME_SPEC: Dict[str, FrameKind] = {
         FrameKind("SHUTDOWN", 14, "c2p"),
         FrameKind("HARVEST", 15, "c2p"),
         FrameKind("BETA", 16, "p2c"),
-        FrameKind("PING", 17, "c2p"),
-        FrameKind("PONG", 18, "p2c"),
         FrameKind("BYE", 19, "p2c"),
     ]
 }

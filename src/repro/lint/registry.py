@@ -218,7 +218,7 @@ ASYNC_SCOPE_PREFIXES = (TRANSPORT_MODULE_PREFIX, POOL_MODULE)
 
 #: Call names that block the calling thread directly (sleep, sync
 #: socket/file IO).  Inside ``async def`` they stall the event loop —
-#: liveness PINGs stop being answered and deadlines fire spuriously.
+#: frames stop being routed and deadlines fire spuriously.
 BLOCKING_CALLS: FrozenSet[str] = frozenset(
     {
         "sleep",  # only with a time.* receiver; asyncio.sleep is fine

@@ -351,10 +351,6 @@ class Engine:
         message = self._mailboxes[party_id].try_take(want)
         if message is None:
             return False
-        if self.supervisor is not None:
-            observe = getattr(self.supervisor, "observe_wait", None)
-            if observe is not None:
-                observe(self.round - self.waiting_since(party_id))
         if self.checkpoints is not None:
             # Journal at the consumption point: exactly what a rejoin
             # replay must feed the rebuilt generator, in order.

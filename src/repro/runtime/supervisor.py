@@ -20,16 +20,20 @@ either heals the run or converts the stall into a typed error:
    priority is :func:`blame`, which the socket transport's wall-clock
    supervisor calls too.
 
+Every attempt loop (the flat framework, the hierarchy's phase 1 and the
+socket transport's coordinator) turns a blamed failure into its next
+attempt through one rule, :func:`exclude_blamed`.
+
 All decisions are functions of engine state only, so runs stay
 deterministic: the same seed and fault plan produce the same outcome.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.channels import Recv
-from repro.runtime.errors import PartyTimeout
+from repro.runtime.errors import PartyTimeout, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.engine import Engine
@@ -50,9 +54,6 @@ class Supervisor:
         max_retries: int = 2,
         backoff_base: int = 1,
         phase_of: Optional[Callable[[str], str]] = None,
-        adaptive: bool = False,
-        ewma_alpha: float = 0.2,
-        deadline_factor: float = 3.0,
     ):
         if timeout_rounds < 1:
             raise ValueError("timeout_rounds must be at least 1")
@@ -60,17 +61,10 @@ class Supervisor:
             raise ValueError("max_retries must be non-negative")
         if backoff_base < 1:
             raise ValueError("backoff_base must be at least 1")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if deadline_factor < 1.0:
-            raise ValueError("deadline_factor must be at least 1")
         self.timeout_rounds = timeout_rounds
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.phase_of = phase_of or (lambda tag: tag)
-        self.adaptive = adaptive
-        self.ewma_alpha = ewma_alpha
-        self.deadline_factor = deadline_factor
         self.retransmits = 0
         self.timeouts = 0
         self.rejoins = 0
@@ -79,38 +73,6 @@ class Supervisor:
         # blame logic below needs no rejoin-awareness — it simply never
         # sees the party as dead.
         self.rejoined: Dict[int, int] = {}
-        # EWMA of how many rounds satisfied receives actually waited,
-        # fed by the engine on every delivery (see Engine._try_satisfy).
-        self.latency_ewma: Optional[float] = None
-
-    # -- latency observation ---------------------------------------------------
-    def observe_wait(self, rounds_waited: int) -> None:
-        """Fold one satisfied receive's wait into the latency estimate.
-
-        Called by the engine for every delivered message, whether or not
-        ``adaptive`` is set — the estimate is free and tests/operators
-        can always read it."""
-        value = float(max(0, rounds_waited))
-        if self.latency_ewma is None:
-            self.latency_ewma = value
-        else:
-            alpha = self.ewma_alpha
-            self.latency_ewma = alpha * value + (1.0 - alpha) * self.latency_ewma
-
-    def effective_timeout_rounds(self) -> int:
-        """The deadline currently in force.
-
-        ``adaptive`` scales the observed EWMA latency by
-        ``deadline_factor``; the configured ``timeout_rounds`` is a hard
-        floor, so adaptation can only *extend* deadlines (protecting
-        slow-but-honest parties under load), never tighten them."""
-        if not self.adaptive or self.latency_ewma is None:
-            return self.timeout_rounds
-        import math
-
-        return max(
-            self.timeout_rounds, math.ceil(self.latency_ewma * self.deadline_factor)
-        )
 
     def note_rejoin(self, party_id: int, round: int) -> None:
         """Record that a killed party was rebuilt from its checkpoint.
@@ -148,7 +110,7 @@ class Supervisor:
         longest = max(
             engine.round - engine.waiting_since(pid) for pid in blocked
         )
-        return longest >= self.effective_timeout_rounds()
+        return longest >= self.timeout_rounds
 
     def _retransmit(self, engine: "Engine", blocked: Dict[int, Recv]) -> bool:
         for pid in sorted(blocked):
@@ -201,3 +163,24 @@ def blame(awaited: Optional[int], phase: Optional[str],
             blamed = awaited if awaited in culprits else min(culprits)
             return blamed, culprits[blamed] or phase
     return awaited, phase
+
+
+def exclude_blamed(failure: ProtocolError, active: Sequence[int],
+                   recovery: bool) -> Tuple[int, List[int]]:
+    """The recovery rule of every attempt loop: the participant
+    ``failure`` blames and the active set without it.
+
+    Re-raises ``failure`` unless ``recovery`` is on and the blame names a
+    live participant (an id in ``active``, which never holds the
+    initiator); raises :class:`ProtocolError` when fewer than 2
+    participants would remain.
+    """
+    blamed = getattr(failure, "blamed", None)
+    if not recovery or blamed is None or blamed not in active:
+        raise failure
+    if len(active) - 1 < 2:
+        raise ProtocolError(
+            f"cannot recover: excluding P{blamed} leaves fewer than 2 "
+            "participants"
+        ) from failure
+    return blamed, [j for j in active if j != blamed]

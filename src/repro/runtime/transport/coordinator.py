@@ -47,6 +47,7 @@ from repro.runtime.errors import (
 )
 from repro.runtime.faults import FaultSpec
 from repro.runtime.metrics import PartyMetrics
+from repro.runtime.supervisor import exclude_blamed
 from repro.runtime.transcript import Transcript
 from repro.runtime.transport import frames
 from repro.runtime.transport.deadlines import WallClockSupervisor
@@ -127,11 +128,13 @@ class Coordinator:
         excluded: List[int] = []
         known: Dict[int, int] = dict(known_betas) if known_betas else {}
         attempt = 0
+        from repro.core.framework import make_checkpoints
+
         # The coordinator creates the checkpoint store (and its master
         # key) *before* any party process starts, so concurrent children
         # never race on key creation; the children journal through their
         # own managers over the same directory.
-        manager = self.framework._make_checkpoints()
+        manager = make_checkpoints(config)
         self.framework.last_checkpoints = manager
         if resume and not known:
             if manager is None:
@@ -152,20 +155,7 @@ class Coordinator:
                 try:
                     result = await run.execute()
                 except (PartyTimeout, ProtocolAbort) as failure:
-                    blamed = getattr(failure, "blamed", None)
-                    if not (
-                        config.recovery
-                        and blamed is not None
-                        and blamed != INITIATOR_ID
-                        and blamed in active
-                    ):
-                        raise
-                    if len(active) - 1 < 2:
-                        raise ProtocolError(
-                            f"cannot recover: excluding P{blamed} leaves "
-                            "fewer than 2 participants"
-                        ) from failure
-                    active = [j for j in active if j != blamed]
+                    blamed, active = exclude_blamed(failure, active, config.recovery)
                     excluded.append(blamed)
                     known = run.harvested_betas(active)
                     rejoins += run.supervisor.rejoins
@@ -202,10 +192,7 @@ class _Attempt:
         self.resume = bool(known_betas) and all(
             j in known_betas for j in active
         )
-        self.supervisor = WallClockSupervisor(
-            coordinator.settings.timeout_s,
-            adaptive=self.config.adaptive_timeouts,
-        )
+        self.supervisor = WallClockSupervisor(coordinator.settings.timeout_s)
         self.transcript = Transcript()
         self.transcript.meta.update({
             "transport": "tcp",
@@ -483,12 +470,7 @@ class _Attempt:
         try:
             while True:
                 ftype, body = await frames.read_frame(connection.reader)
-                if ftype != frames.PONG:
-                    # PONGs prove the *process* lives, not that the
-                    # protocol advances — feeding them here would clear
-                    # the blocked flag every tick and no deadline could
-                    # ever expire.  RTT flows in via observe_rtt instead.
-                    self.supervisor.observe_frame(pid, loop.time())
+                self.supervisor.observe_frame(pid)
                 self._dispatch(connection, ftype, body, loop.time())
                 await self._drain_all()
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
@@ -566,11 +548,6 @@ class _Attempt:
         elif ftype == frames.BETA:
             info = frames.decode_json(body)
             self.betas[pid] = info.get("beta")
-        elif ftype == frames.PONG:
-            info = frames.decode_json(body)
-            sent = info.get("t")
-            if isinstance(sent, (int, float)):
-                self.supervisor.observe_rtt(max(0.0, now - float(sent)))
         elif ftype == frames.BYE:
             info = frames.decode_json(body)
             self._on_bye(pid, info)
@@ -680,11 +657,7 @@ class _Attempt:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.settings.tick_s)
-            now = loop.time()
-            ping = frames.pack_json(frames.PING, {"t": now})
-            for connection in list(self.connections.values()):
-                connection.send(ping)
-            failure: Optional[ProtocolError] = self.supervisor.check(now)
+            failure: Optional[ProtocolError] = self.supervisor.check(loop.time())
             if failure is None:
                 failure = self._check_processes()
             if failure is not None:

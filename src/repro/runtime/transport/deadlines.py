@@ -5,12 +5,8 @@ quiescent *rounds*; on real sockets there are no rounds to count, so
 deadlines are seconds.  The discipline is the same, transplanted to the
 wall clock:
 
-* the configured timeout is a **floor** — EWMA adaptation only ever
-  extends it (a slow-but-alive cohort earns longer deadlines; nothing
-  shortens them below the operator's setting);
-* the deadline adapts to *measured* traffic: an EWMA over inter-frame
-  gaps per party plus an EWMA of ping RTT, so a deadline is never
-  tighter than the loopback (or LAN) can physically meet;
+* the deadline is the configured timeout
+  (:attr:`~repro.runtime.transport.frames.TransportSettings.timeout_s`);
 * a deadline measures time *without progress*: every routed protocol
   message restarts every wait's clock, the wall-clock counterpart of
   the engine expiring deadlines only over rounds in which nothing was
@@ -32,24 +28,12 @@ from typing import Dict, Optional, Tuple
 from repro.runtime.errors import PartyTimeout
 from repro.runtime.supervisor import blame
 
-#: EWMA smoothing factor for inter-frame gaps and RTT samples.
-ALPHA = 0.2
-#: Deadline = max(floor, GAP_FACTOR * gap EWMA + RTT_FACTOR * rtt EWMA):
-#: generous multiples, because a false timeout costs a whole recovery
-#: restart while a late one costs only seconds.
-GAP_FACTOR = 8.0
-RTT_FACTOR = 4.0
-
 
 class WallClockSupervisor:
     """Deadline bookkeeping for one distributed attempt."""
 
-    def __init__(self, floor_s: float, adaptive: bool = True):
-        self.floor_s = floor_s
-        self.adaptive = adaptive
-        self.gap_ewma: Optional[float] = None
-        self.rtt_ewma: Optional[float] = None
-        self._last_frame: Dict[int, float] = {}
+    def __init__(self, deadline_s: float):
+        self.deadline_s = deadline_s
         self._progress_at: Optional[float] = None
         # pid -> (blocked since, waited-on src, tag, phase)
         self.blocked: Dict[int, Tuple[float, Optional[int], str, str]] = {}
@@ -61,23 +45,9 @@ class WallClockSupervisor:
 
     # -- observations -------------------------------------------------------
 
-    def observe_frame(self, pid: int, now: float) -> None:
-        """Any frame from ``pid``: liveness + gap sample + unblock."""
-        last = self._last_frame.get(pid)
-        if last is not None:
-            gap = now - last
-            self.gap_ewma = (
-                gap if self.gap_ewma is None
-                else (1 - ALPHA) * self.gap_ewma + ALPHA * gap
-            )
-        self._last_frame[pid] = now
+    def observe_frame(self, pid: int) -> None:
+        """Any frame from ``pid``: it is no longer blocked."""
         self.blocked.pop(pid, None)
-
-    def observe_rtt(self, sample_s: float) -> None:
-        self.rtt_ewma = (
-            sample_s if self.rtt_ewma is None
-            else (1 - ALPHA) * self.rtt_ewma + ALPHA * sample_s
-        )
 
     def note_blocked(self, pid: int, waiting_src: Optional[int],
                      tag: str, phase: str, now: float) -> None:
@@ -111,19 +81,12 @@ class WallClockSupervisor:
 
     # -- deadline -----------------------------------------------------------
 
-    def deadline_s(self) -> float:
-        if not self.adaptive or self.gap_ewma is None:
-            return self.floor_s
-        adapted = GAP_FACTOR * self.gap_ewma + RTT_FACTOR * (self.rtt_ewma or 0.0)
-        return max(self.floor_s, adapted)
-
     def check(self, now: float) -> Optional[PartyTimeout]:
         """Expire overdue waits; ``None`` while everyone is within deadline."""
-        deadline = self.deadline_s()
         for pid, (since, waiting_src, tag, phase) in sorted(self.blocked.items()):
             if self._progress_at is not None:
                 since = max(since, self._progress_at)
-            overdue = now - since >= deadline
+            overdue = now - since >= self.deadline_s
             # Waiting on a corpse is hopeless *unless* the corpse is
             # being respawned — then the wait is exactly what a rejoin
             # needs, and only the ordinary deadline bounds it.

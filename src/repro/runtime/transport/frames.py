@@ -52,8 +52,6 @@ ABORT = 13         # coord -> parties: {blamed, phase, kind, error}
 SHUTDOWN = 14      # coord -> parties: clean end of run
 HARVEST = 15       # coord -> parties: report your beta before teardown
 BETA = 16          # party -> coord: {party, beta}
-PING = 17          # coord -> party: {t}
-PONG = 18          # party -> coord: {t}
 BYE = 19           # party -> coord: graceful signal shutdown {party, reason}
 
 _HEADER = struct.Struct(">IB")
@@ -122,11 +120,10 @@ class TransportSettings:
     """Wall-clock knobs for one distributed run (picklable, shipped in
     every party's spec so both ends agree on pacing)."""
 
-    #: Supervisor deadline floor in seconds.  Like the in-process
-    #: supervisor's ``timeout_rounds``, this is a floor: EWMA adaptation
-    #: only ever extends it.
+    #: Supervisor deadline in seconds without progress, the wall-clock
+    #: counterpart of the in-process supervisor's ``timeout_rounds``.
     timeout_s: float = 10.0
-    #: Coordinator supervision tick / ping cadence.
+    #: Coordinator supervision tick.
     tick_s: float = 0.25
     #: Wall-clock seconds one in-engine "delay round" maps to for the
     #: fault shim's ``delay`` kind.

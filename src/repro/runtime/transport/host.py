@@ -347,8 +347,6 @@ class PartyHost:
                 "party": self.pid,
                 "beta": getattr(self.party, "beta_unsigned", None),
             })
-        elif ftype == frames.PING:
-            self._send_json(frames.PONG, frames.decode_json(body))
         # Unknown types are ignored (forward compatibility).
 
     def _on_wire_message(self, header: Dict[str, Any], encoded: bytes) -> None:
@@ -520,7 +518,7 @@ class PartyHost:
 
     async def _offload(self, func: Any, *args: Any) -> Any:
         """Run a thread-blocking checkpoint call off the event loop so
-        the reader task keeps answering PINGs and taking deliveries."""
+        the reader task keeps taking deliveries and control frames."""
         return await asyncio.get_running_loop().run_in_executor(
             None, func, *args
         )
@@ -770,20 +768,10 @@ async def _serve_async(host: str, port: int, party_id: int,
     }))
     await writer.drain()
     async def expect(wanted: int) -> bytes:
-        # The coordinator's liveness PINGs interleave freely with the
-        # handshake (parties park at the all-connected barrier between
-        # WELCOME and SPEC) — answer them and keep waiting.
-        while True:
-            ftype, body = await frames.read_frame(reader)
-            if ftype == frames.PING:
-                writer.write(frames.pack_json(frames.PONG,
-                                              frames.decode_json(body)))
-                continue
-            if ftype != wanted:
-                raise TransportError(
-                    f"expected frame type {wanted}, got {ftype}"
-                )
-            return body
+        ftype, body = await frames.read_frame(reader)
+        if ftype != wanted:
+            raise TransportError(f"expected frame type {wanted}, got {ftype}")
+        return body
 
     await expect(frames.WELCOME)
     # repro-lint: ignore[R-PICKLE] -- SPEC from the coordinator; its

@@ -46,7 +46,13 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.framework import FrameworkResult, GroupRankingFramework, _fork
+from repro.core.framework import (
+    FrameworkResult,
+    GroupRankingFramework,
+    _fork,
+    make_checkpoints,
+    make_engine,
+)
 from repro.core.parties import (
     INITIATOR_ID,
     PHASE_GAIN,
@@ -58,12 +64,11 @@ from repro.core.parties import (
     FrameworkConfig,
     phase_of_tag,
 )
-from repro.runtime.channels import WireStats, WireTransport
-from repro.runtime.engine import Engine
-from repro.runtime.errors import PartyTimeout, ProtocolAbort, ProtocolError
+from repro.runtime.channels import WireStats
+from repro.runtime.errors import PartyTimeout, ProtocolAbort
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.metrics import PartyMetrics
-from repro.runtime.supervisor import Supervisor
+from repro.runtime.supervisor import exclude_blamed
 from repro.runtime.transcript import Transcript, TranscriptEntry
 from repro.sharding.aggregate import AggregationOutcome, rank_champions
 from repro.sharding.parties import (
@@ -130,7 +135,7 @@ def run_hierarchical(
     betas = dict(known_betas) if known_betas else {}
     if not (betas and all(j in betas for j in active)):
         betas = {}
-        manager = _make_manager(config, "phase1")
+        manager = make_checkpoints(config, "phase1")
         start_attempt = 0
         if resume:
             if manager is None:
@@ -311,37 +316,6 @@ class _StageOutcome:
     rejoins: int = 0
 
 
-def _make_manager(config: FrameworkConfig, leaf: str):
-    if config.checkpoint_dir is None:
-        return None
-    import os
-
-    from repro.runtime.checkpoint import CheckpointManager
-
-    return CheckpointManager(
-        os.path.join(config.checkpoint_dir, leaf),
-        sync_every=config.checkpoint_every,
-    )
-
-
-def _stage_engine(config: FrameworkConfig, injector, manager=None):
-    supervisor = Supervisor(
-        timeout_rounds=config.timeout_rounds,
-        max_retries=config.max_retries,
-        phase_of=phase_of_tag,
-        adaptive=config.adaptive_timeouts,
-    )
-    transport = WireTransport(config.group, coalesce=config.coalesce)
-    engine = Engine(
-        metered_groups=[config.group],
-        faults=injector,
-        supervisor=supervisor,
-        wire=transport,
-        checkpoints=manager,
-    )
-    return engine, supervisor, transport
-
-
 def _run_phase1(
     framework: GroupRankingFramework,
     active: List[int],
@@ -389,27 +363,14 @@ def _run_phase1(
 
         if manager is not None:
             manager.start_attempt(attempt, build_party)
-        engine, supervisor, transport = _stage_engine(config, injector, manager)
+        engine = make_engine(config, injector, manager)
         engine.add_party(build_party(INITIATOR_ID))
         for j in current_active:
             engine.add_party(build_party(j))
         try:
             outputs = engine.run()
         except (PartyTimeout, ProtocolAbort) as failure:
-            blamed = failure.blamed
-            if not (
-                config.recovery
-                and blamed is not None
-                and blamed != INITIATOR_ID
-                and blamed in active
-            ):
-                raise
-            if len(active) - 1 < 2:
-                raise ProtocolError(
-                    f"cannot recover: excluding P{blamed} leaves fewer "
-                    "than 2 participants"
-                ) from failure
-            active = [j for j in active if j != blamed]
+            blamed, active = exclude_blamed(failure, active, config.recovery)
             excluded.append(blamed)
             attempt += 1
             continue
@@ -419,8 +380,8 @@ def _run_phase1(
             metrics={
                 pid: party.metrics for pid, party in engine.parties.items()
             },
-            wire_stats=transport.stats(),
-            rejoins=supervisor.rejoins,
+            wire_stats=engine.wire.stats(),
+            rejoins=engine.supervisor.rejoins,
         )
         return outcome, betas, active, excluded, attempt + 1
 
@@ -526,7 +487,7 @@ def _run_submission(
         if specs
         else None
     )
-    engine, supervisor, transport = _stage_engine(config, injector)
+    engine = make_engine(config, injector)
     engine.add_party(
         SubmissionInitiator(
             config,
@@ -552,9 +513,9 @@ def _run_submission(
     return _StageOutcome(
         transcript=engine.transcript,
         metrics={pid: party.metrics for pid, party in engine.parties.items()},
-        wire_stats=transport.stats(),
+        wire_stats=engine.wire.stats(),
         output=outputs[INITIATOR_ID],
-        rejoins=supervisor.rejoins,
+        rejoins=engine.supervisor.rejoins,
     )
 
 

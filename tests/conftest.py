@@ -9,11 +9,28 @@ identical at real sizes, and dedicated tests cover the standardized
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
 from repro.groups.curves import build_tiny_curve
 from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
+
+# tests/test_config_space.py: every example runs the framework (some
+# over tcp or a worker pool), so tier-1 draws a fixed, bounded sequence;
+# the nightly job selects the larger profile with
+# --hypothesis-profile=config-space-nightly.
+_CONFIG_SPACE = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+settings.register_profile(
+    "config-space", max_examples=40, derandomize=True, database=None,
+    **_CONFIG_SPACE,
+)
+settings.register_profile(
+    "config-space-nightly", max_examples=400, **_CONFIG_SPACE
+)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Fixture: thread-blocking call inside ``async def`` (R-ASYNC).
 
-``time.sleep`` parks the whole event loop — liveness PINGs stop being
-answered while this coroutine "waits".
+``time.sleep`` parks the whole event loop — no other frame is routed
+while this coroutine "waits".
 """
 
 import time

@@ -1,4 +1,4 @@
-"""Batched proof verification, streaming, and adaptive deadlines.
+"""Batched proof verification and the streamed shuffle chain.
 
 Covers the PR's acceptance properties directly:
 
@@ -9,8 +9,8 @@ Covers the PR's acceptance properties directly:
 * the streamed shuffle chain pipelines (a middle hop forwards its first
   chunk while the head is still emitting later chunks) and yields the
   same ranks;
-* adaptive supervision only ever *extends* deadlines, with the
-  configured timeout as a floor.
+* the chain under sustained delays completes within the configured
+  deadline.
 """
 
 import pytest
@@ -317,11 +317,27 @@ class TestFrameworkFlagEquivalence:
         )
         _, streamed = run_framework(
             small_dl_group, small_schema, small_initiator_input,
-            streaming=True, stream_chunk_sets=chunk_sets,
+            stream_chunk_sets=chunk_sets,
         )
         assert streamed.ranks == serial.ranks
         assert streamed.betas == serial.betas
         assert framework.check_result(streamed) == []
+
+    @pytest.mark.parametrize("chunk_sets", [4, 7])
+    def test_one_chunk_is_the_whole_vector(
+        self, small_dl_group, small_schema, small_initiator_input, chunk_sets
+    ):
+        """A chunk at least as wide as the active set (n = 4) is the
+        whole vector: the default run's messages, rounds and bytes."""
+        _, whole = run_framework(
+            small_dl_group, small_schema, small_initiator_input,
+        )
+        _, one_chunk = run_framework(
+            small_dl_group, small_schema, small_initiator_input,
+            stream_chunk_sets=chunk_sets,
+        )
+        assert fingerprint(one_chunk) == fingerprint(whole)
+        assert one_chunk.wire_stats == whole.wire_stats
 
     def test_streaming_chain_pipelines(
         self, small_dl_group, small_schema, small_initiator_input
@@ -331,7 +347,7 @@ class TestFrameworkFlagEquivalence:
         still emitting later chunks."""
         _, streamed = run_framework(
             small_dl_group, small_schema, small_initiator_input,
-            streaming=True, stream_chunk_sets=1,
+            stream_chunk_sets=1,
         )
         sends_by_src = {}
         for entry in streamed.transcript:
@@ -346,75 +362,23 @@ class TestFrameworkFlagEquivalence:
     ):
         framework, result = run_framework(
             small_dl_group, small_schema, small_initiator_input,
-            batch_verify=True, bit_proofs=True, streaming=True,
-            stream_chunk_sets=2, adaptive_timeouts=True,
+            batch_verify=True, bit_proofs=True, stream_chunk_sets=2,
         )
         assert framework.check_result(result) == []
 
 
-class TestAdaptiveSupervision:
-    def test_ewma_folds_observations(self):
-        from repro.runtime.supervisor import Supervisor
-
-        supervisor = Supervisor(timeout_rounds=4, ewma_alpha=0.5)
-        supervisor.observe_wait(2)
-        assert supervisor.latency_ewma == 2.0
-        supervisor.observe_wait(4)
-        assert supervisor.latency_ewma == 3.0
-
-    def test_configured_timeout_is_a_floor(self):
-        from repro.runtime.supervisor import Supervisor
-
-        adaptive = Supervisor(
-            timeout_rounds=4, adaptive=True, deadline_factor=3.0
-        )
-        assert adaptive.effective_timeout_rounds() == 4  # no data yet
-        adaptive.observe_wait(0)
-        assert adaptive.effective_timeout_rounds() == 4  # floor holds
-        adaptive.observe_wait(10)
-        assert adaptive.effective_timeout_rounds() > 4   # only extends
-
-    def test_non_adaptive_ignores_observations(self):
-        from repro.runtime.supervisor import Supervisor
-
-        fixed = Supervisor(timeout_rounds=4)
-        fixed.observe_wait(50)
-        assert fixed.effective_timeout_rounds() == 4
-
-    def test_invalid_parameters_rejected(self):
-        from repro.runtime.supervisor import Supervisor
-
-        with pytest.raises(ValueError):
-            Supervisor(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            Supervisor(deadline_factor=0.5)
-
-    def test_framework_run_feeds_the_estimator(
+class TestFixedDeadlines:
+    def test_sustained_delay_within_the_deadline(
         self, small_dl_group, small_schema, small_initiator_input
     ):
-        framework, result = run_framework(
-            small_dl_group, small_schema, small_initiator_input,
-            adaptive_timeouts=True,
-        )
-        supervisor = framework.last_supervisor
-        assert supervisor.adaptive
-        assert supervisor.latency_ewma is not None
-        assert (
-            supervisor.effective_timeout_rounds() >= supervisor.timeout_rounds
-        )
-        assert framework.check_result(result) == []
-
-    def test_adaptive_extends_deadline_under_sustained_delay(
-        self, small_dl_group, small_schema, small_initiator_input
-    ):
-        """Inject repeated 2-round delays: the EWMA rises and the
-        effective deadline grows past the configured floor, while the
-        run still completes correctly."""
+        """Inject repeated 2-round delays under a 3-round deadline: no
+        deadline expires, nothing is retransmitted, and the run still
+        completes correctly."""
         from repro.runtime.faults import FaultSpec
 
         config = FrameworkConfig(
             group=small_dl_group, schema=small_schema, num_participants=3,
-            k=2, rho_bits=6, timeout_rounds=3, adaptive_timeouts=True,
+            k=2, rho_bits=6, timeout_rounds=3,
         )
         participants = make_participants(small_schema, 3, seed=21)
         framework = GroupRankingFramework(
@@ -428,9 +392,7 @@ class TestAdaptiveSupervision:
         ]
         result = framework.run(faults=specs)
         supervisor = framework.last_supervisor
-        assert supervisor.latency_ewma > 0
-        assert (
-            supervisor.effective_timeout_rounds()
-            >= supervisor.timeout_rounds
-        )
+        assert supervisor.timeout_rounds == 3
+        assert (supervisor.timeouts, supervisor.retransmits) == (0, 0)
+        assert result.attempts == 1
         assert framework.check_result(result) == []

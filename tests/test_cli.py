@@ -34,6 +34,30 @@ class TestDemo:
         _, second = run_cli(["demo", "-n", "4", "--seed", "9"])
         assert first == second
 
+    def test_chunk_sets(self):
+        """--chunk-sets C pipelines the chain (listed among the flags,
+        same ranks); a C that covers the whole vector is one chunk and
+        sends the same bytes as the default 0."""
+        def lines(text, prefix):
+            return [line for line in text.splitlines() if line.startswith(prefix)]
+
+        _, whole = run_cli(["demo", "-n", "4", "--seed", "5"])
+        code, chunked = run_cli(["demo", "-n", "4", "--seed", "5",
+                                 "--chunk-sets", "2"])
+        _, one_chunk = run_cli(["demo", "-n", "4", "--seed", "5",
+                                "--chunk-sets", "4"])
+        assert code == 0
+        assert "consistency: OK" in chunked
+        assert "chunk-sets" not in lines(whole, "group:")[0]
+        assert "[chunk-sets=2]" in lines(chunked, "group:")[0]
+        assert lines(chunked, "ranks:") == lines(whole, "ranks:")
+        assert lines(chunked, "wire digest:") != lines(whole, "wire digest:")
+        assert lines(one_chunk, "wire digest:") == lines(whole, "wire digest:")
+
+    def test_streaming_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            run_cli(["demo", "-n", "3", "--streaming"])
+
 
 class TestOtherCommands:
     def test_games(self):

@@ -4,10 +4,10 @@ import pytest
 
 from repro.math.rng import SeededRNG
 from repro.runtime.engine import Engine
-from repro.runtime.errors import DeadlockError, PartyTimeout
+from repro.runtime.errors import DeadlockError, PartyTimeout, ProtocolAbort, ProtocolError
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.party import Party
-from repro.runtime.supervisor import Supervisor
+from repro.runtime.supervisor import Supervisor, exclude_blamed
 
 
 class Sender(Party):
@@ -173,3 +173,35 @@ class TestQuiescencePolicy:
             Supervisor(max_retries=-1)
         with pytest.raises(ValueError):
             Supervisor(backoff_base=0)
+
+
+class TestRecoveryRule:
+    """``exclude_blamed``, the rule of every attempt loop (flat
+    framework, hierarchy phase 1, socket coordinator)."""
+
+    @pytest.mark.parametrize("recovery,blamed,active,outcome", [
+        (False, 2, [1, 2, 3], "reraise"),          # recovery off
+        (True, None, [1, 2, 3], "reraise"),        # nobody blamed
+        (True, 0, [1, 2, 3], "reraise"),           # the initiator blamed
+        (True, 4, [1, 2, 3], "reraise"),           # blamed is not active
+        (True, 2, [1, 2], "cannot recover"),       # 2 left: 1 would remain
+        (True, 2, [1, 2, 3], (2, [1, 3])),         # 3 left: recover
+    ], ids=["recovery-off", "blamed-none", "blamed-initiator",
+            "blamed-not-active", "two-left", "three-left"])
+    @pytest.mark.parametrize("kind", [PartyTimeout, ProtocolAbort])
+    def test_rule(self, kind, recovery, blamed, active, outcome):
+        failure = (
+            PartyTimeout(blamed, phase="chain") if kind is PartyTimeout
+            else ProtocolAbort("bad", blamed=blamed, phase="chain")
+        )
+        if outcome == "reraise":
+            with pytest.raises(kind) as excinfo:
+                exclude_blamed(failure, active, recovery)
+            assert excinfo.value is failure
+        elif outcome == "cannot recover":
+            with pytest.raises(ProtocolError, match="cannot recover") as excinfo:
+                exclude_blamed(failure, active, recovery)
+            assert excinfo.value.__cause__ is failure
+        else:
+            assert exclude_blamed(failure, active, recovery) == outcome
+            assert active == [1, 2, 3]   # the caller's list is not edited

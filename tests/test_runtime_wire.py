@@ -679,7 +679,7 @@ RESEND_CONFIGS = {
     "default": {},
     "bit_proofs_batch_verify": {"bit_proofs": True, "batch_verify": True},
     "fiat_shamir": {"zkp_mode": "fiat-shamir"},
-    "streaming": {"streaming": True},
+    "streaming": {"stream_chunk_sets": 1},
     "precompute_multiexp": {"precompute": 16, "multiexp": True},
 }
 

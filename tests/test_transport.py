@@ -543,7 +543,7 @@ class TestWallClockDeadline:
         """P0 waits on P1 while others' messages are routed: each routed
         message restarts the wait's clock, so it expires only ``deadline``
         seconds after the last progress, and then blames P1."""
-        supervisor = WallClockSupervisor(6.0, adaptive=False)
+        supervisor = WallClockSupervisor(6.0)
         supervisor.note_blocked(0, 1, "submit", "submission", 0.0)
         supervisor.note_progress(5.0)
         supervisor.note_progress(10.0)
@@ -556,7 +556,7 @@ class TestWallClockDeadline:
         assert timeout.waiting == {0: "submit"}
 
     def test_overdue_after_deadline_with_no_progress_at_all(self):
-        supervisor = WallClockSupervisor(6.0, adaptive=False)
+        supervisor = WallClockSupervisor(6.0)
         supervisor.note_progress(1.0)
         supervisor.note_blocked(0, 1, "submit", "submission", 2.0)
         assert supervisor.check(7.9) is None
@@ -565,7 +565,7 @@ class TestWallClockDeadline:
     def test_progress_does_not_hide_a_crashed_party(self):
         """Blame priority is unchanged: a wait on a dead, non-restarting
         party fails at once, whatever else is moving."""
-        supervisor = WallClockSupervisor(6.0, adaptive=False)
+        supervisor = WallClockSupervisor(6.0)
         supervisor.note_blocked(0, 1, "submit", "submission", 0.0)
         supervisor.note_crashed(3, "chain")
         supervisor.note_progress(0.5)

@@ -54,6 +54,15 @@ if [ -z "$TCP_DIGEST" ] || [ "$TCP_DIGEST" != "$INPROC_DIGEST" ]; then
     exit 1
 fi
 
+echo "== socket transport: checkpoint, then resume from durable state =="
+# With --listen the CLI calls run_distributed(resume=...) directly.
+TCP_CKPT_DIR="$(mktemp -d)"
+trap 'rm -rf "$CKPT_DIR" "$TCP_CKPT_DIR"' EXIT
+PYTHONPATH=src python -m repro demo -n 5 --transport tcp \
+    --listen 127.0.0.1:0 --checkpoint-dir "$TCP_CKPT_DIR"
+PYTHONPATH=src python -m repro demo -n 5 --transport tcp \
+    --listen 127.0.0.1:0 --checkpoint-dir "$TCP_CKPT_DIR" --resume
+
 echo "== paper-size group across processes: each party keeps its own memos (native powers, no fixed-base tables, under gmp) =="
 PYTHONPATH=src python -m repro demo -n 2 --group dl1024 --transport tcp --listen 127.0.0.1:0
 

@@ -21,7 +21,7 @@ hence re-randomization by multiplying in ``E(1)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.crypto.distkey import DistributedKey
 from repro.crypto.elgamal import Ciphertext, ElGamal
@@ -31,7 +31,6 @@ from repro.runtime.errors import ProtocolAbort
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.crypto.precompute import RandomnessPool
-    from repro.runtime.parallel import WorkerPool
 
 
 class DecryptionMixnet:
@@ -57,23 +56,6 @@ class DecryptionMixnet:
         """``Π y_j`` over members ordered after ``member_id``."""
         later = [m for m in self.member_ids if m > member_id]
         return self._distkey.partial_public_key(later)
-
-    def without_member(self, member_id: int) -> "DecryptionMixnet":
-        """A fresh mix-net over the surviving members (dropout recovery).
-
-        The dead member's key share is gone, so the survivors must
-        re-key and the senders re-submit under the new joint key — the
-        same restart the ranking framework performs when a chain member
-        crashes mid-shuffle.
-        """
-        survivors = {
-            m: self._distkey.public_share(m)
-            for m in self.member_ids
-            if m != member_id
-        }
-        if len(survivors) < 1:
-            raise ValueError("cannot drop the last mix member")
-        return DecryptionMixnet(self.group, survivors)
 
     def validate_batch(
         self, ciphertexts: Sequence[Ciphertext], src: int, *,
@@ -111,23 +93,19 @@ class DecryptionMixnet:
         rng: RNG,
         *,
         pool: Optional["RandomnessPool"] = None,
-        executor: Optional["WorkerPool"] = None,
         validate_from: Optional[int] = None,
     ) -> List[Ciphertext]:
         """One member's peel + re-randomize + permute.
 
         ``pool`` (keyed to this hop's *remaining* joint key) serves the
-        re-randomization pairs offline; ``executor`` fans the peel +
-        re-randomize work out across worker slices with pre-drawn
-        randomness, keeping the permutation draw on this side so the RNG
-        consumption — and hence the transcript — matches the serial hop
-        byte for byte.  ``validate_from`` (the previous hop's id) turns
-        on the validated-abort batch check before any peeling happens.
+        re-randomization pairs offline.  ``validate_from`` (the previous
+        hop's id) turns on the validated-abort batch check before any
+        peeling happens.
         """
         if validate_from is not None:
             self.validate_batch(ciphertexts, validate_from)
         processed = self.peel_and_rerandomize(
-            ciphertexts, member_id, secret, rng, pool=pool, executor=executor
+            ciphertexts, member_id, secret, rng, pool=pool
         )
         rng.shuffle(processed)
         return processed
@@ -140,7 +118,6 @@ class DecryptionMixnet:
         rng: RNG,
         *,
         pool: Optional["RandomnessPool"] = None,
-        executor: Optional["WorkerPool"] = None,
     ) -> List[Ciphertext]:
         """The exponentiation-heavy part of a hop, without the permutation.
 
@@ -151,10 +128,6 @@ class DecryptionMixnet:
         """
         remaining = self.remaining_key_after(member_id)
         is_last = member_id == self.member_ids[-1]
-        if executor is not None and executor.parallel:
-            return self._mix_hop_parallel(
-                ciphertexts, secret, remaining, is_last, rng, pool, executor
-            )
         scheme = (
             ElGamal(self.group, pool=pool) if pool is not None else self.scheme
         )
@@ -165,64 +138,6 @@ class DecryptionMixnet:
         if is_last:
             return processed
         return [scheme.rerandomize(peeled, remaining, rng) for peeled in processed]
-
-    def _mix_hop_parallel(
-        self,
-        ciphertexts: Sequence[Ciphertext],
-        secret: int,
-        remaining: Element,
-        is_last: bool,
-        rng: RNG,
-        pool: Optional["RandomnessPool"],
-        executor: "WorkerPool",
-    ) -> List[Ciphertext]:
-        from repro.runtime.parallel import MixHopJob, evaluate_mix_hop_job
-
-        # Pre-draw every re-randomizer in serial order.  A pool keyed to
-        # the remaining joint key already holds the (g^r, y^r) *elements*,
-        # so the jobs ship those and workers re-encrypt with two
-        # multiplications per ciphertext; without a pool the jobs carry
-        # the bare exponents and workers recompute the powers.  Either
-        # way the elements match the serial hop's exactly.
-        rerandomizers: Optional[List[int]] = None
-        pairs: Optional[List[Tuple[Element, Element]]] = None
-        if not is_last:
-            if pool is not None and pool.matches_key(remaining):
-                pairs = [
-                    (pair.g_r, pair.y_r)
-                    for pair in (pool.take() for _ in ciphertexts)
-                ]
-            else:
-                rerandomizers = [
-                    self.group.random_exponent(rng) for _ in ciphertexts
-                ]
-        slice_count = min(executor.workers, max(1, len(ciphertexts)))
-        bounds = [
-            (len(ciphertexts) * k // slice_count,
-             len(ciphertexts) * (k + 1) // slice_count)
-            for k in range(slice_count)
-        ]
-        jobs = [
-            MixHopJob(
-                group=self.group,
-                ciphertexts=tuple(ciphertexts[lo:hi]),
-                secret=secret,
-                remaining_key=remaining,
-                rerandomizers=(
-                    tuple(rerandomizers[lo:hi]) if rerandomizers is not None else None
-                ),
-                rerandomizer_pairs=(
-                    tuple(pairs[lo:hi]) if pairs is not None else None
-                ),
-            )
-            for lo, hi in bounds
-            if hi > lo
-        ]
-        processed: List[Ciphertext] = []
-        for chunk, counter in executor.map(evaluate_mix_hop_job, jobs):
-            processed.extend(chunk)
-            self.group.counter.merge(counter)
-        return processed
 
     def open_outputs(self, ciphertexts: Sequence[Ciphertext]) -> List[Element]:
         """After every hop ran, the c1 components are the plaintexts."""
@@ -261,15 +176,11 @@ class StreamingMixHop:
         member_id: int,
         secret: int,
         *,
-        pool: Optional["RandomnessPool"] = None,
-        executor: Optional["WorkerPool"] = None,
         validate_from: Optional[int] = None,
     ):
         self.mixnet = mixnet
         self.member_id = member_id
         self.secret = secret
-        self.pool = pool
-        self.executor = executor
         self.validate_from = validate_from
         self.absorbed = 0
         self._processed: List[Ciphertext] = []
@@ -283,8 +194,7 @@ class StreamingMixHop:
             self.mixnet.validate_batch(chunk, self.validate_from)
         self._processed.extend(
             self.mixnet.peel_and_rerandomize(
-                chunk, self.member_id, self.secret, rng,
-                pool=self.pool, executor=self.executor,
+                chunk, self.member_id, self.secret, rng
             )
         )
         self.absorbed += len(chunk)

@@ -22,9 +22,11 @@ excluded and the run deterministically restarts over the survivors:
 * otherwise (the fault hit phase 1 itself) the whole protocol restarts
   over the survivors, including a fresh ρ.
 
-Restart determinism: attempt ``a > 0`` forks every party RNG under an
-``"A{a}|"``-prefixed label, so reruns are seeded functions of (base
-seed, attempt number) and a replay with the same fault plan is
+Restart determinism: every runner (this one, the hierarchy's phase 1
+and the tcp coordinator) keeps its attempt state in one
+:class:`Attempts`, which forks each party's RNG under an
+attempt-prefixed label, so reruns are seeded functions of (base seed,
+attempt number) and a replay with the same fault plan is
 byte-identical.  The fault injector itself is shared across attempts —
 its per-spec match counters keep counting, so a ``count=1`` fault does
 not re-fire on the rerun.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.gain import (
     AttributeSchema,
@@ -175,47 +177,30 @@ class GroupRankingFramework:
                     self, faults, resume=resume, known_betas=known_betas
                 )
         with backend.use_backend(config.backend):
-            return self._run_with_recovery(faults, resume, known_betas)
+            injector = self._make_injector(faults)
+            manager = make_checkpoints(config)
+            # Exposed for tests/operators: rejoin bookkeeping lives here.
+            self.last_checkpoints = manager
+            attempts = Attempts(config, self._rng, known_betas)
+            try:
+                if resume:
+                    attempts.resume(manager)
+                return attempts.until_done(
+                    lambda: self._run_attempt(attempts, injector, manager),
+                    lambda j: self.last_parties[j].beta_unsigned,
+                )
+            finally:
+                if manager is not None:
+                    manager.close()
 
-    def _run_with_recovery(
-        self,
-        faults: Union[FaultInjector, Sequence[FaultSpec], None],
-        resume: bool = False,
-        seed_betas: Optional[Dict[int, int]] = None,
-    ) -> FrameworkResult:
-        config = self.config
-        injector = self._make_injector(faults)
-        active = list(config.participant_ids)
-        excluded: List[int] = []
-        known_betas: Dict[int, int] = dict(seed_betas) if seed_betas else {}
-        attempt = 0
-        manager = make_checkpoints(config)
-        # Exposed for tests/operators: rejoin bookkeeping lives here.
-        self.last_checkpoints = manager
-        if resume and not known_betas:
-            if manager is None:
-                raise ValueError("resume=True requires config.checkpoint_dir")
-            known_betas, attempt = manager.resume_state(active)
-        try:
-            while True:
-                try:
-                    result = self._run_attempt(
-                        active, known_betas, attempt, injector, manager
-                    )
-                except (PartyTimeout, ProtocolAbort) as failure:
-                    blamed, active = exclude_blamed(failure, active, config.recovery)
-                    excluded.append(blamed)
-                    known_betas = self._harvest_betas(active)
-                    attempt += 1
-                    continue
-                result.attempts = attempt + 1
-                result.excluded = list(excluded)
-                return result
-        finally:
-            if manager is not None:
-                manager.close()
+    def secret_input(self, party_id: int):
+        """The party's own private input (for P_0, the criterion and
+        weights)."""
+        if party_id == INITIATOR_ID:
+            return self.initiator_input
+        return self.participant_inputs[party_id - 1]
 
-    def _make_injector(self, faults):
+    def _make_injector(self, faults, label: str = "faults"):
         # Anything exposing on_send (a FaultInjector, netsim's
         # LossyLinkFaults, a test double) plugs in directly; a bare
         # sequence of FaultSpec is wrapped into an injector.  An empty
@@ -227,83 +212,23 @@ class GroupRankingFramework:
         if not faults:
             return None
         return FaultInjector(
-            list(faults), rng=_fork(self._rng, "faults"), phase_of=phase_of_tag
+            list(faults), rng=_fork(self._rng, label), phase_of=phase_of_tag
         )
-
-    def _harvest_betas(self, survivors: Sequence[int]) -> Dict[int, int]:
-        """β values recoverable from the failed attempt's survivor objects.
-
-        Valid for a phase-2-only restart iff *every* survivor completed
-        phase 1 in the failed attempt — all such β share one ρ, so their
-        order is the gain order.  A partial harvest is discarded (mixing
-        β masked under different ρ would corrupt the ranking).
-        """
-        harvested: Dict[int, int] = {}
-        for j in survivors:
-            party = getattr(self, "last_parties", {}).get(j)
-            beta = getattr(party, "beta_unsigned", None)
-            if beta is None:
-                return {}
-            harvested[j] = beta
-        return harvested
 
     def _run_attempt(
         self,
-        active: List[int],
-        known_betas: Dict[int, int],
-        attempt: int,
+        attempts: Attempts,
         injector: Optional[FaultInjector],
         manager=None,
     ) -> FrameworkResult:
-        config = self.config
         worker_pool = None
-        if config.workers > 1:
+        if self.config.workers > 1:
             from repro.runtime.parallel import WorkerPool
 
-            worker_pool = WorkerPool(config.workers)
-        rng = self._rng
-        prefix = "" if attempt == 0 else f"A{attempt}|"
-        resume = bool(known_betas) and all(j in known_betas for j in active)
-
-        def build_party(party_id: int, known_beta: Optional[int] = None):
-            """Construct one party exactly as this attempt does.
-
-            Doubles as the checkpoint manager's rebuild factory: a
-            killed-and-rejoining party is reconstructed through the very
-            same closure (same RNG fork labels, same active set), so its
-            deterministic replay starts from an identical object.
-            ``known_beta`` is the phase-2 rehydration variant, where the
-            restored RNG state replaces the fork-label determinism.
-            """
-            if party_id == INITIATOR_ID:
-                return InitiatorParty(
-                    config,
-                    self.initiator_input,
-                    _fork(rng, prefix + "initiator"),
-                    active_ids=active,
-                    run_gain_phase=not resume,
-                )
-            beta = known_beta
-            if beta is None and resume:
-                beta = known_betas.get(party_id)
-            return ParticipantParty(
-                config,
-                party_id,
-                self.participant_inputs[party_id - 1],
-                _fork(rng, prefix + f"P{party_id}"),
-                active_ids=active,
-                known_beta=beta,
-            )
-
-        if manager is not None:
-            manager.start_attempt(attempt, build_party)
-        engine = make_engine(config, injector, manager, worker_pool)
-        engine.add_party(build_party(INITIATOR_ID))
-        participants: List[ParticipantParty] = []
-        for j in active:
-            party = build_party(j)
-            engine.add_party(party)
-            participants.append(party)
+            worker_pool = WorkerPool(self.config.workers)
+        engine = self.attempt_engine(
+            attempts, injector, manager, worker_pool=worker_pool
+        )
         if worker_pool is not None and manager is not None:
             worker_pool.register_drain(
                 lambda: manager.persist_pool_cursors(engine.parties)
@@ -319,22 +244,49 @@ class GroupRankingFramework:
         finally:
             if worker_pool is not None:
                 worker_pool.shutdown()
-        # A rejoined party's live object replaced the original in the
-        # engine; read final state from the engine's view, not the
-        # construction-time list.
-        participants = [engine.parties[j] for j in active]
-        ranks = {party.party_id: party.rank for party in participants}
-        betas = {party.party_id: party.beta_unsigned for party in participants}
-        return FrameworkResult(
-            rejoins=engine.supervisor.rejoins,
-            ranks=ranks,
-            initiator_output=outputs[0],
-            transcript=engine.transcript,
-            metrics={pid: party.metrics for pid, party in engine.parties.items()},
-            rounds=engine.transcript.rounds,
-            betas=betas,
-            wire_stats=engine.wire.stats(),
-        )
+        return engine_result(engine, outputs, attempts.active)
+
+    def attempt_engine(
+        self,
+        attempts: Attempts,
+        injector: Optional[FaultInjector],
+        manager=None,
+        roles: Tuple[type, type] = (InitiatorParty, ParticipantParty),
+        worker_pool=None,
+    ) -> Engine:
+        """An engine holding every party of the current attempt, built
+        from ``roles`` (the initiator's class, the participants').
+
+        The party factory doubles as the checkpoint manager's rebuild
+        factory: a killed-and-rejoining party is reconstructed through
+        the very same closure (same RNG fork labels, same active set),
+        so its deterministic replay starts from an identical object.
+        ``build_party(pid, beta)`` is the phase-2 rehydration variant,
+        where the restored RNG state replaces the fork-label determinism.
+        """
+        config = self.config
+
+        def build_party(party_id: int, known_beta: Optional[int] = None):
+            return make_party(
+                config,
+                party_id,
+                self.secret_input(party_id),
+                attempts.party_rng(party_id),
+                attempts.active,
+                run_gain_phase=not attempts.phase_two,
+                known_beta=(
+                    attempts.known_beta(party_id) if known_beta is None
+                    else known_beta
+                ),
+                roles=roles,
+            )
+
+        if manager is not None:
+            manager.start_attempt(attempts.attempt, build_party)
+        engine = make_engine(config, injector, manager, worker_pool)
+        for party_id in [INITIATOR_ID] + attempts.active:
+            engine.add_party(build_party(party_id))
+        return engine
 
     # -- reference computations for verification --------------------------------
     def expected_partial_gains(self) -> Dict[int, int]:
@@ -454,6 +406,140 @@ class GroupRankingFramework:
                 f"initiator flagged anomalies: {result.initiator_output.anomalies}"
             )
         return problems
+
+
+class Attempts:
+    """A run's attempt state, the one copy every runner shares.
+
+    The flat framework, the hierarchy's phase 1 and the tcp coordinator
+    each loop over attempts; this object carries what passes between
+    them: the active set, the excluded ids, the β an attempt may start
+    from, and the attempt number, which prefixes every party's RNG fork
+    label (:meth:`party_rng`).  It changes only between attempts.
+    """
+
+    def __init__(self, config: FrameworkConfig, rng: RNG,
+                 known_betas: Optional[Dict[int, int]] = None):
+        self.config = config
+        self.rng = rng
+        self.active: List[int] = list(config.participant_ids)
+        self.excluded: List[int] = []
+        self.betas: Dict[int, int] = dict(known_betas) if known_betas else {}
+        self.attempt = 0
+
+    def resume(self, manager) -> None:
+        """Continue a run whose *process* died (``run(resume=True)``):
+        take the newest on-disk attempt's durable β and the next attempt
+        number.  β the caller already knows take precedence."""
+        if self.betas:
+            return
+        if manager is None:
+            raise ValueError("resume=True requires config.checkpoint_dir")
+        self.betas, self.attempt = manager.resume_state(self.active)
+
+    @property
+    def phase_two(self) -> bool:
+        """Whether this attempt re-enters at phase 2: every active
+        participant holds a β, all drawn under one ρ."""
+        return bool(self.betas) and all(j in self.betas for j in self.active)
+
+    def party_rng(self, party_id: int) -> RNG:
+        """The party's RNG for this attempt, forked under ``"initiator"``
+        or ``"P{j}"`` behind the attempt's prefix (none for attempt 0),
+        so reruns are seeded functions of (base seed, attempt number)."""
+        prefix = f"A{self.attempt}|" if self.attempt else ""
+        label = "initiator" if party_id == INITIATOR_ID else f"P{party_id}"
+        return _fork(self.rng, prefix + label)
+
+    def known_beta(self, party_id: int) -> Optional[int]:
+        """The β a participant starts a phase-2 attempt with."""
+        return self.betas.get(party_id) if self.phase_two else None
+
+    def retry(self, failure: Exception,
+              beta_of: Optional[Callable[[int], Optional[int]]] = None) -> None:
+        """Turn a blamed failure into the next attempt.
+
+        :func:`exclude_blamed` drops the blamed participant (and
+        re-raises what recovery cannot absorb).  ``beta_of`` reads each
+        survivor's β from the failed attempt: they are kept for a
+        phase-2-only restart iff *every* survivor has one, since those
+        share one ρ; a partial harvest is discarded (β masked under
+        different ρ would corrupt the ranking).  Without ``beta_of`` the
+        next attempt starts from scratch.
+        """
+        blamed, self.active = exclude_blamed(
+            failure, self.active, self.config.recovery
+        )
+        self.excluded.append(blamed)
+        betas = {j: beta_of(j) for j in self.active} if beta_of else {}
+        # int(): a tcp party reports its β in a JSON control frame.
+        self.betas = (
+            {} if None in betas.values()
+            else {j: int(beta) for j, beta in betas.items()}
+        )
+        self.attempt += 1
+
+    def until_done(
+        self,
+        run_attempt: Callable[[], FrameworkResult],
+        beta_of: Optional[Callable[[int], Optional[int]]] = None,
+    ) -> FrameworkResult:
+        """Run attempts until one completes and stamp its result."""
+        while True:
+            try:
+                result = run_attempt()
+            except (PartyTimeout, ProtocolAbort) as failure:
+                self.retry(failure, beta_of)
+                continue
+            return self.stamp(result)
+
+    def stamp(self, result: FrameworkResult) -> FrameworkResult:
+        result.attempts = self.attempt + 1
+        result.excluded = list(self.excluded)
+        return result
+
+
+def make_party(
+    config: FrameworkConfig,
+    party_id: int,
+    secret_input,
+    rng: RNG,
+    active_ids: Sequence[int],
+    *,
+    run_gain_phase: bool = True,
+    known_beta: Optional[int] = None,
+    roles: Tuple[type, type] = (InitiatorParty, ParticipantParty),
+):
+    """Construct P_0 (``roles[0]``) or P_j (``roles[1]``) for one attempt,
+    in process or in a tcp party process alike."""
+    initiator_role, participant_role = roles
+    if party_id == INITIATOR_ID:
+        return initiator_role(
+            config, secret_input, rng,
+            active_ids=active_ids, run_gain_phase=run_gain_phase,
+        )
+    return participant_role(
+        config, party_id, secret_input, rng,
+        active_ids=active_ids, known_beta=known_beta,
+    )
+
+
+def engine_result(engine: Engine, outputs: Dict[int, object],
+                  active: Sequence[int]) -> FrameworkResult:
+    """The result of one finished engine run over ``active``."""
+    # A rejoined party's live object replaced the original in the
+    # engine; read final state from the engine's view.
+    participants = [engine.parties[j] for j in active]
+    return FrameworkResult(
+        ranks={party.party_id: party.rank for party in participants},
+        initiator_output=outputs[INITIATOR_ID],
+        transcript=engine.transcript,
+        metrics={pid: party.metrics for pid, party in engine.parties.items()},
+        rounds=engine.transcript.rounds,
+        betas={party.party_id: party.beta_unsigned for party in participants},
+        rejoins=engine.supervisor.rejoins,
+        wire_stats=engine.wire.stats(),
+    )
 
 
 def make_checkpoints(config: FrameworkConfig, leaf: Optional[str] = None):

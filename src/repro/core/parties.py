@@ -297,13 +297,11 @@ class FrameworkConfig:
         if self.rho_bits < 1:
             raise ValueError("rho_bits must be positive")
         if 0 < self.shard_size < self.num_participants:
-            from repro.sharding.partition import shard_sizes
+            from repro.sharding.partition import shard_sizes, two_champions
 
-            champions = sum(
-                min(self.k, size)
-                for size in shard_sizes(self.num_participants, self.shard_size)
-            )
-            if champions == 2:
+            if two_champions(
+                shard_sizes(self.num_participants, self.shard_size), self.k
+            ):
                 raise ValueError(
                     "this shard plan ranks exactly 2 shard champions; the "
                     "champion round's honest-majority secret sharing needs "

@@ -51,25 +51,6 @@ class DistributedKey:
             raise ValueError(f"party {party_id} already registered a public key")
         self._publics[party_id] = public
 
-    def deregister_public(self, party_id: int) -> None:
-        """Forget a share (dropout recovery: the joint key is rebuilt
-        over the survivors, so a dead party's layer never needs peeling)."""
-        self._publics.pop(party_id, None)
-
-    def restricted_to(self, party_ids: Iterable[int]) -> "DistributedKey":
-        """A fresh bookkeeping object over a surviving subset."""
-        survivor = DistributedKey(self.group)
-        for party_id in sorted(set(party_ids)):
-            survivor.register_public(party_id, self._publics[party_id])
-        return survivor
-
-    @property
-    def registered_parties(self) -> Sequence[int]:
-        return sorted(self._publics)
-
-    def public_share(self, party_id: int) -> Element:
-        return self._publics[party_id]
-
     def joint_public_key(self) -> Element:
         """``y = Π y_i`` over all registered shares."""
         if not self._publics:

@@ -285,10 +285,6 @@ class RelationBatcher:
                 self._exponents[index] + exponent
             ) % self.group.order
 
-    @property
-    def distinct_bases(self) -> int:
-        return len(self._bases)
-
     def holds(self) -> bool:
         """True iff the accumulated product is the identity."""
         if not self._bases:

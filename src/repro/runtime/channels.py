@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Deque, List, Optional, Tuple
+from typing import Any, Dict, Deque, List, Optional, Sequence, Tuple
 from collections import deque
 
 from repro.runtime.errors import ProtocolError
@@ -168,6 +168,29 @@ class WireStats:
     @property
     def wire_bytes(self) -> int:
         return self.wire_bits // 8
+
+    @classmethod
+    def total(cls, parts: Sequence["WireStats"], digest: str) -> "WireStats":
+        """The counters and per-tag tallies of ``parts`` (at least one)
+        summed, under ``digest``.  Channel digests are left to the
+        caller, which knows whether the parts' channels overlap."""
+        messages_by_tag: Dict[str, int] = {}
+        bits_by_tag: Dict[str, int] = {}
+        for part in parts:
+            for tag, count in part.messages_by_tag.items():
+                messages_by_tag[tag] = messages_by_tag.get(tag, 0) + count
+            for tag, bits in part.bits_by_tag.items():
+                bits_by_tag[tag] = bits_by_tag.get(tag, 0) + bits
+        return cls(
+            coalesce=parts[0].coalesce,
+            digest=digest,
+            wire_messages=sum(part.wire_messages for part in parts),
+            wire_bits=sum(part.wire_bits for part in parts),
+            payload_bits=sum(part.payload_bits for part in parts),
+            messages_by_tag=messages_by_tag,
+            bits_by_tag=bits_by_tag,
+            logical_messages=sum(part.logical_messages for part in parts),
+        )
 
     @property
     def canonical_digest(self) -> str:

@@ -2,7 +2,7 @@
 
 The unlinkable-comparison phase is embarrassingly parallel: every
 ``(j, i)`` pair's γ/ω/τ circuit evaluation is an independent
-exponentiation-heavy job, and every set in a shuffle/mixnet hop can be
+exponentiation-heavy job, and every set in a chain hop can be
 processed independently once its randomness is fixed.  This module fans
 those jobs out across worker processes while keeping runs *bit-for-bit
 reproducible*:
@@ -88,28 +88,6 @@ class ShuffleJob:
 
 
 @dataclass(frozen=True)
-class MixHopJob:
-    """A slice of one mix-net hop: peel a layer, re-encrypt under the
-    remaining key with pre-drawn randomness (permutation stays with the
-    owning member, after the slices are joined).
-
-    When the owning member holds an offline randomness pool keyed to the
-    remaining joint key it ships ``rerandomizer_pairs`` — the
-    precomputed ``(g^r, y^r)`` *elements* — so the worker re-encrypts
-    with two multiplications per ciphertext instead of recomputing two
-    exponentiations from the bare exponent."""
-
-    group: Group
-    ciphertexts: Tuple[Ciphertext, ...]
-    secret: int = field(repr=False)  # repro: secret
-    remaining_key: object
-    rerandomizers: Optional[Tuple[int, ...]] = field(repr=False)  # repro: secret
-    rerandomizer_pairs: Optional[Tuple[Tuple[object, object], ...]] = field(
-        default=None, repr=False
-    )  # repro: secret
-
-
-@dataclass(frozen=True)
 class ShardJob:
     """One shard's entire phase-2 sub-run (hierarchical composition).
 
@@ -185,34 +163,6 @@ def evaluate_shuffle_job(job: ShuffleJob) -> Tuple[List[Ciphertext], OperationCo
         processed = processor.apply_set(
             job.ciphertexts, job.secret, job.rerandomizers, job.permutation
         )
-    finally:
-        job.group.attach_counter(previous)
-    return processed, counter
-
-
-def evaluate_mix_hop_job(job: MixHopJob) -> Tuple[List[Ciphertext], OperationCounter]:
-    from repro.crypto.distkey import DistributedKey
-
-    counter = OperationCounter()
-    previous = job.group.counter
-    job.group.attach_counter(counter)
-    try:
-        # repro-lint: ignore[R-GUARD] -- job ciphertexts were membership-
-        # checked at receipt (mixnet validate_from) before slicing
-        processed = DistributedKey(job.group).peel_layers(job.ciphertexts, job.secret)
-        for index, peeled in enumerate(processed):
-            if job.rerandomizer_pairs is not None:
-                g_r, y_r = job.rerandomizer_pairs[index]
-                processed[index] = Ciphertext(
-                    c1=job.group.mul(peeled.c1, y_r),
-                    c2=job.group.mul(peeled.c2, g_r),
-                )
-            elif job.rerandomizers is not None:
-                r = job.rerandomizers[index]
-                processed[index] = Ciphertext(
-                    c1=job.group.mul(peeled.c1, job.group.exp(job.remaining_key, r)),
-                    c2=job.group.mul(peeled.c2, job.group.exp_generator(r)),
-                )
     finally:
         job.group.attach_counter(previous)
     return processed, counter

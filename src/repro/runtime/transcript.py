@@ -96,13 +96,6 @@ class Transcript:
             totals[entry.tag] = totals.get(entry.tag, 0) + entry.size_bits
         return totals
 
-    def frames_by_tag(self) -> Dict[str, int]:
-        """Wire-message count per tag."""
-        totals: Dict[str, int] = {}
-        for entry in self.entries:
-            totals[entry.tag] = totals.get(entry.tag, 0) + entry.frames
-        return totals
-
     def tags(self) -> List[str]:
         seen: List[str] = []
         for entry in self.entries:

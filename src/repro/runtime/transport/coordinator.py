@@ -14,9 +14,10 @@ guarantee, extended across the star hop).
 
 The wall-clock supervisor (:mod:`.deadlines`) converts missed deadlines
 into the same typed :class:`~repro.runtime.errors.PartyTimeout` the
-in-process supervisor raises, so the framework's recovery loop —
-exclude the blamed party, harvest β from survivors, deterministic
-restart — runs unchanged on top.  ``kill_restart`` faults and real
+in-process supervisor raises, so the run's attempt state
+(:class:`~repro.core.framework.Attempts`: exclude the blamed party,
+harvest β from survivors, deterministic restart) is the in-process
+runner's own.  ``kill_restart`` faults and real
 process deaths (``SIGKILL``) are handled by respawning the party with a
 bumped incarnation: the new process replays its durable journal,
 reports its consumed-message watermarks, and the coordinator broadcasts
@@ -47,7 +48,6 @@ from repro.runtime.errors import (
 )
 from repro.runtime.faults import FaultSpec
 from repro.runtime.metrics import PartyMetrics
-from repro.runtime.supervisor import exclude_blamed
 from repro.runtime.transcript import Transcript
 from repro.runtime.transport import frames
 from repro.runtime.transport.deadlines import WallClockSupervisor
@@ -123,48 +123,37 @@ class Coordinator:
 
     async def _run(self, *, resume: bool,
                    known_betas: Optional[Dict[int, int]]):
-        config = self.config
-        active = list(config.participant_ids)
-        excluded: List[int] = []
-        known: Dict[int, int] = dict(known_betas) if known_betas else {}
-        attempt = 0
-        from repro.core.framework import make_checkpoints
+        from repro.core.framework import Attempts, make_checkpoints
 
         # The coordinator creates the checkpoint store (and its master
         # key) *before* any party process starts, so concurrent children
         # never race on key creation; the children journal through their
         # own managers over the same directory.
-        manager = make_checkpoints(config)
+        manager = make_checkpoints(self.config)
         self.framework.last_checkpoints = manager
-        if resume and not known:
-            if manager is None:
-                raise ValueError("resume=True requires config.checkpoint_dir")
-            # Journal replay is sync disk IO; keep the fresh event loop
-            # responsive (party processes may already be connecting).
-            known, attempt = await asyncio.get_running_loop().run_in_executor(
-                None, manager.resume_state, active
-            )
+        attempts = Attempts(self.config, self.framework._rng, known_betas)
         rejoins = 0
         launcher: Optional[Launcher] = None
         try:
+            if resume:
+                # Journal replay is sync disk IO; keep the fresh event
+                # loop responsive.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, attempts.resume, manager
+                )
             # One launcher forks the parties of every attempt; the run
             # ends only once it has reaped every party and exited.
             launcher = await Launcher.start(self.token)
             while True:
-                run = _Attempt(self, launcher, active, known, attempt)
+                run = _Attempt(self, launcher, attempts)
                 try:
                     result = await run.execute()
                 except (PartyTimeout, ProtocolAbort) as failure:
-                    blamed, active = exclude_blamed(failure, active, config.recovery)
-                    excluded.append(blamed)
-                    known = run.harvested_betas(active)
+                    attempts.retry(failure, run.betas.get)
                     rejoins += run.supervisor.rejoins
-                    attempt += 1
                     continue
-                result.attempts = attempt + 1
-                result.excluded = list(excluded)
                 result.rejoins += rejoins
-                return result
+                return attempts.stamp(result)
         finally:
             try:
                 if launcher is not None:
@@ -179,19 +168,15 @@ class _Attempt:
     """One distributed attempt: spawn, route, supervise, collect."""
 
     def __init__(self, coordinator: Coordinator, launcher: Launcher,
-                 active: List[int], known_betas: Dict[int, int],
-                 attempt: int):
+                 attempts):
         self.coord = coordinator
         self.launcher = launcher
         self.config = coordinator.config
         self.settings = coordinator.settings
-        self.active = list(active)
-        self.known_betas = dict(known_betas)
-        self.attempt = attempt
+        self.attempts = attempts  # the run's Attempts, fixed during this one
+        self.active = list(attempts.active)
+        self.attempt = attempts.attempt
         self.party_ids = [INITIATOR_ID] + self.active
-        self.resume = bool(known_betas) and all(
-            j in known_betas for j in active
-        )
         self.supervisor = WallClockSupervisor(coordinator.settings.timeout_s)
         self.transcript = Transcript()
         self.transcript.meta.update({
@@ -215,25 +200,11 @@ class _Attempt:
         self._fault_deaths: Dict[int, int] = {}
         self._carried: Dict[int, PartyMetrics] = {}
         self._interrupted: Optional[str] = None
-        self._rng_blobs = self._fork_rngs()
-        self._fault_seed = _fork_seed(coordinator.framework._rng, attempt)
+        self._fault_seed = _fork_seed(coordinator.framework._rng, self.attempt)
 
     # -- deterministic party construction inputs ---------------------------
 
-    def _fork_rngs(self) -> Dict[int, bytes]:
-        from repro.core.framework import _fork
-
-        rng = self.coord.framework._rng
-        prefix = "" if self.attempt == 0 else f"A{self.attempt}|"
-        blobs = {
-            INITIATOR_ID: pickle.dumps(_fork(rng, prefix + "initiator"))
-        }
-        for j in self.active:
-            blobs[j] = pickle.dumps(_fork(rng, prefix + f"P{j}"))
-        return blobs
-
     def _spec_for(self, pid: int, incarnation: int) -> PartySpec:
-        framework = self.coord.framework
         sender = [s for s in self.coord.fault_specs
                   if s.party == pid and s.kind in SENDER_KINDS]
         # Receiver-side kinds follow the *destination*: the receiving
@@ -244,28 +215,17 @@ class _Attempt:
         receiver = [s for s in self.coord.fault_specs
                     if s.kind not in SENDER_KINDS
                     and s.dst in (pid, None) and s.party != pid]
-        # repro-lint: ignore[R-PICKLE] -- this process's own pickle of
-        # the party's forked RNG, never bytes from a socket.
-        rng = pickle.loads(self._rng_blobs[pid])
         return PartySpec(
             party_id=pid,
             config=self.config,
-            rng=rng,
+            # A fresh fork per spec: a respawn starts from the same state.
+            rng=self.attempts.party_rng(pid),
             active_ids=list(self.active),
             attempt=self.attempt,
             incarnation=incarnation,
-            run_gain_phase=not self.resume,
-            known_beta=(
-                self.known_betas.get(pid) if self.resume and pid != INITIATOR_ID
-                else None
-            ),
-            initiator_input=(
-                framework.initiator_input if pid == INITIATOR_ID else None
-            ),
-            participant_input=(
-                framework.participant_inputs[pid - 1]
-                if pid != INITIATOR_ID else None
-            ),
+            run_gain_phase=not self.attempts.phase_two,
+            known_beta=self.attempts.known_beta(pid),
+            secret_input=self.coord.framework.secret_input(pid),
             sender_faults=sender,
             receiver_faults=receiver,
             faulted=bool(self.coord.fault_specs),
@@ -640,17 +600,6 @@ class _Attempt:
             self._failure = failure
         self._done.set()
 
-    def harvested_betas(self, survivors: Sequence[int]) -> Dict[int, int]:
-        """β values recovered from the failed attempt (mirrors the
-        in-process `_harvest_betas`): a partial harvest is discarded."""
-        harvested: Dict[int, int] = {}
-        for pid in survivors:
-            beta = self.betas.get(pid)
-            if beta is None:
-                return {}
-            harvested[pid] = int(beta)
-        return harvested
-
     # -- supervision --------------------------------------------------------
 
     async def _supervise(self) -> None:
@@ -712,44 +661,24 @@ class _Attempt:
             rounds=self.transcript.rounds,
             betas=betas,
             rejoins=self.supervisor.rejoins,
-            wire_stats=_merge_wire_stats(
-                self.config, list(self.bundles.values())
-            ),
+            wire_stats=_merge_wire_stats(list(self.bundles.values())),
         )
 
 
-def _merge_wire_stats(config, bundles: List[ResultBundle]) -> WireStats:
+def _merge_wire_stats(bundles: List[ResultBundle]) -> WireStats:
     """Sum every party's outbound wire accounting into run totals.
 
     There is no global submit order across processes, so the legacy
     submit-order ``digest`` is empty; ``canonical_digest`` (per-channel
     digests hashed in channel order) is the scheduling-independent
     fingerprint and is directly comparable with an in-process run's.
+    Each party's stats hold only the channels it sends on.
     """
-    totals = {"wire_messages": 0, "wire_bits": 0, "payload_bits": 0,
-              "logical_messages": 0}
-    messages_by_tag: Dict[str, int] = {}
-    bits_by_tag: Dict[str, int] = {}
-    channel_digests: Dict[str, str] = {}
-    for bundle in bundles:
-        for key in totals:
-            totals[key] += int(bundle.wire_counters.get(key, 0))
-        for tag, count in bundle.wire_by_tag.get("messages", {}).items():
-            messages_by_tag[tag] = messages_by_tag.get(tag, 0) + count
-        for tag, bits in bundle.wire_by_tag.get("bits", {}).items():
-            bits_by_tag[tag] = bits_by_tag.get(tag, 0) + bits
-        channel_digests.update(bundle.channel_digests)
-    return WireStats(
-        coalesce=config.coalesce,
-        digest="",
-        wire_messages=totals["wire_messages"],
-        wire_bits=totals["wire_bits"],
-        payload_bits=totals["payload_bits"],
-        messages_by_tag=messages_by_tag,
-        bits_by_tag=bits_by_tag,
-        logical_messages=totals["logical_messages"],
-        channel_digests=channel_digests,
-    )
+    parts = [bundle.wire_stats for bundle in bundles]
+    merged = WireStats.total(parts, digest="")
+    for part in parts:
+        merged.channel_digests.update(part.channel_digests)
+    return merged
 
 
 def _fork_seed(rng, attempt: int) -> int:

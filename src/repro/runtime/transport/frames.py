@@ -149,8 +149,8 @@ class PartySpec:
     incarnation: int = 0
     run_gain_phase: bool = True      # initiator only
     known_beta: Optional[int] = None # participant phase-2 resume
-    initiator_input: Any = None
-    participant_input: Any = None
+    #: This party's own private input (for P_0, the criterion and weights).
+    secret_input: Any = field(default=None, repr=False)  # repro: secret
     # Fault shim: specs whose *sender* is this party (crash family,
     # applied at the send point) and specs whose *receiver* is this
     # party (drop/delay/duplicate/corrupt/stall, applied post-decode so
@@ -186,7 +186,6 @@ class ResultBundle:
     beta: Optional[int] = None
     metrics: Any = None              # PartyMetrics (ops counter included)
     rounds: int = 0                  # the party's local round clock
-    # Outbound wire accounting, summed into the run's WireStats:
-    wire_counters: Dict[str, int] = field(default_factory=dict)
-    wire_by_tag: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    channel_digests: Dict[str, str] = field(default_factory=dict)
+    #: The party's outbound wire accounting (``WireStats``), summed into
+    #: the run's.
+    wire_stats: Any = None

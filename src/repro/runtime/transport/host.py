@@ -3,8 +3,9 @@
 One party process hosts one protocol party.  The process
 connects to the coordinator, authenticates with the session token,
 receives its :class:`~repro.runtime.transport.frames.PartySpec`, builds
-the party exactly as the in-process framework would (same RNG fork, same
-active set), and then drives the party's generator directly — no
+the party through the in-process framework's own constructor
+(:func:`~repro.core.framework.make_party`: same RNG fork, same active
+set), and then drives the party's generator directly — no
 lockstep rounds: the generator runs until it blocks on a
 :class:`~repro.runtime.channels.Recv` the local mailbox cannot satisfy,
 at which point the process awaits the socket.  Compute in one party
@@ -67,12 +68,8 @@ import signal
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.parties import (
-    INITIATOR_ID,
-    InitiatorParty,
-    ParticipantParty,
-    phase_of_tag,
-)
+from repro.core.framework import make_checkpoints, make_party
+from repro.core.parties import INITIATOR_ID, phase_of_tag
 from repro.math.rng import SeededRNG
 from repro.runtime.channels import Message, NextRound, Recv, WireTransport
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
@@ -243,29 +240,18 @@ class PartyHost:
         # receive metrics count every message exactly once.
         self._predelivered: List[Message] = []
 
-    # -- party construction (mirrors GroupRankingFramework.build_party) ----
-
     def _factory(self, party_id: int,
                  known_beta: Optional[int] = None) -> Any:
+        """Build this spec's party; also the checkpoint manager's
+        rebuild factory (``factory(pid)`` / ``factory(pid, beta)``)."""
+        spec = self.spec
         # repro-lint: ignore[R-PICKLE] -- this process's own pickle of
         # the spec RNG, never bytes from a socket.
         rng = pickle.loads(self._rng_blob)
-        if party_id == INITIATOR_ID:
-            return InitiatorParty(
-                self.config,
-                self.spec.initiator_input,
-                rng,
-                active_ids=list(self.spec.active_ids),
-                run_gain_phase=self.spec.run_gain_phase,
-            )
-        beta = known_beta if known_beta is not None else self.spec.known_beta
-        return ParticipantParty(
-            self.config,
-            party_id,
-            self.spec.participant_input,
-            rng,
-            active_ids=list(self.spec.active_ids),
-            known_beta=beta,
+        return make_party(
+            self.config, party_id, spec.secret_input, rng, spec.active_ids,
+            run_gain_phase=spec.run_gain_phase,
+            known_beta=spec.known_beta if known_beta is None else known_beta,
         )
 
     # -- engine-adapter surface (Party.send / Party.set_phase call these) --
@@ -491,11 +477,7 @@ class PartyHost:
                 )
             except (NotImplementedError, ValueError, RuntimeError):
                 pass  # non-main thread / unsupported platform
-        if self.config.checkpoint_dir is not None:
-            self.manager = CheckpointManager(
-                self.config.checkpoint_dir,
-                sync_every=self.config.checkpoint_every,
-            )
+        self.manager = make_checkpoints(self.config)
         reader_task = asyncio.create_task(self._read_loop())
         try:
             return await self._drive()
@@ -628,18 +610,8 @@ class PartyHost:
             beta=getattr(self.party, "beta_unsigned", None),
             metrics=self.party.metrics,
             rounds=self._round,
+            wire_stats=self.wire.stats(),
         )
-        bundle.wire_counters = {
-            "wire_messages": self.wire.wire_messages,
-            "wire_bits": self.wire.wire_bits,
-            "payload_bits": self.wire.payload_bits,
-            "logical_messages": self.wire.logical_messages,
-        }
-        bundle.wire_by_tag = {
-            "messages": dict(self.wire.messages_by_tag),
-            "bits": dict(self.wire.bits_by_tag),
-        }
-        bundle.channel_digests = self.wire.channel_digests()
         self.writer.write(frames.pack_pickle(frames.DONE, bundle))
         await self._drain()
         # Stay connected until the coordinator releases us: peers may

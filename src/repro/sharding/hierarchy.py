@@ -47,9 +47,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.framework import (
+    Attempts,
     FrameworkResult,
     GroupRankingFramework,
     _fork,
+    engine_result,
     make_checkpoints,
     make_engine,
 )
@@ -62,14 +64,12 @@ from repro.core.parties import (
     TAG_DP_RESPONSE,
     TAG_SUBMISSION,
     FrameworkConfig,
-    phase_of_tag,
 )
 from repro.runtime.channels import WireStats
-from repro.runtime.errors import PartyTimeout, ProtocolAbort
-from repro.runtime.faults import FaultInjector, FaultSpec
+from repro.runtime.errors import PartyTimeout, ProtocolAbort, ProtocolError
+from repro.runtime.faults import FaultSpec
 from repro.runtime.metrics import PartyMetrics
-from repro.runtime.supervisor import exclude_blamed
-from repro.runtime.transcript import Transcript, TranscriptEntry
+from repro.runtime.transcript import Transcript
 from repro.sharding.aggregate import AggregationOutcome, rank_champions
 from repro.sharding.parties import (
     GainOnlyParticipant,
@@ -77,7 +77,7 @@ from repro.sharding.parties import (
     RankedSubmitter,
     SubmissionInitiator,
 )
-from repro.sharding.partition import plan_shards
+from repro.sharding.partition import plan_shards, two_champions
 
 __all__ = ["HierarchicalResult", "run_hierarchical"]
 
@@ -124,42 +124,42 @@ def run_hierarchical(
     gain_specs, shard_specs, submission_specs = _split_faults(specs)
     rng = framework._rng
 
-    active = list(config.participant_ids)
-    excluded: List[int] = []
-    attempts = 1
-    rejoins = 0
-    wire_parts: List[WireStats] = []
-
     # ---- Level 1: global phase 1 (or a β hand-off that skips it) ----
-    phase1 = _Phase1Outcome(Transcript(), {}, None)
-    betas = dict(known_betas) if known_betas else {}
-    if not (betas and all(j in betas for j in active)):
-        betas = {}
+    attempts = Attempts(config, rng, known_betas)
+    phase1: Optional[FrameworkResult] = None
+    if not attempts.phase_two:
         manager = make_checkpoints(config, "phase1")
-        start_attempt = 0
-        if resume:
-            if manager is None:
-                raise ValueError("resume=True requires config.checkpoint_dir")
-            betas, start_attempt = manager.resume_state(active)
         try:
-            if not (betas and all(j in betas for j in active)):
-                phase1, betas, active, excluded, attempts = _run_phase1(
-                    framework, active, gain_specs, manager, start_attempt
-                )
+            if resume:
+                attempts.resume(manager)
+            if not attempts.phase_two:
+                phase1 = _run_phase1(framework, attempts, gain_specs, manager)
         finally:
             if manager is not None:
                 manager.close()
-        if phase1.wire_stats is not None:
-            wire_parts.append(phase1.wire_stats)
-    phase1_rounds = phase1.transcript.rounds if phase1.transcript.entries else 0
+    if phase1 is None:
+        phase1 = FrameworkResult(
+            ranks={}, initiator_output=None, transcript=Transcript(),
+            metrics={}, rounds=0, betas=attempts.betas,
+        )
+    betas = phase1.betas
+    attempts_used = phase1.attempts
+    excluded = list(phase1.excluded)
+    rejoins = 0
+    wire_parts = [phase1.wire_stats] if phase1.wire_stats is not None else []
 
     # ---- Level 2: concurrent shard-local phase 2 ----
-    shards = plan_shards(active, config.shard_size)
+    shards = plan_shards(attempts.active, config.shard_size)
+    if two_champions([len(shard) for shard in shards], config.k):
+        raise ProtocolError(
+            "cannot recover: the survivors' shard plan ranks exactly 2 "
+            "shard champions, and the champion round needs 1 or at least 3"
+        )
     shard_results = _run_shards(framework, shards, betas, shard_specs)
     shard_rank: Dict[int, int] = {}
     shard_rounds = 0
     for shard, result in zip(shards, shard_results):
-        attempts += result.attempts - 1
+        attempts_used += result.attempts - 1
         rejoins += result.rejoins
         excluded.extend(shard[local - 1] for local in result.excluded)
         shard_rounds = max(shard_rounds, result.rounds)
@@ -203,7 +203,7 @@ def run_hierarchical(
 
     # ---- Merge transcripts, metrics and wire accounting ----
     transcript = _merge_transcripts(
-        phase1.transcript, phase1_rounds, shards, shard_results, shard_rounds,
+        phase1.transcript, phase1.rounds, shards, shard_results, shard_rounds,
         candidates, aggregation, submission.transcript,
     )
     metrics = _merge_metrics(
@@ -212,12 +212,12 @@ def run_hierarchical(
     wire_stats = _combine_wire(wire_parts, aggregation)
     return HierarchicalResult(
         ranks=ranks,
-        initiator_output=submission.output,
+        initiator_output=submission.initiator_output,
         transcript=transcript,
         metrics=metrics,
         rounds=transcript.rounds,
         betas={j: betas[j] for j in sorted(ranks)},
-        attempts=attempts,
+        attempts=attempts_used,
         excluded=excluded,
         rejoins=rejoins,
         wire_stats=wire_stats,
@@ -226,7 +226,7 @@ def run_hierarchical(
         aggregation=aggregation,
         aggregation_bits=aggregation.wire_bits,
         aggregation_rounds=aggregation.metrics.rounds,
-        phase1_rounds=phase1_rounds,
+        phase1_rounds=phase1.rounds,
     )
 
 
@@ -299,91 +299,28 @@ def _localize_specs(
 # Level runners
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Phase1Outcome:
-    transcript: Transcript
-    metrics: Dict[int, PartyMetrics]
-    wire_stats: Optional[WireStats]
-    rejoins: int = 0
-
-
-@dataclass
-class _StageOutcome:
-    transcript: Transcript
-    metrics: Dict[int, PartyMetrics]
-    wire_stats: WireStats
-    output: object
-    rejoins: int = 0
-
-
 def _run_phase1(
     framework: GroupRankingFramework,
-    active: List[int],
+    attempts: Attempts,
     specs: Sequence[FaultSpec],
     manager,
-    start_attempt: int,
-) -> Tuple[_Phase1Outcome, Dict[int, int], List[int], List[int], int]:
+) -> FrameworkResult:
     """The global gain phase, with the flat run's recovery semantics.
 
     A blamed phase-1 failure excludes the culprit and reruns the phase
-    over the survivors under a fresh ρ (``A{attempt}|`` RNG prefixes,
-    exactly like the flat framework's restart determinism).
+    over the survivors under a fresh ρ: phase 1 always restarts whole,
+    so nothing is harvested.
     """
-    config = framework.config
-    rng = framework._rng
-    injector = (
-        FaultInjector(
-            list(specs), rng=_fork(rng, "faults"), phase_of=phase_of_tag
-        )
-        if specs
-        else None
-    )
-    excluded: List[int] = []
-    attempt = start_attempt
-    while True:
-        prefix = "" if attempt == 0 else f"A{attempt}|"
-        current_active = list(active)
+    injector = framework._make_injector(specs)
 
-        def build_party(party_id: int, known_beta: Optional[int] = None):
-            if party_id == INITIATOR_ID:
-                return GainServiceInitiator(
-                    config,
-                    framework.initiator_input,
-                    _fork(rng, prefix + "initiator"),
-                    active_ids=current_active,
-                )
-            return GainOnlyParticipant(
-                config,
-                party_id,
-                framework.participant_inputs[party_id - 1],
-                _fork(rng, prefix + f"P{party_id}"),
-                active_ids=current_active,
-                known_beta=known_beta,
-            )
-
-        if manager is not None:
-            manager.start_attempt(attempt, build_party)
-        engine = make_engine(config, injector, manager)
-        engine.add_party(build_party(INITIATOR_ID))
-        for j in current_active:
-            engine.add_party(build_party(j))
-        try:
-            outputs = engine.run()
-        except (PartyTimeout, ProtocolAbort) as failure:
-            blamed, active = exclude_blamed(failure, active, config.recovery)
-            excluded.append(blamed)
-            attempt += 1
-            continue
-        betas = {j: outputs[j] for j in active}
-        outcome = _Phase1Outcome(
-            transcript=engine.transcript,
-            metrics={
-                pid: party.metrics for pid, party in engine.parties.items()
-            },
-            wire_stats=engine.wire.stats(),
-            rejoins=engine.supervisor.rejoins,
+    def run_attempt() -> FrameworkResult:
+        engine = framework.attempt_engine(
+            attempts, injector, manager,
+            roles=(GainServiceInitiator, GainOnlyParticipant),
         )
-        return outcome, betas, active, excluded, attempt + 1
+        return engine_result(engine, engine.run(), attempts.active)
+
+    return attempts.until_done(run_attempt)
 
 
 def _shard_config(config: FrameworkConfig, size: int, index: int) -> FrameworkConfig:
@@ -476,18 +413,11 @@ def _run_submission(
     ranks: Dict[int, int],
     betas: Dict[int, int],
     specs: Sequence[FaultSpec],
-) -> _StageOutcome:
+) -> FrameworkResult:
     """The global step-9 round over the hierarchy-assigned ranks."""
     config = framework.config
     rng = framework._rng
-    injector = (
-        FaultInjector(
-            list(specs), rng=_fork(rng, "submit|faults"), phase_of=phase_of_tag
-        )
-        if specs
-        else None
-    )
-    engine = make_engine(config, injector)
+    engine = make_engine(config, framework._make_injector(specs, "submit|faults"))
     engine.add_party(
         SubmissionInitiator(
             config,
@@ -509,14 +439,7 @@ def _run_submission(
                 known_beta=betas.get(j),
             )
         )
-    outputs = engine.run()
-    return _StageOutcome(
-        transcript=engine.transcript,
-        metrics={pid: party.metrics for pid, party in engine.parties.items()},
-        wire_stats=engine.wire.stats(),
-        output=outputs[INITIATOR_ID],
-        rejoins=engine.supervisor.rejoins,
-    )
+    return engine_result(engine, engine.run(), ranked_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -614,33 +537,25 @@ def _combine_wire(
     The aggregation's field-element traffic never crosses an engine
     transport, so it is added explicitly under the ``shard-aggregate``
     tag; the digest chains the per-level digests (order-sensitive, like
-    the per-level digests themselves).
+    the per-level digests themselves).  The levels reuse channels, so
+    their channel digests cannot be merged.
     """
-    messages_by_tag: Dict[str, int] = {}
-    bits_by_tag: Dict[str, int] = {}
-    for part in parts:
-        for tag, count in part.messages_by_tag.items():
-            messages_by_tag[tag] = messages_by_tag.get(tag, 0) + count
-        for tag, bits in part.bits_by_tag.items():
-            bits_by_tag[tag] = bits_by_tag.get(tag, 0) + bits
-    agg_messages = aggregation.metrics.field_messages
-    if aggregation.wire_bits:
-        messages_by_tag[TAG_AGGREGATE] = (
-            messages_by_tag.get(TAG_AGGREGATE, 0) + agg_messages
-        )
-        bits_by_tag[TAG_AGGREGATE] = (
-            bits_by_tag.get(TAG_AGGREGATE, 0) + aggregation.wire_bits
-        )
     digest = hashlib.sha256(
         "|".join(part.digest for part in parts).encode()
     ).hexdigest()
-    return WireStats(
-        coalesce=parts[0].coalesce,
-        digest=digest,
-        wire_messages=sum(p.wire_messages for p in parts) + agg_messages,
-        wire_bits=sum(p.wire_bits for p in parts) + aggregation.wire_bits,
-        payload_bits=sum(p.payload_bits for p in parts) + aggregation.wire_bits,
-        messages_by_tag=messages_by_tag,
-        bits_by_tag=bits_by_tag,
-        logical_messages=sum(p.logical_messages for p in parts) + agg_messages,
+    total = WireStats.total(parts, digest)
+    agg_messages = aggregation.metrics.field_messages
+    if aggregation.wire_bits:
+        total.messages_by_tag[TAG_AGGREGATE] = (
+            total.messages_by_tag.get(TAG_AGGREGATE, 0) + agg_messages
+        )
+        total.bits_by_tag[TAG_AGGREGATE] = (
+            total.bits_by_tag.get(TAG_AGGREGATE, 0) + aggregation.wire_bits
+        )
+    return dataclasses.replace(
+        total,
+        wire_messages=total.wire_messages + agg_messages,
+        wire_bits=total.wire_bits + aggregation.wire_bits,
+        payload_bits=total.payload_bits + aggregation.wire_bits,
+        logical_messages=total.logical_messages + agg_messages,
     )

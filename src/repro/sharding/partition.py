@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["plan_shards", "shard_sizes"]
+__all__ = ["plan_shards", "shard_sizes", "two_champions"]
 
 
 def shard_sizes(n: int, shard_size: int) -> List[int]:
@@ -46,3 +46,13 @@ def plan_shards(active_ids: Sequence[int], shard_size: int) -> List[List[int]]:
         shards.append(ordered[start:start + size])
         start += size
     return shards
+
+
+def two_champions(sizes: Sequence[int], k: int) -> bool:
+    """Whether a plan with these shard sizes sends exactly 2 champions
+    to the champion round, which cannot rank them.
+
+    Each shard sends its local top ``min(k, size)``; the round's
+    honest-majority secret sharing needs 1 or at least 3 parties.
+    """
+    return sum(min(k, size) for size in sizes) == 2

@@ -472,10 +472,19 @@ class TestKillRejoin:
 # ---------------------------------------------------------------------------
 
 class TestResume:
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(transport="tcp"),
+        dict(n=4, shard_size=2),
+    ], ids=["inproc", "tcp", "sharded"])
     def test_resume_requires_checkpoint_dir(
-        self, small_dl_group, small_schema, small_initiator_input
+        self, small_dl_group, small_schema, small_initiator_input, overrides
     ):
-        framework = build(small_dl_group, small_schema, small_initiator_input)
+        """Every runner shares the resume guard: the flat engine, the
+        socket coordinator and the hierarchy's phase 1."""
+        framework = build(
+            small_dl_group, small_schema, small_initiator_input, **overrides
+        )
         with pytest.raises(ValueError, match="checkpoint_dir"):
             framework.run(resume=True)
 

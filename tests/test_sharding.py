@@ -25,10 +25,11 @@ import pytest
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.parties import TAG_AGGREGATE
 from repro.math.rng import SeededRNG
+from repro.runtime.errors import ProtocolError
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.sharding.aggregate import aggregation_prime, rank_champions
 from repro.sharding.hierarchy import HierarchicalResult
-from repro.sharding.partition import plan_shards, shard_sizes
+from repro.sharding.partition import plan_shards, shard_sizes, two_champions
 from tests.conftest import make_participants
 from tests.test_runtime_faults import outcome_fingerprint
 
@@ -76,6 +77,14 @@ class TestPartition:
         # Singleton avoidance: fewer shards rather than a 1-member one.
         assert shard_sizes(3, 2) == [3]
         assert shard_sizes(5, 2) == [3, 2]
+
+    def test_two_champions(self):
+        # Each shard sends its top min(k, size).
+        assert two_champions([3, 3], k=1)
+        assert two_champions([2], k=2)
+        assert not two_champions([3, 2, 2], k=1)
+        assert not two_champions([3, 3], k=2)
+        assert not two_champions([4], k=1)
 
     def test_plan_shards_consecutive(self):
         shards = plan_shards([3, 1, 7, 5, 9, 11, 2], 3)
@@ -305,6 +314,18 @@ class TestFaults:
         result = framework.run(specs)
         assert result.selected_ids() == clean.selected_ids()
         assert framework.check_result(result) == []
+
+    def test_recovery_into_two_champions_cannot_recover(
+        self, small_dl_group, small_schema, small_initiator_input
+    ):
+        """Excluding P7 at n = 7 leaves shards [3, 3], whose champion
+        round at k = 1 would rank exactly 2: the run stops with a typed
+        error, not inside the secret sharing."""
+        framework = build(
+            small_dl_group, small_schema, small_initiator_input, n=7, k=1
+        )
+        with pytest.raises(ProtocolError, match="cannot recover"):
+            framework.run([FaultSpec(kind="crash", party=7, tag="dp-request")])
 
     def test_initiator_shard_fault_rejected(
         self, small_dl_group, small_schema, small_initiator_input

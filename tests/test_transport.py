@@ -296,6 +296,26 @@ class TestFaults:
         assert _accounting(tcp) == _accounting(inproc)
 
 
+class TestResume:
+    def test_resume_skips_phase_one_when_betas_survived(self, tiny_dl_group,
+                                                        tmp_path):
+        """The coordinator's resume branch: a fresh coordinator pointed
+        at the durable state of a finished run re-enters at phase 2 (no
+        dot-product traffic) and ranks as the first run did."""
+        settings = TransportSettings(timeout_s=30.0)
+        first = build(tiny_dl_group, 3, checkpoint_dir=str(tmp_path),
+                      transport="tcp")
+        completed = run_distributed(first, settings=settings)
+        second = build(tiny_dl_group, 3, checkpoint_dir=str(tmp_path),
+                       transport="tcp")
+        resumed = run_distributed(second, resume=True, settings=settings)
+        # The first coordinator's attempt 0 counts: the resume is 1.
+        assert resumed.attempts == 2
+        assert "dp-request" not in set(resumed.transcript.tags())
+        assert resumed.ranks == completed.ranks
+        assert second.check_result(resumed) == []
+
+
 #: OperationCounter fields that differ between runtimes even without a
 #: fault: each party process keeps its own membership memo, and the
 #: engine also tallies the membership checks of its transcode.

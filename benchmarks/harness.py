@@ -4,14 +4,16 @@ Pipeline (DESIGN.md §5, substitution 1):
 
 1. **Counting run** — execute the real framework protocol end-to-end
    over a :class:`repro.analysis.counting.CountingGroup` that mimics the
-   target family's wire sizes.  This yields the exact per-participant
-   operation counts and the exact message transcript for the given
-   ``(n, m, d1, d2, h)``.  Counting runs match fully-real runs
-   operation-for-operation (asserted in ``test_validation.py``).
+   target family's wire sizes (:func:`counting_run`, a cache over
+   :func:`repro.analysis.counting.counted_run`).  This yields the exact
+   per-participant operation counts and the exact message transcript
+   for the given ``(n, m, d1, d2, h)``.  Counting runs match fully-real
+   runs operation-for-operation (asserted in ``test_validation.py``).
 2. **Calibration** — measure seconds-per-exponentiation /
    seconds-per-multiplication on this machine at the true group sizes
-   (1024/2048/3072-bit DL, 160/224/256-bit curves) and
-   seconds-per-field-multiplication for the SS baseline.
+   (1024/2048/3072-bit DL, 160/224/256-bit curves;
+   :func:`repro.analysis.costmodel.cost_model_for` by family and tier)
+   and seconds-per-field-multiplication for the SS baseline.
 3. **Estimate** — participant time = counted ops × calibrated costs.
    The SS baseline uses the paper's own operation accounting
    (Section VI-B: Batcher comparisons × (279l+5) multiplications ×
@@ -24,19 +26,13 @@ Results are cached per process and appended to
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.complexity import ss_framework_participant_cost
-from repro.analysis.costmodel import CostModel, calibrate_dl, calibrate_ecc, calibrate_field
-from repro.analysis.counting import CountingGroup
-from repro.core.framework import FrameworkConfig, FrameworkResult, GroupRankingFramework
-from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
+from repro.analysis.costmodel import calibrate_field
+from repro.analysis.counting import CountedRun, CountingGroup, counted_run
 from repro.groups.base import OperationCounter
-from repro.groups.params import TIERS
-from repro.math.rng import SeededRNG
-from repro.runtime.transcript import Transcript
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -50,18 +46,6 @@ def full_sweeps() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
 
-@dataclass
-class CountedRun:
-    """Everything a counting run produces."""
-
-    n: int
-    beta_bits: int
-    max_participant_ops: OperationCounter
-    initiator_ops: OperationCounter
-    transcript: Transcript
-    rounds: int
-
-
 _COUNT_CACHE: Dict[Tuple, CountedRun] = {}
 
 
@@ -72,87 +56,30 @@ def counting_run(
     d1: int = 15,
     d2: int = 15,
     h: int = 15,
-    element_bits: int = 1024,
-    order_bits: Optional[int] = None,
-    coalesce: bool = True,
+    family: Optional[str] = None,
+    level: int = 80,
 ) -> CountedRun:
-    """Execute the real protocol on an inert group; return exact counts.
+    """Cached :func:`~repro.analysis.counting.counted_run` (seed 1).
 
-    The transcript carries *measured* encoded bytes (envelopes, framing,
-    per-round coalescing per ``coalesce``) — the counting group reports
-    the target family's element width, so encoded sizes match the real
-    family's.
+    The group has the wire sizes of ``family`` at ``level``
+    (:meth:`CountingGroup.for_tier`), or without a family 1024-bit
+    elements and exponents, the group the FIG-2 series are priced on.
     """
-    key = (n, m, t, d1, d2, h, element_bits, order_bits, coalesce)
-    if key in _COUNT_CACHE:
-        return _COUNT_CACHE[key]
-    schema = AttributeSchema(
-        names=tuple(f"q{i}" for i in range(m)),
-        num_equal=t,
-        value_bits=d1,
-        weight_bits=d2,
-    )
-    rng = SeededRNG(1)
-    bound = 1 << d1
-    initiator = InitiatorInput.create(
-        schema,
-        [rng.randrange(bound) for _ in range(m)],
-        [rng.randrange(1 << d2) for _ in range(m)],
-    )
-    participants = [
-        ParticipantInput.create(schema, [rng.randrange(bound) for _ in range(m)])
-        for _ in range(n)
-    ]
-    group = CountingGroup(element_bits=element_bits, order_bits=order_bits)
-    config = FrameworkConfig(
-        group=group, schema=schema, num_participants=n,
-        k=max(1, n // 8), rho_bits=h, coalesce=coalesce,
-    )
-    framework = GroupRankingFramework(config, initiator, participants, rng=SeededRNG(2))
-    result = framework.run()
-    participant_ops = max(
-        (metrics.ops for metrics in result.participant_metrics()),
-        key=lambda ops: ops.equivalent_multiplications,
-    )
-    run = CountedRun(
-        n=n,
-        beta_bits=config.beta_bits,
-        max_participant_ops=participant_ops,
-        initiator_ops=result.metrics[0].ops,
-        transcript=result.transcript,
-        rounds=result.rounds,
-    )
-    _COUNT_CACHE[key] = run
-    return run
-
-
-def counting_run_for_family(family: str, level: int = 80, **params) -> CountedRun:
-    """Counting run with the wire sizes of the given family/tier."""
-    tier = TIERS[level]
-    if family.upper() == "DL":
-        return counting_run(
-            element_bits=tier.dl_bits, order_bits=tier.dl_bits - 1, **params
+    key = (n, m, t, d1, d2, h, family, level)
+    if key not in _COUNT_CACHE:
+        group = (
+            CountingGroup(element_bits=1024) if family is None
+            else CountingGroup.for_tier(family, level)
         )
-    if family.upper() == "ECC":
-        return counting_run(
-            element_bits=tier.curve_bits + 1, order_bits=tier.curve_bits, **params
+        _COUNT_CACHE[key] = counted_run(
+            group, n, m=m, num_equal=t, d1=d1, d2=d2, h=h
         )
-    raise ValueError("family must be DL or ECC")
+    return _COUNT_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
 # Time estimation
 # ---------------------------------------------------------------------------
-
-def framework_participant_seconds(run: CountedRun, family: str, level: int = 80) -> float:
-    """Counted participant workload at calibrated per-op costs."""
-    tier = TIERS[level]
-    if family.upper() == "DL":
-        model = calibrate_dl(tier.dl_bits)
-    else:
-        model = calibrate_ecc(tier.curve)
-    return model.seconds_for(run.max_participant_ops)
-
 
 def ss_participant_seconds(n: int, beta_bits: int) -> float:
     """SS baseline time under the paper's Section VI-B accounting."""

@@ -12,12 +12,12 @@ from benchmarks.harness import (
     PAPER_DEFAULTS,
     counting_run,
     format_series_table,
-    framework_participant_seconds,
     full_sweeps,
     growth_exponent,
     ss_participant_seconds,
     write_result,
 )
+from repro.analysis.costmodel import cost_model_for
 
 
 def sweep_ns():
@@ -31,8 +31,9 @@ def series():
     dl, ecc, ss = [], [], []
     for n in ns:
         run = counting_run(n=n, **params)
-        dl.append(framework_participant_seconds(run, "DL", 80))
-        ecc.append(framework_participant_seconds(run, "ECC", 80))
+        ops = run.max_participant_ops
+        dl.append(cost_model_for("DL", 80).seconds_for(ops))
+        ecc.append(cost_model_for("ECC", 80).seconds_for(ops))
         ss.append(ss_participant_seconds(n, run.beta_bits))
     return ns, {"SS": ss, "DL-1024": dl, "ECC-160": ecc}
 
@@ -49,9 +50,10 @@ def test_fig2a_series(series, benchmark):
     print("\n" + table + "\n\n" + chart)
     write_result("fig2a_participants", table + "\n\n" + chart)
     # Timed kernel: one counted point end-to-end (run + estimate).
-    benchmark(lambda: framework_participant_seconds(
-        counting_run(n=10, **{k: v for k, v in PAPER_DEFAULTS.items() if k != "n"}),
-        "ECC", 80,
+    benchmark(lambda: cost_model_for("ECC", 80).seconds_for(
+        counting_run(
+            n=10, **{k: v for k, v in PAPER_DEFAULTS.items() if k != "n"}
+        ).max_participant_ops
     ))
 
     # Shape assertions (the paper's Fig. 2(a) claims):

@@ -11,12 +11,12 @@ from benchmarks.harness import (
     PAPER_DEFAULTS,
     counting_run,
     format_series_table,
-    framework_participant_seconds,
     full_sweeps,
     growth_exponent,
     ss_participant_seconds,
     write_result,
 )
+from repro.analysis.costmodel import cost_model_for
 
 FIXED_N = 25 if full_sweeps() else 15
 
@@ -30,8 +30,9 @@ def sweep(param, values):
         point = dict(params)
         point[param] = value
         run = counting_run(n=FIXED_N, **point)
-        dl.append(framework_participant_seconds(run, "DL", 80))
-        ecc.append(framework_participant_seconds(run, "ECC", 80))
+        ops = run.max_participant_ops
+        dl.append(cost_model_for("DL", 80).seconds_for(ops))
+        ecc.append(cost_model_for("ECC", 80).seconds_for(ops))
         ss.append(ss_participant_seconds(FIXED_N, run.beta_bits))
     return {"SS": ss, "DL-1024": dl, "ECC-160": ecc}
 
@@ -58,8 +59,9 @@ def test_fig2b_dimensions(benchmark):
     ss_unit = calibrate_field(widest + 9).seconds_per_multiplication
     for m in ms:
         run = counting_run(n=FIXED_N, m=m, **params)
-        columns["DL-1024"].append(framework_participant_seconds(run, "DL", 80))
-        columns["ECC-160"].append(framework_participant_seconds(run, "ECC", 80))
+        ops = run.max_participant_ops
+        columns["DL-1024"].append(cost_model_for("DL", 80).seconds_for(ops))
+        columns["ECC-160"].append(cost_model_for("ECC", 80).seconds_for(ops))
         columns["SS"].append(
             ss_framework_participant_cost(FIXED_N, run.beta_bits) * ss_unit
         )
@@ -82,8 +84,9 @@ def test_fig2c_attribute_bits(benchmark):
     columns = {"SS": [], "DL-1024": [], "ECC-160": []}
     for d1 in d1s:
         run = counting_run(n=FIXED_N, d1=d1, **params)
-        columns["DL-1024"].append(framework_participant_seconds(run, "DL", 80))
-        columns["ECC-160"].append(framework_participant_seconds(run, "ECC", 80))
+        ops = run.max_participant_ops
+        columns["DL-1024"].append(cost_model_for("DL", 80).seconds_for(ops))
+        columns["ECC-160"].append(cost_model_for("ECC", 80).seconds_for(ops))
         columns["SS"].append(ss_participant_seconds(FIXED_N, run.beta_bits))
     check_and_emit(
         "fig2c_attribute_bits",
@@ -109,8 +112,9 @@ def test_fig2d_rho_bits(benchmark):
     columns = {"SS": [], "DL-1024": [], "ECC-160": []}
     for h in hs:
         run = counting_run(n=FIXED_N, h=h, **params)
-        columns["DL-1024"].append(framework_participant_seconds(run, "DL", 80))
-        columns["ECC-160"].append(framework_participant_seconds(run, "ECC", 80))
+        ops = run.max_participant_ops
+        columns["DL-1024"].append(cost_model_for("DL", 80).seconds_for(ops))
+        columns["ECC-160"].append(cost_model_for("ECC", 80).seconds_for(ops))
         columns["SS"].append(ss_participant_seconds(FIXED_N, run.beta_bits))
     check_and_emit(
         "fig2d_rho_bits",

@@ -29,7 +29,7 @@ import pytest
 
 from benchmarks.harness import (
     PAPER_DEFAULTS,
-    counting_run_for_family,
+    counting_run,
     format_series_table,
     full_sweeps,
     write_result,
@@ -116,13 +116,9 @@ def series():
         # Measured wire: the replay sees real encoded bytes (envelopes,
         # varint framing) and real frame counts (coalesced batches fold
         # into one wire message per channel per round).
-        run_dl = counting_run_for_family(
-            "DL", 80, n=n, **params
-        )
+        run_dl = counting_run(n=n, family="DL", **params)
         dl.append(replay_transcript(run_dl.transcript, topology, link).total_time_s)
-        run_ecc = counting_run_for_family(
-            "ECC", 80, n=n, **params
-        )
+        run_ecc = counting_run(n=n, family="ECC", **params)
         ecc.append(replay_transcript(run_ecc.transcript, topology, link).total_time_s)
         ss_hi.append(ss_network_seconds(n, run_dl.beta_bits, topology, link, "batched"))
         ss_lo.append(ss_network_seconds(n, run_dl.beta_bits, topology, link, "interaction"))
@@ -158,9 +154,7 @@ def test_fig3b_series(series, benchmark):
     params = {k: v for k, v in PAPER_DEFAULTS.items() if k != "n"}
     topology = paper_topology(SeededRNG(17))
     topology.place_parties(list(range(ns[0] + 1)), SeededRNG(18))
-    run = counting_run_for_family(
-        "ECC", 80, n=ns[0], **params
-    )
+    run = counting_run(n=ns[0], family="ECC", **params)
     benchmark(lambda: replay_transcript(run.transcript, topology))
 
     # Robust shape claims:

@@ -12,13 +12,14 @@ costs the sharding exists to cut:
   already includes the champion-aggregation round's field messages
   (merged as the synthetic ``shard-aggregate`` transcript round).
 
-Acceptance bars (ISSUE 8): the sharded run must beat flat by ≥3x on
-both metrics, and the measured counts must agree with the symbolic
-``CrossoverModel`` within documented constant factors.  The model
-counts abstract units (every group multiplication equally, analytic
-ciphertext sizes), the run counts concrete ones (multi-exp ladders,
-wire framing), so exact equality is not expected; the band below is
-the observed envelope with ~3x headroom on each side.
+Acceptance bars: the sharded run must beat flat by ≥3x on both
+metrics, and the measured counts must agree with the closed forms of
+:mod:`repro.analysis.complexity` (:func:`model_fields`) within
+documented constant factors.  The model counts abstract units (every
+group multiplication equally, analytic ciphertext sizes), the run
+counts concrete ones (multi-exp ladders, wire framing), so exact
+equality is not expected; the band below is the observed envelope
+with ~3x headroom on each side.
 
 Emits machine-readable ``results/BENCH_sharded.json``.  With
 ``REPRO_BENCH_ENFORCE=1`` the measured speedups are additionally gated
@@ -36,7 +37,7 @@ import time
 import pytest
 
 from benchmarks.harness import RESULTS_DIR, write_result
-from repro.analysis.symbolic import CrossoverModel
+from repro.analysis.complexity import sharding_crossover, sharding_totals
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
 from repro.groups.params import make_test_group
@@ -84,6 +85,27 @@ def _framework(shard_size, group):
     )
 
 
+def model_fields(payload, lambda_bits, ciphertext_bits):
+    """The payload's model side, from its measured counts: measured ÷
+    modeled ratios, the predicted crossovers and speedups at N."""
+    model = (SHARD_SIZE, K, payload["beta_bits"], lambda_bits, ciphertext_bits)
+    totals = sharding_totals(N, *model)
+    return {
+        "model_agreement": {
+            f"{side}_{metric}": round(payload[side][metric] / modeled, 3)
+            for metric, pair in totals.items()
+            for side, modeled in zip(("flat", "sharded"), pair)
+        },
+        "model_crossover": {
+            metric: sharding_crossover(metric, *model) for metric in totals
+        },
+        "model_predicted_speedup": {
+            metric: round(flat / sharded, 2)
+            for metric, (flat, sharded) in totals.items()
+        },
+    }
+
+
 def _timed_run(shard_size, group):
     config, framework = _framework(shard_size, group)
     start = time.perf_counter()
@@ -112,22 +134,6 @@ def test_sharded_vs_flat_speedup():
     mult_speedup = flat_mults / sharded_mults
     bit_speedup = flat_bits / sharded_bits
 
-    model = CrossoverModel(
-        SHARD_SIZE, config.beta_bits, group.order.bit_length(), K,
-        ciphertext_bits=2 * group.element_bits,
-    )
-    agreement = {
-        "flat_multiplications": flat_mults
-        / model.evaluate("multiplications", N, sharded=False),
-        "sharded_multiplications": sharded_mults
-        / model.evaluate("multiplications", N, sharded=True),
-        "flat_bits": flat_bits / model.evaluate("bits", N, sharded=False),
-        "sharded_bits": sharded_bits / model.evaluate("bits", N, sharded=True),
-    }
-    crossovers = {
-        metric: model.crossover(metric) for metric in ("multiplications", "bits")
-    }
-
     aggregation = sharded.aggregation
     payload = {
         "bench": "sharded_vs_flat",
@@ -154,14 +160,16 @@ def test_sharded_vs_flat_speedup():
         "multiplication_speedup": round(mult_speedup, 2),
         "bit_speedup": round(bit_speedup, 2),
         "min_speedup": MIN_SPEEDUP,
-        "model_agreement": {k: round(v, 3) for k, v in agreement.items()},
-        "model_band": MODEL_BAND,
-        "model_crossover": crossovers,
-        "model_predicted_speedup": {
-            "multiplications": round(model.speedup("multiplications", N), 2),
-            "bits": round(model.speedup("bits", N), 2),
-        },
     }
+    model = model_fields(
+        payload, group.order.bit_length(), 2 * group.element_bits
+    )
+    payload.update(
+        model_agreement=model["model_agreement"],
+        model_band=MODEL_BAND,
+        model_crossover=model["model_crossover"],
+        model_predicted_speedup=model["model_predicted_speedup"],
+    )
 
     committed_path = RESULTS_DIR / "BENCH_sharded.json"
     committed = (
@@ -173,12 +181,12 @@ def test_sharded_vs_flat_speedup():
     assert mult_speedup >= MIN_SPEEDUP, payload
     assert bit_speedup >= MIN_SPEEDUP, payload
 
-    # The symbolic model must track every measured count within the
+    # The closed forms must track every measured count within the
     # documented constant-factor band, and must place the crossover at
     # or below the bench point (sharding already winning at n=64).
-    for name, ratio in agreement.items():
+    for name, ratio in model["model_agreement"].items():
         assert MODEL_BAND[0] <= ratio <= MODEL_BAND[1], (name, ratio)
-    for metric, crossover in crossovers.items():
+    for metric, crossover in model["model_crossover"].items():
         assert crossover is not None and crossover <= N, (metric, crossover)
 
     if os.environ.get("REPRO_BENCH_ENFORCE", "") == "1" and committed:

@@ -14,9 +14,7 @@ anything:
 import pytest
 
 from benchmarks.harness import counting_run, extrapolate_counts
-from repro.analysis.counting import CountingGroup
-from repro.core.framework import FrameworkConfig, GroupRankingFramework
-from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
+from repro.analysis.counting import CountingGroup, counted_run
 from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
 
@@ -24,33 +22,12 @@ PARAMS = dict(m=6, t=2, d1=8, d2=8, h=8)
 
 
 def run_with_group(group, n):
-    schema = AttributeSchema(
-        names=tuple(f"q{i}" for i in range(PARAMS["m"])),
-        num_equal=PARAMS["t"], value_bits=PARAMS["d1"], weight_bits=PARAMS["d2"],
-    )
-    rng = SeededRNG(1)
-    bound = 1 << PARAMS["d1"]
-    initiator = InitiatorInput.create(
-        schema,
-        [rng.randrange(bound) for _ in range(PARAMS["m"])],
-        [rng.randrange(1 << PARAMS["d2"]) for _ in range(PARAMS["m"])],
-    )
-    participants = [
-        ParticipantInput.create(
-            schema, [rng.randrange(bound) for _ in range(PARAMS["m"])]
-        )
-        for _ in range(n)
-    ]
-    config = FrameworkConfig(
-        group=group, schema=schema, num_participants=n, k=max(1, n // 8),
-        rho_bits=PARAMS["h"],
-    )
-    framework = GroupRankingFramework(config, initiator, participants, rng=SeededRNG(2))
-    result = framework.run()
-    return max(
-        (metrics.ops for metrics in result.participant_metrics()),
-        key=lambda ops: ops.equivalent_multiplications,
-    )
+    """The costliest participant's counts of the counting driver's
+    instance, run on ``group``."""
+    return counted_run(
+        group, n, m=PARAMS["m"], num_equal=PARAMS["t"], d1=PARAMS["d1"],
+        d2=PARAMS["d2"], h=PARAMS["h"],
+    ).max_participant_ops
 
 
 def test_counting_group_matches_real_group_exactly(benchmark):

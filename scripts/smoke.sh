@@ -23,7 +23,7 @@ PYTHONPATH=src python -m repro demo -n 5 --checkpoint-dir "$CKPT_DIR" --resume
 echo "== hierarchical sharding: n=64 phase 2 in shards of 16 =="
 PYTHONPATH=src python -m repro demo -n 64 --shard-size 16
 
-echo "== crossover model picks the shard size =="
+echo "== --shard-size auto picks the shard size =="
 PYTHONPATH=src python -m repro demo -n 24 --shard-size auto
 
 echo "== one-limb group: the default backend against the python reference =="

@@ -1,19 +1,23 @@
 """Analysis layer: complexity models, calibrated timing, security games.
 
-* :mod:`repro.analysis.complexity` — the closed-form operation/round/bit
-  counts of paper Section VI-B, for both the framework and the SS
-  baseline.
+* :mod:`repro.analysis.complexity` — the one cost model: the
+  closed-form operation/round/bit counts of paper Section VI-B, for the
+  framework, the SS baseline and the hierarchical (sharded)
+  composition, whose flat-vs-sharded crossover it locates with
+  :func:`~repro.analysis.tradeoff.find_crossover`.
+* :mod:`repro.analysis.counting` — counting runs: the real protocol on
+  an inert group that counts operations and measures wire bytes.
 * :mod:`repro.analysis.costmodel` — converts operation counts (measured
-  from real protocol runs or from the complexity formulas) into seconds
+  from counting runs or from the complexity formulas) into seconds
   using per-operation costs calibrated on this machine at the true group
   sizes.
 * :mod:`repro.analysis.games` — executable versions of the paper's
   security definitions (IND-CPA, gain hiding, identity unlinkability) as
   statistical experiments, including the concrete attacks that succeed
   when the shuffle or the rerandomization is ablated.
-* :mod:`repro.analysis.symbolic` — the sympy-backed
-  :class:`CrossoverModel` over the hierarchical (sharded) closed forms,
-  predicting the flat-vs-sharded crossover point.
+
+The protocol code (core, runtime, sharding) never imports this
+package; the CLI's analysis commands, the benches and the tests do.
 """
 
 from repro.analysis.complexity import (
@@ -23,12 +27,13 @@ from repro.analysis.complexity import (
     sharded_aggregation_bits,
     sharded_participant_bits,
     sharded_participant_cost,
+    sharding_crossover,
+    sharding_totals,
     ss_framework_participant_cost,
     ss_framework_round_count,
 )
-from repro.analysis.symbolic import CrossoverModel, suggest_shard_size
 from repro.analysis.costmodel import CostModel, calibrate_dl, calibrate_ecc, calibrate_field
-from repro.analysis.counting import CountingGroup
+from repro.analysis.counting import CountedRun, CountingGroup, counted_run
 from repro.analysis.leakage import (
     consistent_gain_count,
     deniability_series,
@@ -59,7 +64,9 @@ __all__ = [
     "crossover_ratio_curve",
     "find_crossover",
     "position_uniformity_experiment",
+    "CountedRun",
     "CountingGroup",
+    "counted_run",
     "consistent_gain_count",
     "deniability_series",
     "is_consistent",
@@ -70,13 +77,13 @@ __all__ = [
     "estimate_advantage",
     "framework_participant_cost",
     "framework_round_count",
-    "CrossoverModel",
-    "suggest_shard_size",
     "ind_cpa_game",
     "initiator_cost",
     "sharded_aggregation_bits",
     "sharded_participant_bits",
     "sharded_participant_cost",
+    "sharding_crossover",
+    "sharding_totals",
     "ss_framework_participant_cost",
     "ss_framework_round_count",
     "tau_dictionary_attack",

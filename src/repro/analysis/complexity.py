@@ -6,19 +6,22 @@ units the paper uses.  Each formula documents which protocol step it
 accounts for; constants follow the paper's own accounting (an
 exponentiation with a ``λ``-bit exponent is ``1.5·λ`` multiplications).
 
-These formulas serve two purposes:
+These formulas serve three purposes:
 
 * the TAB-VIB bench regenerates the paper's asymptotic comparison table;
-* the FIG-2/FIG-3 benches cross-validate them against operation counts
-  *measured* from real protocol runs (they agree within the constant
-  factors documented in EXPERIMENTS.md).
+* counting runs check them against operation counts *measured* from
+  real protocol runs (:data:`PARTICIPANT_COST_BAND`);
+* :func:`sharding_crossover` predicts where the hierarchical (sharded)
+  composition starts to beat the flat protocol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
+from repro.analysis.tradeoff import find_crossover
 from repro.sharding.partition import shard_sizes
 from repro.sharing.comparison import nishide_ohta_cost
 from repro.sorting.networks import batcher_odd_even
@@ -86,6 +89,15 @@ def framework_participant_cost(
     )
 
 
+#: Band for counted ÷ modeled group multiplications of the costliest
+#: participant (:func:`framework_participant_cost`, λ = 1023) in a
+#: DL-1024 counting run at the paper's parameters (l = 67).  The ratio
+#: reads 1.62 at n = 3 and falls toward 1 as n grows (1.21 at n = 8,
+#: 1.06 at n = 25): the work the formula leaves out grows more slowly
+#: than the shuffle chain it is dominated by.
+PARTICIPANT_COST_BAND = (0.9, 1.8)
+
+
 def initiator_cost(n: int, m: int) -> float:
     """Initiator's integer multiplications: ``O(n·m)`` dot-product work."""
     return float(n * (3 * m + 8))
@@ -94,10 +106,12 @@ def initiator_cost(n: int, m: int) -> float:
 def framework_round_count(n: int) -> int:
     """Communication rounds of the framework: linear in ``n`` (Section VI-B).
 
-    Phase 1 is 2 rounds; keying/ZKP is 4; β publication 1; τ delivery 1;
-    the chain contributes ``n`` sequential hops; submission 1.
+    Phase 1 is 2 rounds; keying/ZKP is 3 (the key share and the proof
+    commitment travel in one round, then challenge and response); β
+    publication 1; τ delivery 1; the chain contributes ``n`` sequential
+    hops; submission 1.
     """
-    return n + 9
+    return n + 8
 
 
 def framework_participant_bits(n: int, l: int, ciphertext_bits: int) -> int:
@@ -334,3 +348,49 @@ def sharded_aggregation_bits(
     messages += comparators * (lsb_comparison_messages(w, c) + 2 * pairwise)
     messages += k_eff * pairwise                          # index-lane opens
     return float(messages * w)
+
+
+def sharding_totals(
+    n: int, shard_size: int, k: int, l: int, lambda_bits: int,
+    ciphertext_bits: int,
+) -> Dict[str, Tuple[float, float]]:
+    """Whole-cohort ``(flat, sharded)`` cost of n participants per metric.
+
+    ``"multiplications"`` sums the per-participant group multiplications
+    (the champion round's field multiplications are another unit, see
+    :func:`aggregation_invocation_count`); ``"bits"`` sums the
+    per-participant bits and adds the champion round's to the sharded
+    side.
+    """
+    return {
+        "multiplications": (
+            n * framework_participant_cost(n, l, lambda_bits).total,
+            n * sharded_participant_cost(n, shard_size, l, lambda_bits).total,
+        ),
+        "bits": (
+            n * framework_participant_bits(n, l, ciphertext_bits),
+            n * sharded_participant_bits(n, shard_size, l, ciphertext_bits)
+            + sharded_aggregation_bits(n, shard_size, k, l),
+        ),
+    }
+
+
+def sharding_crossover(
+    metric: str, shard_size: int, k: int, l: int, lambda_bits: int,
+    ciphertext_bits: int, n_max: int = 4096,
+) -> Optional[int]:
+    """Smallest n > shard_size from which sharding costs no more than
+    the flat protocol on ``metric`` (a key of :func:`sharding_totals`),
+    or None below ``n_max``."""
+    if metric not in ("multiplications", "bits"):
+        raise ValueError(f"unknown metric {metric!r}")
+
+    def total(n: int, side: int) -> float:
+        return sharding_totals(
+            n, shard_size, k, l, lambda_bits, ciphertext_bits
+        )[metric][side]
+
+    found = find_crossover(
+        lambda n: total(n, 1), lambda n: total(n, 0), shard_size + 1, n_max
+    )
+    return None if found is None else found.at

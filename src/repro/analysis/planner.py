@@ -17,11 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.costmodel import calibrate_dl, calibrate_ecc
-from repro.analysis.counting import CountingGroup
-from repro.core.framework import FrameworkConfig, GroupRankingFramework
-from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
-from repro.groups.params import TIERS
+from repro.analysis.costmodel import cost_model_for
+from repro.analysis.counting import CountingGroup, counted_run
 from repro.math.rng import SeededRNG
 
 
@@ -85,69 +82,31 @@ def estimate_deployment(
     exponentiation takes 0.39 ms on libgmp against 4.9 ms in CPython
     (EXPERIMENTS.md, FIG-3a).
     """
-    family = family.upper()
-    if level not in TIERS:
-        raise ValueError(f"level must be one of {sorted(TIERS)}")
-    if family not in ("DL", "ECC"):
-        raise ValueError("family must be 'DL' or 'ECC'")
-    tier = TIERS[level]
-    if family == "DL":
-        group = CountingGroup.like_dl(tier.dl_bits)
-        cost_model = calibrate_dl(tier.dl_bits)
-    else:
-        group = CountingGroup.like_ecc(tier.curve_bits)
-        cost_model = calibrate_ecc(tier.curve)
-
-    num_equal = m // 2 if num_equal is None else num_equal
-    schema = AttributeSchema(
-        names=tuple(f"q{i}" for i in range(m)),
-        num_equal=num_equal, value_bits=d1, weight_bits=d2,
-    )
-    rng = SeededRNG(seed)
-    bound = 1 << d1
-    initiator = InitiatorInput.create(
-        schema,
-        [rng.randrange(bound) for _ in range(m)],
-        [rng.randrange(1 << d2) for _ in range(m)],
-    )
-    participants = [
-        ParticipantInput.create(schema, [rng.randrange(bound) for _ in range(m)])
-        for _ in range(n)
-    ]
-    config = FrameworkConfig(
-        group=group, schema=schema, num_participants=n,
-        k=k if k is not None else max(1, n // 8), rho_bits=h,
-    )
-    framework = GroupRankingFramework(
-        config, initiator, participants, rng=SeededRNG(seed + 1)
-    )
-    result = framework.run()
-    worst = max(
-        result.participant_metrics(),
-        key=lambda metrics: metrics.ops.equivalent_multiplications,
+    group = CountingGroup.for_tier(family, level)
+    if include_network and n + 1 > 80:
+        raise ValueError("the reference topology holds at most 79 participants")
+    cost_model = cost_model_for(family, level)
+    run = counted_run(
+        group, n, m=m, num_equal=num_equal, d1=d1, d2=d2, h=h, k=k, seed=seed
     )
     network_seconds = None
     if include_network:
         from repro.netsim.topology import paper_topology
         from repro.netsim.transport import replay_transcript
 
-        if n + 1 > 80:
-            raise ValueError("the reference topology holds at most 79 participants")
         topology = paper_topology(SeededRNG(17))
         topology.place_parties(list(range(n + 1)), SeededRNG(18))
-        network_seconds = replay_transcript(result.transcript, topology).total_time_s
+        network_seconds = replay_transcript(run.transcript, topology).total_time_s
 
     return DeploymentEstimate(
         n=n,
-        family=family,
+        family=family.upper(),
         level=level,
-        beta_bits=config.beta_bits,
-        rounds=result.rounds,
-        participant_compute_seconds=cost_model.seconds_for(worst.ops),
-        participant_exponentiations=worst.ops.exponentiations,
-        total_traffic_bits=result.transcript.total_bits,
-        max_participant_sent_bits=max(
-            metrics.bits_sent for metrics in result.participant_metrics()
-        ),
+        beta_bits=run.beta_bits,
+        rounds=run.rounds,
+        participant_compute_seconds=cost_model.seconds_for(run.max_participant_ops),
+        participant_exponentiations=run.max_participant_ops.exponentiations,
+        total_traffic_bits=run.transcript.total_bits,
+        max_participant_sent_bits=run.max_participant_sent_bits,
         network_seconds=network_seconds,
     )

@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--shard-size", default="0", metavar="S",
                       help="hierarchical mode: run phase 2 in shards of ~S "
                            "members plus a champion-aggregation round "
-                           "(0 = flat protocol; 'auto' picks the "
-                           "crossover-model optimum for this n and l)")
+                           "(0 = flat protocol; 'auto' picks S = max(2, k), "
+                           "or flat where no such shard plan runs)")
     demo.add_argument("--transport", choices=["inproc", "tcp"],
                       default="inproc",
                       help="inproc runs the lockstep engine in this process; "
@@ -71,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     netsim.add_argument("--seed", type=int, default=1)
     netsim.add_argument("--shard-size", default="0", metavar="S",
                         help="hierarchical mode: shard phase 2 into groups "
-                             "of ~S members (0 = flat protocol, 'auto' = "
-                             "crossover-model optimum)")
+                             "of ~S members (0 = flat protocol; 'auto' picks "
+                             "S = max(2, k), or flat where no such shard "
+                             "plan runs)")
     _add_wire_flags(netsim)
     _add_backend_flag(netsim)
     _add_checkpoint_flags(netsim)
@@ -137,24 +138,17 @@ def _print_wire_stats(result, out) -> None:
     print(f"wire digest: {stats.canonical_digest[:16]}…", file=out)
 
 
-def _resolve_shard_size(value, n: int, k: int, schema, rho_bits: int,
-                        group) -> int:
-    """Parse a ``--shard-size`` value; ``auto`` asks the crossover model."""
+def _resolve_shard_size(value, n: int, k: int, transport: str = "inproc") -> int:
+    """Parse a ``--shard-size`` value (``auto``: :func:`auto_shard_size`,
+    or flat over tcp, which does not run the sharded hierarchy)."""
     text = str(value).strip().lower()
     if text != "auto":
         return int(text)
-    from repro.analysis.symbolic import suggest_shard_size
-    from repro.core.gain import beta_bit_length
+    if transport == "tcp":
+        return 0
+    from repro.sharding.partition import auto_shard_size
 
-    l = beta_bit_length(
-        schema.dimension, schema.value_bits, schema.weight_bits, rho_bits,
-        mode="safe",
-    )
-    return suggest_shard_size(
-        n, l, k=k,
-        lambda_bits=group.order.bit_length(),
-        ciphertext_bits=2 * group.element_bits,
-    )
+    return auto_shard_size(n, k)
 
 
 def _make_group(name: str):
@@ -195,12 +189,11 @@ def cmd_demo(args, out) -> int:
     )
     group = _make_group(args.group)
     shard_size = _resolve_shard_size(
-        args.shard_size, args.participants, args.top, schema, 8, group
+        args.shard_size, args.participants, args.top, args.transport
     )
     if str(args.shard_size).strip().lower() == "auto":
-        print(f"shard-size auto: crossover model suggests "
-              f"{shard_size or 'flat (0)'} for n={args.participants}",
-              file=out)
+        print(f"shard-size auto: {shard_size or 'flat (0)'} for "
+              f"n={args.participants}, k={args.top}", file=out)
     config = FrameworkConfig(
         group=group,
         schema=schema,
@@ -345,9 +338,7 @@ def cmd_netsim(args, out) -> int:
         num_participants=args.participants, k=2, rho_bits=8,
         coalesce=args.coalesce,
         backend=args.backend, checkpoint_dir=args.checkpoint_dir,
-        shard_size=_resolve_shard_size(
-            args.shard_size, args.participants, 2, schema, 8, group
-        ),
+        shard_size=_resolve_shard_size(args.shard_size, args.participants, 2),
     )
     framework = GroupRankingFramework(
         config, initiator, participants, rng=SeededRNG(args.seed)

@@ -138,10 +138,10 @@ def run_hierarchical(
             if manager is not None:
                 manager.close()
     if phase1 is None:
-        phase1 = FrameworkResult(
+        phase1 = attempts.stamp(FrameworkResult(
             ranks={}, initiator_output=None, transcript=Transcript(),
             metrics={}, rounds=0, betas=attempts.betas,
-        )
+        ))
     betas = phase1.betas
     attempts_used = phase1.attempts
     excluded = list(phase1.excluded)

@@ -1,8 +1,8 @@
 """Deterministic shard planning.
 
 The split is a pure function of the (sorted) active id set and the
-configured shard size, so every party — and a replay, and the symbolic
-cost model — derives the identical layout with no extra communication.
+configured shard size, so every party — and a replay, and the cost
+model — derives the identical layout with no extra communication.
 
 Sizes are balanced: ``ceil(n / shard_size)`` shards whose sizes differ
 by at most one, every shard at least 2 strong (the comparison phase
@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["plan_shards", "shard_sizes", "two_champions"]
+__all__ = ["auto_shard_size", "plan_shards", "shard_sizes", "two_champions"]
+
+#: Largest shard :func:`auto_shard_size` proposes.
+AUTO_MAX_SHARD = 128
 
 
 def shard_sizes(n: int, shard_size: int) -> List[int]:
@@ -56,3 +59,23 @@ def two_champions(sizes: Sequence[int], k: int) -> bool:
     honest-majority secret sharing needs 1 or at least 3 parties.
     """
     return sum(min(k, size) for size in sizes) == 2
+
+
+def auto_shard_size(n: int, k: int) -> int:
+    """The ``--shard-size auto`` choice for ``n`` participants and top
+    ``k``, or 0 for the flat protocol.
+
+    The smallest shard that holds a shard's k champions, s = max(2, k):
+    a participant's group multiplications grow with its shard's size
+    and the champion round spends field multiplications instead, so of
+    every s below n (and up to :data:`AUTO_MAX_SHARD`) the closed forms
+    price the smallest cheapest in group multiplications.  Flat when no
+    such s exists, or when its plan would send exactly 2 champions
+    (:func:`two_champions`).
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    s = max(2, k)
+    if s > min(n - 1, AUTO_MAX_SHARD) or two_champions(shard_sizes(n, s), k):
+        return 0
+    return s

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.complexity import (
+    PARTICIPANT_COST_BAND,
     framework_participant_bits,
     framework_participant_cost,
     framework_round_count,
@@ -12,6 +13,7 @@ from repro.analysis.complexity import (
     ss_sort_comparison_count,
 )
 from repro.analysis.costmodel import CostModel, calibrate_ecc, calibrate_field
+from repro.analysis.counting import CountingGroup, counted_run
 from repro.analysis.games import (
     broken_encryptor_factory,
     estimate_advantage,
@@ -62,6 +64,24 @@ class TestComplexityModels:
         # Paper accounting: SS rounds explode with l and n.
         assert ss_framework_round_count(25, 66) > 1e6
         assert ss_framework_round_count(25, 66, sequential=False) < 1e3
+
+    def test_model_tracks_counting_runs(self):
+        """Counted ÷ modeled participant multiplications at the paper's
+        parameters stay in the stated band and fall as n grows."""
+        ratios = []
+        for n in (3, 4, 8):
+            run = counted_run(
+                CountingGroup.like_dl(1024), n, m=10, num_equal=4,
+                d1=15, d2=15, h=15,
+            )
+            assert run.beta_bits == 67
+            modeled = framework_participant_cost(n, 67, 1023).total
+            ratios.append(
+                run.max_participant_ops.equivalent_multiplications / modeled
+            )
+        low, high = PARTICIPANT_COST_BAND
+        assert all(low < ratio < high for ratio in ratios), ratios
+        assert ratios[0] > ratios[1] > ratios[2], ratios
 
     def test_initiator_linear(self):
         assert initiator_cost(50, 10) == 2 * initiator_cost(25, 10)

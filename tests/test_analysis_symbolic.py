@@ -1,19 +1,20 @@
-"""The symbolic crossover model vs the numeric closed forms.
+"""The sharded composition's closed forms and the crossover they predict.
 
-The model's guarantee: with everything but n fixed at construction, its
-sympy expressions evaluate to *exactly* the numeric formulas in
-:mod:`repro.analysis.complexity` whenever the shard size divides n
-(the balanced partition is then uniform and the symbolic candidate
-count k·n/s matches Σ min(k, sᵢ)).
+Section VI-B's costs as functions of n (:mod:`repro.analysis.complexity`).
+When the shard size s divides n the balanced partition is uniform, so
+every participant pays the flat cost at n = s (the sharded total is
+linear in n) and the candidate count is k·n/s.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
-import sympy
 
+from benchmarks.harness import RESULTS_DIR
+from benchmarks.test_perf_sharded import model_fields
 from repro.analysis.complexity import (
     aggregation_candidates,
     aggregation_field_bits,
@@ -24,55 +25,45 @@ from repro.analysis.complexity import (
     lsb_comparison_invocations,
     lsb_comparison_messages,
     sharded_aggregation_bits,
-    sharded_participant_bits,
     sharded_participant_cost,
+    sharding_crossover,
+    sharding_totals,
 )
-from repro.analysis.symbolic import CrossoverModel
+from repro.analysis.tradeoff import find_crossover
+from repro.groups.params import make_test_group
 
 L, LAMBDA, K, S, CIPHERTEXT = 29, 1024, 2, 16, 2048
 
 
-@pytest.fixture(scope="module")
-def model():
-    return CrossoverModel(S, L, LAMBDA, K, CIPHERTEXT)
+def speedup(metric, n):
+    flat, sharded = sharding_totals(n, S, K, L, LAMBDA, CIPHERTEXT)[metric]
+    return flat / sharded
 
 
 class TestExactAgreement:
     @pytest.mark.parametrize("n", [32, 48, 64, 128, 256])
-    def test_multiplications_match_closed_form(self, model, n):
-        flat = n * framework_participant_cost(n, L, LAMBDA).total
-        sharded = n * sharded_participant_cost(n, S, L, LAMBDA).total
-        assert model.evaluate("multiplications", n, sharded=False) == pytest.approx(
-            flat, rel=1e-12
-        )
-        assert model.evaluate("multiplications", n, sharded=True) == pytest.approx(
-            sharded, rel=1e-12
-        )
+    def test_multiplications_match_closed_form(self, n):
+        flat, sharded = sharding_totals(n, S, K, L, LAMBDA, CIPHERTEXT)[
+            "multiplications"
+        ]
+        assert flat == n * framework_participant_cost(n, L, LAMBDA).total
+        assert sharded == n * framework_participant_cost(S, L, LAMBDA).total
 
     @pytest.mark.parametrize("n", [32, 48, 64, 128, 256])
-    def test_bits_match_closed_form(self, model, n):
-        flat = n * framework_participant_bits(n, L, CIPHERTEXT)
-        sharded = (
-            n * sharded_participant_bits(n, S, L, CIPHERTEXT)
+    def test_bits_match_closed_form(self, n):
+        flat, sharded = sharding_totals(n, S, K, L, LAMBDA, CIPHERTEXT)["bits"]
+        assert flat == n * framework_participant_bits(n, L, CIPHERTEXT)
+        assert aggregation_candidates(n, S, K) == K * n // S
+        assert sharded == (
+            n * framework_participant_bits(S, L, CIPHERTEXT)
             + sharded_aggregation_bits(n, S, K, L)
         )
-        assert model.evaluate("bits", n, sharded=False) == pytest.approx(
-            flat, rel=1e-12
-        )
-        assert model.evaluate("bits", n, sharded=True) == pytest.approx(
-            sharded, rel=1e-12
-        )
 
-    def test_aggregation_terms_match(self, model):
-        n = 64
-        sym = float(
-            sympy.N(
-                model.aggregation_multiplications.subs(model.n, sympy.Integer(n))
-            )
-        )
-        assert sym == pytest.approx(
-            aggregation_invocation_count(n, S, K, L), rel=1e-12
-        )
+    def test_aggregation_terms_match(self):
+        # c = 8 candidates in a 31-bit field: 5 probes of 8 comparisons
+        # at 3·31 + 1 invocations each, plus one Batcher comparator (a
+        # comparison and two conditional-swap multiplications).
+        assert aggregation_invocation_count(64, S, K, L) == 5 * 8 * 94 + 96
 
 
 class TestClosedForms:
@@ -110,40 +101,57 @@ class TestClosedForms:
 
 
 class TestCrossover:
-    def test_sharding_wins_just_past_the_shard_size(self, model):
-        assert model.crossover("multiplications") == S + 1
-        crossover_bits = model.crossover("bits")
+    def test_sharding_wins_just_past_the_shard_size(self):
+        assert sharding_crossover(
+            "multiplications", S, K, L, LAMBDA, CIPHERTEXT
+        ) == S + 1
+        crossover_bits = sharding_crossover("bits", S, K, L, LAMBDA, CIPHERTEXT)
         assert crossover_bits is not None
         assert crossover_bits <= 64
+        assert crossover_bits == S + 1
 
-    def test_speedup_exceeds_acceptance_gate_at_bench_point(self, model):
-        assert model.speedup("multiplications", 64) >= 3.0
-        assert model.speedup("bits", 64) >= 3.0
+    @pytest.mark.parametrize("l, lambda_bits, ciphertext_bits", [
+        (29, 63, 128),      # BENCH_sharded's 64-bit test group
+        (67, 160, 322),     # TAB-VIB's ECC-160 point
+    ])
+    def test_crossover_at_the_bench_points(self, l, lambda_bits,
+                                           ciphertext_bits):
+        for metric in ("multiplications", "bits"):
+            assert sharding_crossover(
+                metric, S, K, l, lambda_bits, ciphertext_bits
+            ) == S + 1
 
-    def test_speedup_grows_with_n(self, model):
-        assert model.speedup("multiplications", 128) > model.speedup(
-            "multiplications", 64
+    def test_speedup_exceeds_acceptance_gate_at_bench_point(self):
+        assert speedup("multiplications", 64) >= 3.0
+        assert speedup("bits", 64) >= 3.0
+        assert sharded_aggregation_bits(64, S, K, L) > 0
+
+    def test_speedup_grows_with_n(self):
+        assert speedup("multiplications", 128) > speedup("multiplications", 64)
+
+    def test_aggregation_eventually_dominates(self):
+        """The champion round's bits grow like c³ in the candidate count,
+        so far past the bench point they outweigh the shards' bits."""
+        found = find_crossover(
+            lambda n: n * framework_participant_bits(S, L, CIPHERTEXT),
+            lambda n: sharded_aggregation_bits(n, S, K, L),
+            2 * S, 1 << 22,
         )
-
-    def test_aggregation_eventually_dominates(self, model):
-        threshold = model.aggregation_dominates_beyond()
-        assert threshold is not None
-        assert threshold > 64  # far past the bench point
+        assert found is not None
+        assert found.at > 64
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CrossoverModel(1, L, LAMBDA, K, CIPHERTEXT)
+            sharded_participant_cost(64, 1, L, LAMBDA)
         with pytest.raises(ValueError):
-            CrossoverModel(4, L, LAMBDA, 8, CIPHERTEXT)
-        with pytest.raises(ValueError):
-            CrossoverModel(S, L, LAMBDA, K, CIPHERTEXT).evaluate(
-                "rounds", 64, sharded=False
-            )
+            sharding_crossover("rounds", S, K, L, LAMBDA, CIPHERTEXT)
 
-    def test_summary_payload(self, model):
-        summary = model.summary(64)
-        assert summary["multiplication_speedup"] == pytest.approx(
-            model.speedup("multiplications", 64)
+    def test_committed_bench_model_side(self):
+        """BENCH_sharded.json's model fields follow from its measured
+        counts and the closed forms."""
+        committed = json.loads((RESULTS_DIR / "BENCH_sharded.json").read_text())
+        group = make_test_group()
+        fields = model_fields(
+            committed, group.order.bit_length(), 2 * group.element_bits
         )
-        assert summary["sharded_bits"] < summary["flat_bits"]
-        assert summary["aggregation_bits"] > 0
+        assert fields == {key: committed[key] for key in fields}

@@ -4,14 +4,13 @@ import pytest
 
 from benchmarks.harness import (
     PAPER_DEFAULTS,
-    TIERS,
     counting_run,
-    counting_run_for_family,
     format_series_table,
-    framework_participant_seconds,
     growth_exponent,
     ss_participant_seconds,
 )
+from repro.analysis.costmodel import cost_model_for
+from repro.groups.params import TIERS
 
 
 class TestCountingRuns:
@@ -21,8 +20,8 @@ class TestCountingRuns:
         assert a is b
 
     def test_family_wire_sizes(self):
-        dl = counting_run_for_family("DL", 80, n=4, m=4, t=2, d1=5, d2=5, h=5)
-        ecc = counting_run_for_family("ECC", 80, n=4, m=4, t=2, d1=5, d2=5, h=5)
+        dl = counting_run(n=4, m=4, t=2, d1=5, d2=5, h=5, family="DL")
+        ecc = counting_run(n=4, m=4, t=2, d1=5, d2=5, h=5, family="ECC")
         # Same protocol structure, different ciphertext sizes on the wire.
         assert dl.rounds == ecc.rounds
         assert dl.transcript.total_bits > ecc.transcript.total_bits
@@ -31,7 +30,7 @@ class TestCountingRuns:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            counting_run_for_family("RSA", 80, n=4, m=4, t=2, d1=5, d2=5, h=5)
+            counting_run(n=4, m=4, t=2, d1=5, d2=5, h=5, family="RSA")
 
     def test_paper_defaults_sane(self):
         assert PAPER_DEFAULTS["n"] == 25
@@ -41,9 +40,9 @@ class TestCountingRuns:
 
 class TestPricing:
     def test_dl_prices_higher_than_ecc(self):
-        run = counting_run(n=4, m=4, t=2, d1=5, d2=5, h=5)
-        assert framework_participant_seconds(run, "DL", 80) > \
-            framework_participant_seconds(run, "ECC", 80)
+        ops = counting_run(n=4, m=4, t=2, d1=5, d2=5, h=5).max_participant_ops
+        assert cost_model_for("DL", 80).seconds_for(ops) > \
+            cost_model_for("ECC", 80).seconds_for(ops)
 
     def test_ss_pricing_positive_and_grows(self):
         assert 0 < ss_participant_seconds(5, 40) < ss_participant_seconds(10, 40)

@@ -511,6 +511,29 @@ class TestResume:
         assert resumed.ranks == completed.ranks
         assert second.check_result(resumed) == []
 
+    def test_sharded_resume_numbers_attempts_like_the_flat_run(
+        self, small_dl_group, small_schema, small_initiator_input, tmp_path
+    ):
+        """A sharded run that dies in a shard after phase 1 resumes at
+        phase 2 as the resumed process's second attempt."""
+        first = build(
+            small_dl_group, small_schema, small_initiator_input, n=8,
+            shard_size=3, checkpoint_dir=str(tmp_path), recovery=False,
+        )
+        with pytest.raises(PartyTimeout):
+            first.run(faults=[FaultSpec(kind="crash", party=5,
+                                        tag="beta-bits")])
+        second = build(
+            small_dl_group, small_schema, small_initiator_input, n=8,
+            shard_size=3, checkpoint_dir=str(tmp_path),
+        )
+        resumed = second.run(resume=True)
+        assert resumed.attempts == 2
+        assert resumed.phase1_rounds == 0
+        assert "dp-request" not in set(resumed.transcript.tags())
+        assert sorted(resumed.ranks) == list(range(1, 9))
+        assert second.check_result(resumed) == []
+
     def test_resume_from_incomplete_state_restarts_from_scratch(
         self, small_dl_group, small_schema, small_initiator_input, tmp_path
     ):

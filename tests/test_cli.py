@@ -54,6 +54,18 @@ class TestDemo:
         assert lines(chunked, "wire digest:") != lines(whole, "wire digest:")
         assert lines(one_chunk, "wire digest:") == lines(whole, "wire digest:")
 
+    @pytest.mark.parametrize("argv, chosen", [
+        (["-n", "6"], "2"),
+        (["-n", "4", "-k", "1"], "flat (0)"),   # s = 2 ranks 2 champions
+        (["-n", "6", "--transport", "tcp"], "flat (0)"),
+    ], ids=["sharded", "two-champions", "tcp"])
+    def test_shard_size_auto(self, argv, chosen):
+        code, text = run_cli(["demo", "--seed", "3", "--shard-size", "auto"]
+                             + argv)
+        assert code == 0
+        assert f"shard-size auto: {chosen} for" in text
+        assert "consistency: OK" in text
+
     def test_streaming_flag_is_gone(self):
         with pytest.raises(SystemExit):
             run_cli(["demo", "-n", "3", "--streaming"])

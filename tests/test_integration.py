@@ -132,7 +132,7 @@ class TestMeasuredVersusModel:
             _, result = run_small_framework(
                 small_dl_group, small_schema, small_initiator_input, n=n
             )
-            assert abs(result.rounds - framework_round_count(n)) <= 3
+            assert result.rounds == framework_round_count(n)
 
 
 class TestRealCrypto:

@@ -29,7 +29,12 @@ from repro.runtime.errors import ProtocolError
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.sharding.aggregate import aggregation_prime, rank_champions
 from repro.sharding.hierarchy import HierarchicalResult
-from repro.sharding.partition import plan_shards, shard_sizes, two_champions
+from repro.sharding.partition import (
+    auto_shard_size,
+    plan_shards,
+    shard_sizes,
+    two_champions,
+)
 from tests.conftest import make_participants
 from tests.test_runtime_faults import outcome_fingerprint
 
@@ -85,6 +90,27 @@ class TestPartition:
         assert not two_champions([3, 2, 2], k=1)
         assert not two_champions([3, 3], k=2)
         assert not two_champions([4], k=1)
+
+    def test_auto_shard_size(self, small_dl_group, small_schema):
+        """``--shard-size auto`` proposes the closed forms' cheapest
+        shard, max(2, k), when it is below n; flat otherwise and where
+        that plan would rank exactly 2 champions.  Every answer builds
+        a valid config."""
+        for n in range(2, 40):
+            for k in range(1, n + 1):
+                s = auto_shard_size(n, k)
+                FrameworkConfig(
+                    group=small_dl_group, schema=small_schema,
+                    num_participants=n, k=k, shard_size=s,
+                )
+                if (n, k) in {(3, 2), (4, 1), (5, 1)}:
+                    assert s == 0, (n, k)
+                else:
+                    assert s == (max(2, k) if max(2, k) < n else 0), (n, k)
+        assert auto_shard_size(1000, 128) == 128
+        assert auto_shard_size(1000, 129) == 0
+        with pytest.raises(ValueError):
+            auto_shard_size(1, 1)
 
     def test_plan_shards_consecutive(self):
         shards = plan_shards([3, 1, 7, 5, 9, 11, 2], 3)

@@ -62,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_wire_flags(demo)
     _add_backend_flag(demo)
     _add_checkpoint_flags(demo)
+    demo.set_defaults(parser=demo)
 
     games = sub.add_parser("games", help="run the security games")
     games.add_argument("--trials", type=int, default=16)
@@ -77,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_wire_flags(netsim)
     _add_backend_flag(netsim)
     _add_checkpoint_flags(netsim)
+    netsim.set_defaults(parser=netsim)
 
     sub.add_parser("curves", help="verify and list bundled group parameters")
 
@@ -151,6 +153,16 @@ def _resolve_shard_size(value, n: int, k: int, transport: str = "inproc") -> int
     return auto_shard_size(n, k)
 
 
+def _config(args, **fields) -> FrameworkConfig:
+    """The run's config.  A combination the config rejects is a usage
+    error: argparse's one error line on stderr and exit status 2, as for
+    a bad flag, without the usage block or a traceback."""
+    try:
+        return FrameworkConfig(**fields)
+    except ValueError as error:
+        args.parser.exit(2, f"{args.parser.prog}: error: {error}\n")
+
+
 def _make_group(name: str):
     from repro.groups.params import make_dl_group, make_ecc_group, make_test_group
 
@@ -194,7 +206,8 @@ def cmd_demo(args, out) -> int:
     if str(args.shard_size).strip().lower() == "auto":
         print(f"shard-size auto: {shard_size or 'flat (0)'} for "
               f"n={args.participants}, k={args.top}", file=out)
-    config = FrameworkConfig(
+    config = _config(
+        args,
         group=group,
         schema=schema,
         num_participants=args.participants,
@@ -333,8 +346,8 @@ def cmd_netsim(args, out) -> int:
         args.participants, 4, args.seed
     )
     group = make_test_group()
-    config = FrameworkConfig(
-        group=group, schema=schema,
+    config = _config(
+        args, group=group, schema=schema,
         num_participants=args.participants, k=2, rho_bits=8,
         coalesce=args.coalesce,
         backend=args.backend, checkpoint_dir=args.checkpoint_dir,

@@ -31,7 +31,7 @@ from repro.math.modular import int_to_bits
 from repro.runtime.errors import ProtocolAbort, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.crypto.precompute import RandomnessPool
+    from repro.groups.fixed_base import PrecomputedBase
 
 
 def tau_values_plain(beta_j: int, beta_i: int, width: int) -> List[int]:
@@ -128,7 +128,8 @@ class HomomorphicComparator:
 
     ``multiexp`` routes the circuit's short scalars (``±weight``, the
     plaintext shifts) through :mod:`repro.math.multiexp` kernels;
-    ``pool`` additionally serves generator powers from a fixed-base
+    ``generator_table`` (under ``precompute``, the randomness pool's
+    public table) additionally serves generator powers from a fixed-base
     table.  Both produce element-identical τ sets — only the operation
     counts (and wall-clock) change.
     """
@@ -139,10 +140,12 @@ class HomomorphicComparator:
         naive_suffix: bool = False,
         *,
         multiexp: bool = False,
-        pool: Optional["RandomnessPool"] = None,
+        generator_table: Optional["PrecomputedBase"] = None,
     ):
         self.group = group
-        self.scheme = ExponentialElGamal(group, pool=pool, multiexp=multiexp)
+        self.scheme = ExponentialElGamal(
+            group, multiexp=multiexp, generator_table=generator_table
+        )
         self.naive_suffix = naive_suffix
         # Set by every encrypted_taus call: homomorphic additions spent on
         # suffix sums.  The default path is asserted O(l); the naive path

@@ -59,6 +59,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.errors import PartyTimeout, ProtocolAbort
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.metrics import PartyMetrics
+from repro.runtime.parallel import WorkerPool
 from repro.runtime.supervisor import Supervisor, exclude_blamed
 from repro.runtime.transcript import Transcript
 
@@ -78,7 +79,8 @@ class FrameworkResult:
     attempts: int = 1                      # 1 = no recovery was needed
     excluded: List[int] = field(default_factory=list)  # blamed & dropped ids
     # Parties killed by a restartable fault and brought back from their
-    # durable checkpoints (they are NOT in ``excluded``).
+    # durable checkpoints, over every attempt (they are NOT in
+    # ``excluded``).
     rejoins: int = 0
     # Measured wire-path accounting.  After a recovery, stats cover the
     # final (successful) attempt.
@@ -103,7 +105,11 @@ class FrameworkResult:
 
 
 class GroupRankingFramework:
-    """Build, run and check a privacy-preserving group ranking instance."""
+    """Build, run and check a privacy-preserving group ranking instance.
+
+    ``roles`` are the initiator's and the participants' party classes
+    for an in-process run (a sharded run's shards decline in step 9).
+    """
 
     def __init__(
         self,
@@ -111,6 +117,8 @@ class GroupRankingFramework:
         initiator_input: InitiatorInput,
         participant_inputs: Sequence[ParticipantInput],
         rng: Optional[RNG] = None,
+        *,
+        roles: Tuple[type, type] = (InitiatorParty, ParticipantParty),
     ):
         if len(participant_inputs) != config.num_participants:
             raise ValueError(
@@ -121,6 +129,7 @@ class GroupRankingFramework:
         self.initiator_input = initiator_input
         self.participant_inputs = list(participant_inputs)
         self._rng = rng or SeededRNG(0)
+        self.roles = roles
 
     def run(
         self,
@@ -221,29 +230,18 @@ class GroupRankingFramework:
         injector: Optional[FaultInjector],
         manager=None,
     ) -> FrameworkResult:
-        worker_pool = None
-        if self.config.workers > 1:
-            from repro.runtime.parallel import WorkerPool
-
-            worker_pool = WorkerPool(self.config.workers)
-        engine = self.attempt_engine(
-            attempts, injector, manager, worker_pool=worker_pool
-        )
-        if worker_pool is not None and manager is not None:
-            worker_pool.register_drain(
-                lambda: manager.persist_pool_cursors(engine.parties)
+        with WorkerPool(self.config.workers) as worker_pool:
+            engine = self.attempt_engine(
+                attempts, injector, manager, self.roles, worker_pool
             )
-        # Kept for the security-game harness (which inspects *adversarial*
-        # parties' internals) and for β harvesting after a failed attempt.
-        self.last_parties = engine.parties
-        # Kept so tests/operators can read retransmit/timeout counters
-        # after the run.
-        self.last_supervisor = engine.supervisor
-        try:
+            # Kept for the security-game harness (which inspects
+            # *adversarial* parties' internals) and for β harvesting
+            # after a failed attempt.
+            self.last_parties = engine.parties
+            # Kept so tests/operators can read retransmit/timeout
+            # counters after the run.
+            self.last_supervisor = engine.supervisor
             outputs = engine.run()
-        finally:
-            if worker_pool is not None:
-                worker_pool.shutdown()
         return engine_result(engine, outputs, attempts.active)
 
     def attempt_engine(
@@ -284,6 +282,7 @@ class GroupRankingFramework:
         if manager is not None:
             manager.start_attempt(attempts.attempt, build_party)
         engine = make_engine(config, injector, manager, worker_pool)
+        attempts.supervisor = engine.supervisor
         for party_id in [INITIATOR_ID] + attempts.active:
             engine.add_party(build_party(party_id))
         return engine
@@ -414,8 +413,9 @@ class Attempts:
     The flat framework, the hierarchy's phase 1 and the tcp coordinator
     each loop over attempts; this object carries what passes between
     them: the active set, the excluded ids, the β an attempt may start
-    from, and the attempt number, which prefixes every party's RNG fork
-    label (:meth:`party_rng`).  It changes only between attempts.
+    from, the attempt number, which prefixes every party's RNG fork
+    label (:meth:`party_rng`), and the rejoins of the attempts that
+    failed.  It changes only between attempts.
     """
 
     def __init__(self, config: FrameworkConfig, rng: RNG,
@@ -426,6 +426,10 @@ class Attempts:
         self.excluded: List[int] = []
         self.betas: Dict[int, int] = dict(known_betas) if known_betas else {}
         self.attempt = 0
+        # The running attempt's supervisor (its runner sets it), and the
+        # rejoins of every attempt before it: a run reports their sum.
+        self.supervisor = None
+        self.rejoins = 0
 
     def resume(self, manager) -> None:
         """Continue a run whose *process* died (``run(resume=True)``):
@@ -470,6 +474,9 @@ class Attempts:
         blamed, self.active = exclude_blamed(
             failure, self.active, self.config.recovery
         )
+        if self.supervisor is not None:
+            self.rejoins += self.supervisor.rejoins
+            self.supervisor = None
         self.excluded.append(blamed)
         betas = {j: beta_of(j) for j in self.active} if beta_of else {}
         # int(): a tcp party reports its β in a JSON control frame.
@@ -496,6 +503,7 @@ class Attempts:
     def stamp(self, result: FrameworkResult) -> FrameworkResult:
         result.attempts = self.attempt + 1
         result.excluded = list(self.excluded)
+        result.rejoins += self.rejoins
         return result
 
 

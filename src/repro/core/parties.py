@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.comparison import HomomorphicComparator, verify_bit_proofs_or_abort
+from repro.core.comparison import verify_bit_proofs_or_abort
 from repro.core.gain import (
     AttributeSchema,
     InitiatorInput,
@@ -52,6 +52,7 @@ from repro.dotproduct.ioannidis import DotProductProtocol
 from repro.groups.base import Element, Group
 from repro.math.rng import RNG
 from repro.runtime.errors import ProtocolAbort, ProtocolError
+from repro.runtime.parallel import TauJob, WorkerPool, evaluate_tau_job, run_jobs
 from repro.runtime.party import Party
 
 INITIATOR_ID = 0
@@ -130,9 +131,11 @@ class FrameworkConfig:
       key before the online comparison phase.  A pool larger than the
       comparison phase uses draws ahead, so the chain's randomness (and
       its ciphertexts, not its ranks) differ from the default run.
-    * ``workers`` — process-pool width for the comparison and shuffle
-      fan-out.  ``1`` (default) runs fully serial; any value produces
-      the same ranks and a byte-identical transcript for the same seed.
+    * ``workers`` — process-pool width for the comparison, chain and
+      shard fan-out.  Every width runs the same jobs (``1``, the
+      default, runs them inline), so any value produces the same ranks,
+      a byte-identical transcript and the same per-party op counts for
+      the same seed.
     * ``backend`` — arithmetic backend for all bigint work
       (:mod:`repro.math.backend`): ``"auto"`` (default; keep the
       import-time detection — gmpy2 when importable, else libgmp through
@@ -153,10 +156,6 @@ class FrameworkConfig:
       inside shards of at most this many participants, shard champions
       are ranked in a secret-shared aggregation round, and only global
       top-k winners learn (and submit) exact ranks.
-    * ``collect_submissions`` — internal switch used by shard-local
-      sub-runs: when off, phase 3 still runs its decline round (so the
-      round structure is unchanged) but nobody submits values and the
-      initiator's minimum-submission anomaly check is waived.
     * ``stream_chunk_sets`` — ``0`` (default) sends the step-8 vector
       whole.  ``c ≥ 1`` pipelines the chain: the head emits the vector
       in chunks of ``c`` comparison sets, pausing a round between
@@ -232,7 +231,6 @@ class FrameworkConfig:
     checkpoint_dir: Optional[str] = None   # durable state directory (None = off)
     checkpoint_every: int = 0       # extra journal fsync cadence, in rounds
     shard_size: int = 0             # 0 = flat run; ≥2 = hierarchical shards
-    collect_submissions: bool = True  # off inside shard-local sub-runs
     #: ``"inproc"`` (default) runs the lockstep engine in this process;
     #: ``"tcp"`` spawns each party as its own OS process talking asyncio
     #: loopback sockets (:mod:`repro.runtime.transport`) — same values,
@@ -497,21 +495,20 @@ class InitiatorParty(Party):
         self._verify_submissions(output, gains)
         self.output = output
 
+    def _expected_submissions(self) -> int:
+        """How many submissions step 9 must bring: one per top-k rank."""
+        return min(self.config.k, len(self.active_ids))
+
     def _verify_submissions(self, output: InitiatorOutput, gains: Dict[int, int]) -> None:
         """Recompute gains of submitters; flag rank/gain inversions.
 
         The paper notes over-claimed rankings are detectable because the
         initiator can recompute the gain from the submitted vector.
         """
-        config = self.config
-        active = len(self.active_ids)
-        if (
-            config.collect_submissions
-            and len(output.selected) < config.k
-            and len(output.selected) < active
-        ):
+        expected = self._expected_submissions()
+        if len(output.selected) < expected:
             output.anomalies.append(
-                f"expected at least {min(config.k, active)} submissions, "
+                f"expected at least {expected} submissions, "
                 f"got {len(output.selected)}"
             )
         for earlier, later in zip(output.selected, output.selected[1:]):
@@ -558,10 +555,9 @@ class ParticipantParty(Party):
         self._zkp = MultiVerifierSchnorrProof(config.group)
         self.beta_unsigned: Optional[int] = None   # exposed for analysis/tests
         self.rank: Optional[int] = None
-        # Durable-state capture points (see snapshot_state): the keying
-        # share and the precompute pool, once made.
+        # Durable-state capture point (see snapshot_state): the keying
+        # share, once made.
         self._key_share = None
-        self._pool: Optional[RandomnessPool] = None
         # What this party saw when decrypting her own final set; the
         # security games read this ONLY from adversarial parties.
         self.final_residues: List[Element] = []
@@ -578,7 +574,6 @@ class ParticipantParty(Party):
         """
         state = super().snapshot_state()
         share = self._key_share
-        pool = self._pool
         state.update(
             role="participant",
             active_ids=list(self.active_ids),
@@ -586,7 +581,6 @@ class ParticipantParty(Party):
             beta=self.beta_unsigned,
             rank=self.rank,
             share=(share.party_id, share.secret, share.public) if share else None,
-            pool_cursor=pool.cursor if pool is not None else None,
         )
         return state
 
@@ -677,7 +671,6 @@ class ParticipantParty(Party):
             pool = RandomnessPool(
                 group, joint_key, self.rng, size=config.precompute
             )
-        self._pool = pool
 
         # Step 6: publish bitwise encryption of β under the joint key.
         self.set_phase(PHASE_COMPARISON)
@@ -715,43 +708,31 @@ class ParticipantParty(Party):
                 bitwise.validate_or_abort(received, config.beta_bits, blamed=src)
 
         # Step 7: homomorphic comparisons; flatten into this party's set ℰ_j.
-        # One comparison per peer, each RNG-free — the parallel engine fans
-        # them out as independent jobs and merges the workers' counters.
-        my_set: List[Ciphertext] = []
-        worker_pool = self._worker_pool()
-        if worker_pool is not None and worker_pool.parallel:
-            from repro.runtime.parallel import TauJob, evaluate_tau_job
-
-            jobs = [
-                TauJob(
-                    group=group,
-                    beta=beta,
-                    other_bits=tuple(other_bits[i].bits),
-                    naive_suffix=config.naive_suffix,
-                    multiexp=config.multiexp,
-                )
-                for i in sorted(other_bits)
-            ]
-            for taus, ops in worker_pool.map(evaluate_tau_job, jobs):
-                my_set.extend(taus)
-                self.metrics.ops.merge(ops)
-        else:
-            comparator = HomomorphicComparator(
-                group,
+        # One RNG-free job per peer, fanned out through the engine's
+        # worker pool (inline at width 1); each job's counter merges here.
+        jobs = [
+            TauJob(
+                group=group,
+                beta=beta,
+                other_bits=tuple(other_bits[i].bits),
                 naive_suffix=config.naive_suffix,
                 multiexp=config.multiexp,
-                pool=pool,
+                generator_table=pool.generator_table if pool is not None else None,
             )
-            for i in sorted(other_bits):
-                my_set.extend(comparator.encrypted_taus(beta, other_bits[i]))
+            for i in sorted(other_bits)
+        ]
+        my_set: List[Ciphertext] = []
+        for taus, ops in run_jobs(self._worker_pool(), evaluate_tau_job, jobs):
+            my_set.extend(taus)
+            self.metrics.ops.merge(ops)
 
         # Step 8: the chain over the active set, in position order.
         self.set_phase(PHASE_CHAIN)
         rank_zeros = yield from self._run_shuffle_chain(my_set, share.secret)
         return rank_zeros + 1
 
-    def _worker_pool(self):
-        """The engine-owned process pool, when one is configured."""
+    def _worker_pool(self) -> Optional[WorkerPool]:
+        """The engine-owned process pool (none in a tcp party process)."""
         return getattr(self._engine, "worker_pool", None)
 
     def _run_keying_zkps(self, distkey: DistributedKey, share):
@@ -927,7 +908,7 @@ class ParticipantParty(Party):
         processor = ShuffleProcessor(
             config.group, rerandomize=config.rerandomize, permute=config.permute
         )
-        executor = self._worker_pool()
+        worker_pool = self._worker_pool()
         head, tail = active[0], active[-1]
         if len(my_set) != self._expected_set_size():
             raise ProtocolError("own comparison set has the wrong size")
@@ -938,7 +919,7 @@ class ParticipantParty(Party):
             own_local = position - start if start <= position < stop else -1
             return processor.process_vector(
                 sets, own_index=own_local, secret=secret, rng=self.rng,
-                executor=executor,
+                executor=worker_pool,
             )
 
         def forward(index: int, processed) -> None:
@@ -997,6 +978,6 @@ class ParticipantParty(Party):
         config = self.config
         rank = self._claimed_rank(rank)
         payload = None
-        if rank <= config.k and config.collect_submissions:
+        if rank <= config.k:
             payload = Submission(rank=rank, values=self.secret_input.values)
         self.send(INITIATOR_ID, TAG_SUBMISSION, payload)

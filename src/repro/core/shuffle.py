@@ -18,15 +18,18 @@ sorting step; it is what buys *identity unlinkability* (paper Lemma 4).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.distkey import DistributedKey
 from repro.crypto.elgamal import Ciphertext
 from repro.groups.base import Group
 from repro.math.rng import RNG
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.parallel import WorkerPool
+from repro.runtime.parallel import (
+    ShuffleJob,
+    WorkerPool,
+    evaluate_shuffle_job,
+    run_jobs,
+)
 
 CiphertextSet = List[Ciphertext]
 
@@ -46,22 +49,12 @@ class ShuffleProcessor:
         self.rerandomize = rerandomize
         self.permute = permute
 
-    def process_set(
-        self, ciphertexts: Sequence[Ciphertext], secret: int, rng: RNG
-    ) -> CiphertextSet:
-        """Apply peel + rerandomize + permute to one set ``ℰ_i``."""
-        rerandomizers, permutation = self.draw_set_randomness(len(ciphertexts), rng)
-        return self.apply_set(ciphertexts, secret, rerandomizers, permutation)
-
     def draw_set_randomness(self, count: int, rng: RNG) -> SetRandomness:
-        """Draw one set's randomness in the exact serial order.
-
-        Returns ``(rerandomizers, permutation)`` (each ``None`` when the
-        corresponding ablation switch is off).  ``rng.permutation``
-        consumes the source identically to the in-place ``rng.shuffle``
-        the serial path historically used, so pre-drawing here and
-        applying deterministically — possibly in a worker process —
-        yields byte-identical transcripts.
+        """Draw one set's randomness: ``(rerandomizers, permutation)``,
+        each ``None`` when its ablation switch is off.  A vector's sets
+        draw in vector order before any is applied, so where
+        :meth:`apply_set` runs — inline or in a worker process — changes
+        no byte of the transcript.
         """
         rerandomizers: Optional[Tuple[int, ...]] = None
         if self.rerandomize:
@@ -80,8 +73,9 @@ class ShuffleProcessor:
         rerandomizers: Optional[Sequence[int]],
         permutation: Optional[Sequence[int]],
     ) -> CiphertextSet:
-        """RNG-free half of :meth:`process_set`: peel + rerandomize with
-        the pre-drawn exponents + apply the pre-drawn permutation."""
+        """Peel + rerandomize + permute one set ``ℰ_i``, RNG-free: with
+        the exponents and the permutation :meth:`draw_set_randomness`
+        drew."""
         # repro-lint: ignore[R-GUARD] -- hot chain path; every incoming
         # set was membership-checked at receipt via chain_set_flaw
         # (repro.core.parties._validate_set) before reaching here
@@ -102,38 +96,16 @@ class ShuffleProcessor:
         own_index: int,
         secret: int,
         rng: RNG,
-        executor: Optional["WorkerPool"] = None,
+        executor: Optional[WorkerPool] = None,
     ) -> List[CiphertextSet]:
         """Process every set except the party's own (paper: ``ℰ_i, i ≠ j``).
 
-        With a parallel ``executor``, randomness for every foreign set is
-        pre-drawn in vector order (matching the serial draw sequence
-        exactly) and the RNG-free application fans out across workers;
-        per-job operation counters are merged back into this group's
-        attached counter so metrics match the serial run.
+        Randomness for every foreign set is pre-drawn in vector order,
+        then the RNG-free application runs as one job per set through
+        ``executor`` (inline without one); each job's operation counter
+        is merged into this group's attached counter, so every width
+        meters the same.
         """
-        if executor is not None and executor.parallel:
-            return self._process_vector_parallel(
-                vector, own_index, secret, rng, executor
-            )
-        result: List[CiphertextSet] = []
-        for index, ciphertext_set in enumerate(vector):
-            if index == own_index:
-                result.append(list(ciphertext_set))
-            else:
-                result.append(self.process_set(ciphertext_set, secret, rng))
-        return result
-
-    def _process_vector_parallel(
-        self,
-        vector: List[CiphertextSet],
-        own_index: int,
-        secret: int,
-        rng: RNG,
-        executor: "WorkerPool",
-    ) -> List[CiphertextSet]:
-        from repro.runtime.parallel import ShuffleJob, evaluate_shuffle_job
-
         jobs: List[ShuffleJob] = []
         foreign_indices: List[int] = []
         for index, ciphertext_set in enumerate(vector):
@@ -152,7 +124,7 @@ class ShuffleProcessor:
                 )
             )
             foreign_indices.append(index)
-        outcomes = executor.map(evaluate_shuffle_job, jobs)
+        outcomes = run_jobs(executor, evaluate_shuffle_job, jobs)
         result: List[CiphertextSet] = [list(s) for s in vector]
         for index, (processed, counter) in zip(foreign_indices, outcomes):
             result[index] = processed

@@ -19,6 +19,9 @@ operation pattern exactly):
 * ``pool`` — a :class:`repro.crypto.precompute.RandomnessPool` keyed to
   one public key.  ``encrypt``/``rerandomize`` then consume precomputed
   ``(g^r, y^r)`` pairs and cost plain multiplications online.
+* ``generator_table`` — a fixed-base table of ``g`` (a pool's own, when
+  a pool is given) that serves the plaintext powers ``g^M``; a worker
+  evaluating comparison circuits gets the table without the pool.
 * ``multiexp`` — route ``g^M·y^r`` through one Straus-interleaved pass
   (:func:`repro.math.multiexp.multi_exp`) and short scalars through the
   :func:`repro.math.multiexp.small_exp` ladder instead of a full-width
@@ -53,6 +56,7 @@ from repro.runtime.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (precompute imports us)
     from repro.crypto.precompute import RandomnessPool, RandomPair
+    from repro.groups.fixed_base import PrecomputedBase
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,15 @@ class ElGamal:
         *,
         pool: Optional["RandomnessPool"] = None,
         multiexp: bool = False,
+        generator_table: Optional["PrecomputedBase"] = None,
     ):
         self.group = group
         self.pool = pool
         self.multiexp = multiexp
+        # Where g^m comes from: the given table, else the pool's.
+        if generator_table is None and pool is not None:
+            generator_table = pool.generator_table
+        self.generator_table = generator_table
         self._last_key: Optional[Element] = None
 
     def generate_keypair(self, rng: RNG) -> KeyPair:
@@ -256,8 +265,8 @@ class ExponentialElGamal(ElGamal):
 
     def _generator_power(self, m: int) -> Element:
         """``g^m`` through the cheapest wired-in path."""
-        if self.pool is not None:
-            return self.pool.g_pow(m)
+        if self.generator_table is not None:
+            return self.generator_table.exp(m)
         if self.multiexp:
             e = centered_exponent(m, self.group.order)
             if abs(e) < (1 << SMALL_EXPONENT_BITS):

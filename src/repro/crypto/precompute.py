@@ -71,7 +71,11 @@ class RandomnessPool:
         self.group = group
         self.public_key = public_key
         self.rng = rng
-        self._g_table = PrecomputedBase(group, group.generator(), window_bits=window_bits)
+        #: Public: the comparison circuit's plaintext shifts walk it too,
+        #: in process or in a worker (``repro.runtime.parallel.TauJob``).
+        self.generator_table = PrecomputedBase(
+            group, group.generator(), window_bits=window_bits
+        )
         self._y_table = PrecomputedBase(group, public_key, window_bits=window_bits)
         self._pairs: Deque[RandomPair] = deque()
         # Instrumentation for the perf benches and pool-sizing decisions.
@@ -88,38 +92,12 @@ class RandomnessPool:
             raise ValueError("refill count must be non-negative")
         exponents = [self.group.random_exponent(self.rng) for _ in range(count)]
         for r in exponents:
-            self._pairs.append(
-                RandomPair(r=r, g_r=self._g_table.exp(r), y_r=self._y_table.exp(r))
-            )
+            self._pairs.append(RandomPair(r=r, g_r=self.g_pow(r), y_r=self.y_pow(r)))
         self.precomputed += count
 
     @property
     def remaining(self) -> int:
         return len(self._pairs)
-
-    @property
-    def cursor(self) -> int:
-        """How many pairs this pool has served — its replayable position.
-
-        The checkpoint layer persists this cursor (never the pairs
-        themselves: they are secret exponents) so a rebuilt pool, fed by
-        the same restored RNG stream, can :meth:`fast_forward` to the
-        exact same position.
-        """
-        return self.served
-
-    def fast_forward(self, count: int) -> None:
-        """Advance the pool by ``count`` served pairs, discarding them.
-
-        Used on checkpoint restore: the twin party regenerates the pool
-        from the restored RNG and skips what the first life already
-        consumed, so every subsequent :meth:`take` returns the same pair
-        the uninterrupted run would have seen.
-        """
-        if count < 0:
-            raise ValueError("fast_forward count must be non-negative")
-        for _ in range(count):
-            self.take()
 
     # -- online phase -----------------------------------------------------------
     def take(self) -> RandomPair:
@@ -129,7 +107,7 @@ class RandomnessPool:
             return self._pairs.popleft()
         self.generated_online += 1
         r = self.group.random_exponent(self.rng)
-        return RandomPair(r=r, g_r=self._g_table.exp(r), y_r=self._y_table.exp(r))
+        return RandomPair(r=r, g_r=self.g_pow(r), y_r=self.y_pow(r))
 
     def encryption_of_zero(self) -> Ciphertext:
         """A fresh exponential-ElGamal encryption of 0: ``(y^r, g^r)``."""
@@ -138,7 +116,7 @@ class RandomnessPool:
 
     def g_pow(self, exponent: int) -> Element:
         """``g^exponent`` through the fixed-base generator table."""
-        return self._g_table.exp(exponent)
+        return self.generator_table.exp(exponent)
 
     def y_pow(self, exponent: int) -> Element:
         """``y^exponent`` through the fixed-base public-key table."""

@@ -10,8 +10,8 @@ survivable.  Each party's state is persisted as it runs —
   message it sent (header only), appended at the engine's send/receive
   boundaries, and
 * **phase-boundary snapshots** carrying the recovered β value, the
-  distributed-key share, the shuffle-chain position, the
-  precompute-pool cursor and the round watermark,
+  distributed-key share, the shuffle-chain position and the round
+  watermark,
 
 all under one attempt-scoped directory per party.  A killed-and-
 restarted party is rebuilt from the newest usable snapshot (or from its
@@ -526,20 +526,6 @@ class CheckpointManager:
         if self.sync_every and round % self.sync_every == 0:
             for pid in list(self._seq):
                 self._store.sync_journal(self.attempt, pid)
-
-    def persist_pool_cursors(self, parties: Dict[int, Any]) -> None:
-        """Worker-pool drain hook: durably record each party's
-        precompute cursor at shutdown, so a resumed run fast-forwards
-        past randomness the dead process already consumed instead of
-        re-drawing it (which would diverge the transcript)."""
-        for pid in sorted(parties):
-            pool = getattr(parties[pid], "_pool", None)
-            if pool is None:
-                continue
-            self._append(
-                pid, "pool", {"cursor": pool.cursor, "round": self._round}, b""
-            )
-            self._store.sync_journal(self.attempt, pid)
 
     # -- rejoin ------------------------------------------------------------
 

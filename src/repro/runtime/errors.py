@@ -43,10 +43,16 @@ class ProtocolAbort(ProtocolError):
     ):
         self.blamed = blamed
         self.phase = phase
+        self.reason = message
         if blamed is not None:
             suffix = f" [blamed=P{blamed}" + (f", phase={phase}" if phase else "") + "]"
             message = (message or "protocol abort") + suffix
         super().__init__(message)
+
+    def blaming(self, blamed: int) -> "ProtocolAbort":
+        """The same abort blaming ``blamed`` instead (a shard-local id
+        mapped to its global one)."""
+        return type(self)(self.reason, blamed=blamed, phase=self.phase)
 
 
 class PartyTimeout(ProtocolError):
@@ -81,6 +87,21 @@ class PartyTimeout(ProtocolError):
             + (f" at round {round}" if round is not None else "")
             + (f"; blocked: {blocked}" if blocked else "")
         )
+
+    def blaming(self, blamed: int) -> "PartyTimeout":
+        """The same timeout blaming ``blamed`` instead."""
+        return PartyTimeout(
+            blamed, phase=self.phase, round=self.round, waiting=self.waiting
+        )
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so the message survives the pickle
+        # a sharded run's timeout crosses out of a worker process.
+        return (_timeout, (self.blamed, self.phase, self.round, self.waiting))
+
+
+def _timeout(blamed, phase, round, waiting) -> PartyTimeout:
+    return PartyTimeout(blamed, phase=phase, round=round, waiting=waiting)
 
 
 class PartyCrashed(Exception):

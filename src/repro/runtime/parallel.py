@@ -1,24 +1,27 @@
-"""Process-pool execution engine for exponentiation-heavy protocol stages.
+"""Job fan-out for the exponentiation-heavy protocol stages.
 
-The unlinkable-comparison phase is embarrassingly parallel: every
-``(j, i)`` pair's γ/ω/τ circuit evaluation is an independent
-exponentiation-heavy job, and every set in a chain hop can be
-processed independently once its randomness is fixed.  This module fans
-those jobs out across worker processes while keeping runs *bit-for-bit
-reproducible*:
+Three stages are embarrassingly parallel: every ``(j, i)`` pair's
+comparison circuit (framework step 7), every set of a chain hop (step
+8) and every shard of a sharded run's phase 2.  Each stage builds its
+jobs and evaluates them through :meth:`WorkerPool.map` — one path at
+every width — while runs stay *bit-for-bit reproducible*:
 
 * **Job specs are pure data.**  A job carries the group, the
   ciphertexts, and — crucially — any randomness it needs, pre-drawn by
-  the owning party in exactly the order the serial path would have drawn
-  it.  Workers never touch an RNG, so serial and parallel runs consume
-  identical randomness and produce identical transcripts.
-* **Metrics stay exact.**  Each worker meters its job on a private
+  the owning party in exactly the order a set-by-set walk would draw
+  it.  Jobs never touch an RNG, so every width consumes identical
+  randomness and produces identical transcripts.
+* **Metrics stay exact.**  Each job meters its work on a private
   :class:`~repro.groups.base.OperationCounter` returned alongside the
   result; the caller folds it into the owning party's counter with
   :meth:`~repro.groups.base.OperationCounter.merge`.
-* **Graceful degradation.**  If worker processes cannot be spawned (or
-  die), the pool falls back to in-process execution — same values,
-  same metrics, just no concurrency.
+* **Inline is the same path.**  A pool of width 1, a pool whose worker
+  processes cannot be spawned (or die), and :func:`run_jobs` where no
+  pool exists (a tcp party process, the standalone sorting protocol)
+  evaluate the same jobs in order in this process — same values, same
+  metrics, no concurrency.  The process machinery
+  (``multiprocessing``, ``concurrent.futures.process``) is imported
+  only when a wider pool first fans out.
 
 Worker function references are resolved by qualified name, so all job
 evaluators live at module level here.
@@ -26,17 +29,19 @@ evaluators live at module level here.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pickle import PicklingError
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.crypto.elgamal import Ciphertext
 from repro.groups.base import Group, OperationCounter
+from repro.groups.fixed_base import PrecomputedBase
 from repro.math import backend
+from repro.runtime.errors import PartyTimeout, ProtocolAbort
+
+if TYPE_CHECKING:  # pragma: no cover - imported on the first fan-out
+    from concurrent.futures import ProcessPoolExecutor
 
 JobResult = TypeVar("JobResult")
 
@@ -62,13 +67,20 @@ def _worker_select_backend(backend_name: str) -> None:
 
 @dataclass(frozen=True)
 class TauJob:
-    """One pair's comparison-circuit evaluation (framework step 7)."""
+    """One pair's comparison-circuit evaluation (framework step 7).
+
+    ``generator_table`` is what the circuit's plaintext shifts walk
+    under ``precompute``: the party's randomness pool's public table of
+    generator powers, never its secret pairs.  One party's jobs share
+    it, so :meth:`WorkerPool.map` ships it once per worker.
+    """
 
     group: Group
     beta: int
     other_bits: Tuple[Ciphertext, ...]
     naive_suffix: bool = False
     multiexp: bool = False
+    generator_table: Optional[PrecomputedBase] = None
 
 
 @dataclass(frozen=True)
@@ -91,16 +103,20 @@ class ShuffleJob:
 class ShardJob:
     """One shard's entire phase-2 sub-run (hierarchical composition).
 
-    Unlike the fine-grained jobs above, the worker here runs a complete
-    shard-local framework (keying, comparison, chain) over the members'
-    already-recovered β values.  Determinism still holds: the shard's
-    RNG is pre-forked by the orchestrator under a per-shard label, so
-    pool and inline execution produce identical results, and the
-    returned :class:`~repro.core.framework.FrameworkResult` carries the
-    shard's own metered counters.
+    Unlike the fine-grained jobs above, a shard job runs a complete
+    shard-local framework (keying, comparison, chain, and a step-9
+    round in which nobody submits) over the members' already-recovered
+    β values, with parties built from ``roles``.  Determinism still
+    holds: the shard's RNG is pre-forked by the orchestrator under a
+    per-shard label, and the returned
+    :class:`~repro.core.framework.FrameworkResult` carries the shard's
+    own metered counters.  ``members`` are the shard's global ids, in
+    shard-local order: a failure leaves the job blaming a global id.
     """
 
     config: object                       # shard-local FrameworkConfig
+    members: Tuple[int, ...]
+    roles: Tuple[type, type]
     initiator_input: object = field(repr=False)  # repro: secret
     participant_inputs: Tuple[object, ...] = field(repr=False)  # repro: secret
     rng: object = field(repr=False)
@@ -109,7 +125,7 @@ class ShardJob:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side evaluators
+# Job evaluators
 # ---------------------------------------------------------------------------
 
 def evaluate_shard_job(job: ShardJob):
@@ -121,63 +137,80 @@ def evaluate_shard_job(job: ShardJob):
         job.initiator_input,
         list(job.participant_inputs),
         rng=job.rng,
+        roles=job.roles,
     )
-    return framework.run(
-        list(job.fault_specs) or None, known_betas=dict(job.known_betas)
-    )
+    try:
+        return framework.run(
+            list(job.fault_specs) or None, known_betas=dict(job.known_betas)
+        )
+    except (PartyTimeout, ProtocolAbort) as failure:
+        if not failure.blamed:  # nobody, or the shard's initiator (P_0)
+            raise
+        raise failure.blaming(job.members[failure.blamed - 1]) from failure
+
+
+def _metered(
+    group: Group, work: Callable[[], JobResult]
+) -> Tuple[JobResult, OperationCounter]:
+    """``work()`` metered on a private counter.  An inline job runs on
+    the caller's own group object, so its attached counter is restored
+    afterwards."""
+    counter = OperationCounter()
+    previous = group.counter
+    group.attach_counter(counter)
+    try:
+        return work(), counter
+    finally:
+        group.attach_counter(previous)
 
 
 def evaluate_tau_job(job: TauJob) -> Tuple[List[Ciphertext], OperationCounter]:
     from repro.core.comparison import HomomorphicComparator
     from repro.crypto.bitenc import BitwiseCiphertext
 
-    # The inline fallback runs jobs against the caller's own group object,
-    # so the previously attached counter must be restored afterwards.
-    counter = OperationCounter()
-    previous = job.group.counter
-    job.group.attach_counter(counter)
-    try:
-        comparator = HomomorphicComparator(
-            job.group, naive_suffix=job.naive_suffix, multiexp=job.multiexp
-        )
-        taus = comparator.encrypted_taus(
-            job.beta, BitwiseCiphertext(bits=job.other_bits)
-        )
-    finally:
-        job.group.attach_counter(previous)
-    return taus, counter
+    comparator = HomomorphicComparator(
+        job.group, naive_suffix=job.naive_suffix, multiexp=job.multiexp,
+        generator_table=job.generator_table,
+    )
+    return _metered(job.group, lambda: comparator.encrypted_taus(
+        job.beta, BitwiseCiphertext(bits=job.other_bits)
+    ))
 
 
 def evaluate_shuffle_job(job: ShuffleJob) -> Tuple[List[Ciphertext], OperationCounter]:
     from repro.core.shuffle import ShuffleProcessor
 
-    counter = OperationCounter()
-    previous = job.group.counter
-    job.group.attach_counter(counter)
-    try:
-        processor = ShuffleProcessor(
-            job.group,
-            rerandomize=job.rerandomizers is not None,
-            permute=job.permutation is not None,
-        )
-        processed = processor.apply_set(
-            job.ciphertexts, job.secret, job.rerandomizers, job.permutation
-        )
-    finally:
-        job.group.attach_counter(previous)
-    return processed, counter
+    processor = ShuffleProcessor(
+        job.group,
+        rerandomize=job.rerandomizers is not None,
+        permute=job.permutation is not None,
+    )
+    return _metered(job.group, lambda: processor.apply_set(
+        job.ciphertexts, job.secret, job.rerandomizers, job.permutation
+    ))
 
 
 # ---------------------------------------------------------------------------
 # The pool
 # ---------------------------------------------------------------------------
 
+def run_jobs(
+    pool: Optional["WorkerPool"],
+    fn: Callable[..., JobResult],
+    jobs: Sequence,
+) -> List[JobResult]:
+    """``pool.map(fn, jobs)``, or the jobs inline where no pool exists."""
+    if pool is None:
+        return [fn(job) for job in jobs]
+    return pool.map(fn, jobs)
+
+
 class WorkerPool:
     """A lazily started process pool with an in-process fallback.
 
-    ``workers <= 1`` (or any failure to spawn/keep worker processes)
+    ``workers == 1`` (or any failure to spawn/keep worker processes)
     means jobs run inline — identical values and metrics, no
-    concurrency — so callers never need two code paths.
+    concurrency — so every caller has one code path.
     """
 
     def __init__(self, workers: int = 1):
@@ -186,18 +219,6 @@ class WorkerPool:
         self.workers = workers
         self._executor: Optional[ProcessPoolExecutor] = None
         self._broken = False
-        self._drain_hooks: List[Callable[[], None]] = []
-
-    def register_drain(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` once when this pool is shut down at end of run.
-
-        The checkpoint layer registers a hook that persists every
-        party's precompute-pool cursor, so an orderly shutdown leaves
-        the pools' positions durable.  Hooks do NOT fire on the internal
-        broken-pool teardown paths — those happen mid-run, when the
-        protocol state is not at a boundary worth persisting.
-        """
-        self._drain_hooks.append(hook)
 
     @property
     def parallel(self) -> bool:
@@ -206,6 +227,9 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             try:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -243,34 +267,33 @@ class WorkerPool:
         # inline"; no worker ran, so there is no blamed abort to swallow
         except Exception:
             self._broken = True
-            self._stop_executor()
+            self.shutdown()
             return [fn(job) for job in jobs]
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             executor = self._ensure_executor()
-            chunksize = max(1, len(jobs) // (4 * self.workers))
+            # One contiguous chunk per worker: a stage's jobs cost alike,
+            # and an object they share (a party's generator table) is
+            # pickled once per chunk, not once per job.
+            chunksize = -(-len(jobs) // self.workers)
             return list(executor.map(fn, jobs, chunksize=chunksize))
         # Unpicklable payloads surface as PicklingError, AttributeError
         # ("Can't pickle local object") or TypeError depending on the
         # object; OSError/BrokenProcessPool cover spawn and worker death.
         except (OSError, PicklingError, AttributeError, TypeError, BrokenProcessPool):
             self._broken = True
-            self._stop_executor()
+            self.shutdown()
             return [fn(job) for job in jobs]
         except BaseException:
             # Any other failure (a job raising ProtocolAbort, an injected
             # fault, KeyboardInterrupt) must not leak worker processes:
             # tear the pool down before propagating.
-            self._stop_executor()
+            self.shutdown()
             raise
 
     def shutdown(self) -> None:
-        """Orderly end-of-run teardown: drain hooks once, then workers."""
-        hooks, self._drain_hooks = self._drain_hooks, []
-        for hook in hooks:
-            hook()
-        self._stop_executor()
-
-    def _stop_executor(self) -> None:
+        """Stop the worker processes, if any were started."""
         # wait=True: callers only shut down between batches, when workers
         # are idle, so the join is cheap — and leaving the executor's
         # management thread winding down asynchronously deadlocks with
@@ -282,7 +305,7 @@ class WorkerPool:
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
         try:
-            self._stop_executor()
+            self.shutdown()
         # repro-lint: ignore[R-EXCEPT] -- nothing to re-raise into during
         # interpreter teardown; swallowing is the point of this guard
         except Exception:

@@ -132,7 +132,6 @@ class Coordinator:
         manager = make_checkpoints(self.config)
         self.framework.last_checkpoints = manager
         attempts = Attempts(self.config, self.framework._rng, known_betas)
-        rejoins = 0
         launcher: Optional[Launcher] = None
         try:
             if resume:
@@ -150,9 +149,7 @@ class Coordinator:
                     result = await run.execute()
                 except (PartyTimeout, ProtocolAbort) as failure:
                     attempts.retry(failure, run.betas.get)
-                    rejoins += run.supervisor.rejoins
                     continue
-                result.rejoins += rejoins
                 return attempts.stamp(result)
         finally:
             try:
@@ -178,6 +175,7 @@ class _Attempt:
         self.attempt = attempts.attempt
         self.party_ids = [INITIATOR_ID] + self.active
         self.supervisor = WallClockSupervisor(coordinator.settings.timeout_s)
+        attempts.supervisor = self.supervisor
         self.transcript = Transcript()
         self.transcript.meta.update({
             "transport": "tcp",

@@ -12,11 +12,12 @@ whenever ``0 < config.shard_size < n``):
    (:mod:`repro.sharding.partition`); each shard runs the unmodified
    paper protocol (keying + ZKPs, bitwise β broadcast, pairwise
    comparisons, shuffle chain) among its ≤ ``shard_size`` members via a
-   phase-2-only sub-framework (``known_betas``).  Shards are
-   independent engines and execute concurrently through
-   :class:`~repro.runtime.parallel.WorkerPool` when ``config.workers >
-   1`` — results are identical either way (each shard owns a
-   deterministic RNG fork).
+   phase-2-only sub-framework (``known_betas``) whose step-9 round is a
+   decline round.  Shards are independent engines, one
+   :class:`~repro.runtime.parallel.ShardJob` each, run through a
+   :class:`~repro.runtime.parallel.WorkerPool` of ``config.workers``
+   (inline at width 1) — results are identical at every width (each
+   shard owns a deterministic RNG fork).
 3. **Champion aggregation** — each shard's local top-``min(k, s)`` form
    the candidate set; :func:`~repro.sharding.aggregate.rank_champions`
    ranks them over the secret-sharing substrate.  A winner's candidate
@@ -66,15 +67,18 @@ from repro.core.parties import (
     FrameworkConfig,
 )
 from repro.runtime.channels import WireStats
-from repro.runtime.errors import PartyTimeout, ProtocolAbort, ProtocolError
+from repro.runtime.errors import ProtocolError
 from repro.runtime.faults import FaultSpec
 from repro.runtime.metrics import PartyMetrics
+from repro.runtime.parallel import ShardJob, WorkerPool, evaluate_shard_job
 from repro.runtime.transcript import Transcript
 from repro.sharding.aggregate import AggregationOutcome, rank_champions
 from repro.sharding.parties import (
     GainOnlyParticipant,
     GainServiceInitiator,
     RankedSubmitter,
+    ShardInitiator,
+    ShardParticipant,
     SubmissionInitiator,
 )
 from repro.sharding.partition import plan_shards, two_champions
@@ -334,7 +338,6 @@ def _shard_config(config: FrameworkConfig, size: int, index: int) -> FrameworkCo
         num_participants=size,
         k=min(config.k, size),
         shard_size=0,
-        collect_submissions=False,
         workers=1,
         checkpoint_dir=checkpoint_dir,
     )
@@ -346,65 +349,31 @@ def _run_shards(
     betas: Dict[int, int],
     specs: Sequence[FaultSpec],
 ) -> List[FrameworkResult]:
-    """Phase 2 inside every shard, concurrently when a pool is configured.
+    """Phase 2 inside every shard: one :class:`ShardJob` per shard
+    through a pool of ``config.workers`` (inline at width 1).
 
     Each shard is a self-contained sub-framework over shard-local ids
-    with its own deterministic RNG fork, so the pool fan-out and the
-    inline walk produce identical results; a shard failure re-raises
-    with the blame remapped to the global id.
+    with its own deterministic RNG fork, so every width produces
+    identical results; a shard failure re-raises blaming the global id.
     """
     config = framework.config
-    plans: List[Tuple[FrameworkConfig, List, object, Dict[int, int], List[FaultSpec]]] = []
-    for index, shard in enumerate(shards):
-        sub_config = _shard_config(config, len(shard), index)
-        inputs = [framework.participant_inputs[g - 1] for g in shard]
-        local_betas = {i + 1: betas[g] for i, g in enumerate(shard)}
-        local_specs = _localize_specs(specs, shard)
-        plans.append((
-            sub_config,
-            inputs,
-            _fork(framework._rng, f"shard{index}"),
-            local_betas,
-            local_specs,
-        ))
-
-    if config.workers > 1 and len(shards) > 1:
-        from repro.runtime.parallel import ShardJob, WorkerPool, evaluate_shard_job
-
-        jobs = [
-            ShardJob(
-                config=sub_config,
-                initiator_input=framework.initiator_input,
-                participant_inputs=tuple(inputs),
-                rng=shard_rng,
-                known_betas=tuple(sorted(local_betas.items())),
-                fault_specs=tuple(local_specs),
-            )
-            for sub_config, inputs, shard_rng, local_betas, local_specs in plans
-        ]
-        pool = WorkerPool(min(config.workers, len(shards)))
-        try:
-            return list(pool.map(evaluate_shard_job, jobs))
-        finally:
-            pool.shutdown()
-
-    results: List[FrameworkResult] = []
-    for index, (sub_config, inputs, shard_rng, local_betas, local_specs) in enumerate(
-        plans
-    ):
-        sub = GroupRankingFramework(
-            sub_config, framework.initiator_input, inputs, rng=shard_rng
+    jobs = [
+        ShardJob(
+            config=_shard_config(config, len(shard), index),
+            members=tuple(shard),
+            roles=(ShardInitiator, ShardParticipant),
+            initiator_input=framework.initiator_input,
+            participant_inputs=tuple(
+                framework.participant_inputs[g - 1] for g in shard
+            ),
+            rng=_fork(framework._rng, f"shard{index}"),
+            known_betas=tuple((i + 1, betas[g]) for i, g in enumerate(shard)),
+            fault_specs=tuple(_localize_specs(specs, shard)),
         )
-        try:
-            results.append(
-                sub.run(local_specs or None, known_betas=local_betas)
-            )
-        except (PartyTimeout, ProtocolAbort) as failure:
-            blamed = failure.blamed
-            if blamed is not None and blamed != INITIATOR_ID:
-                failure.blamed = shards[index][blamed - 1]
-            raise
-    return results
+        for index, shard in enumerate(shards)
+    ]
+    with WorkerPool(min(config.workers, len(shards))) as pool:
+        return pool.map(evaluate_shard_job, jobs)
 
 
 def _run_submission(

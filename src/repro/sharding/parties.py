@@ -11,10 +11,10 @@ that runs exactly its slice of the refactored phase generators:
   framework uses, so a sharded run's β values match a flat run's
   byte for byte (one ρ for everyone: β order *is* gain order across
   shard boundaries, which is what makes champion aggregation sound).
-* Shard-local phase 2 is **not** a new role: each shard runs the full
-  :class:`~repro.core.parties.ParticipantParty` with ``known_beta`` set
-  and ``collect_submissions`` off — the unmodified paper protocol among
-  the shard's members.
+* :class:`ShardInitiator` / :class:`ShardParticipant` — shard-local
+  phase 2: the unmodified paper protocol among the shard's members
+  (``known_beta`` set), whose step-9 round is a decline round — the
+  shard ranks, and only the global round below submits.
 * :class:`SubmissionInitiator` / :class:`RankedSubmitter` — the global
   phase-3 round over the already-assigned ranks: top-k winners submit
   their information vectors, everyone else declines, and P_0 re-verifies
@@ -27,7 +27,10 @@ from typing import Optional, Sequence
 
 from repro.core.gain import ParticipantInput
 from repro.core.parties import (
+    INITIATOR_ID,
     PHASE_KEYING,
+    PHASE_SUBMISSION,
+    TAG_SUBMISSION,
     FrameworkConfig,
     InitiatorParty,
     ParticipantParty,
@@ -38,6 +41,8 @@ __all__ = [
     "GainOnlyParticipant",
     "GainServiceInitiator",
     "RankedSubmitter",
+    "ShardInitiator",
+    "ShardParticipant",
     "SubmissionInitiator",
 ]
 
@@ -67,6 +72,21 @@ class GainOnlyParticipant(ParticipantParty):
         # harvests β from after a cross-process restart.
         self.set_phase(PHASE_KEYING)
         self.output = beta
+
+
+class ShardInitiator(InitiatorParty):
+    """P_0 inside a shard: as flat, but nobody submits in its step 9."""
+
+    def _expected_submissions(self) -> int:
+        return 0
+
+
+class ShardParticipant(ParticipantParty):
+    """P_j inside a shard: phase 2 as flat, then a decline in step 9."""
+
+    def _phase_submission(self, rank: int) -> None:
+        self.set_phase(PHASE_SUBMISSION)
+        self.send(INITIATOR_ID, TAG_SUBMISSION, None)
 
 
 class SubmissionInitiator(InitiatorParty):

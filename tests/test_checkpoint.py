@@ -30,7 +30,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.errors import PartyTimeout
 from repro.runtime.faults import FaultInjector, FaultSpec
-from repro.runtime.parallel import WorkerPool
 from tests.conftest import make_participants
 from tests.test_backend_equivalence import _ShimBackend, wire_fingerprint
 from tests.test_runtime_faults import PHASE_TAGS, outcome_fingerprint
@@ -170,76 +169,6 @@ class TestStore:
         store.append_record(0, 1, b"h", b"b")
         store.append_record(3, 1, b"h", b"b")
         assert store.attempts() == [0, 3]
-
-
-# ---------------------------------------------------------------------------
-# Precompute-pool cursor
-# ---------------------------------------------------------------------------
-
-class TestPoolCursor:
-    def _pool(self, group, seed=9, size=8):
-        from repro.crypto.precompute import RandomnessPool
-
-        return RandomnessPool(
-            group, group.exp_generator(5), SeededRNG(seed), size=size
-        )
-
-    def test_fast_forward_matches_served_stream(self, small_dl_group):
-        """A rebuilt pool fast-forwarded to the dead pool's cursor serves
-        the exact pairs the uninterrupted pool would have."""
-        first = self._pool(small_dl_group)
-        for _ in range(5):
-            first.take()
-        expected = [first.take() for _ in range(3)]
-        twin = self._pool(small_dl_group)
-        twin.fast_forward(5)
-        assert twin.cursor == 5
-        assert [twin.take() for _ in range(3)] == expected
-
-    def test_fast_forward_past_precomputed_size_stays_aligned(
-        self, small_dl_group
-    ):
-        first = self._pool(small_dl_group, size=2)
-        for _ in range(4):  # runs dry after 2: online generation kicks in
-            first.take()
-        expected = first.take()
-        twin = self._pool(small_dl_group, size=2)
-        twin.fast_forward(4)
-        assert twin.take() == expected
-
-    def test_fast_forward_rejects_negative(self, small_dl_group):
-        with pytest.raises(ValueError):
-            self._pool(small_dl_group).fast_forward(-1)
-
-
-# ---------------------------------------------------------------------------
-# Worker-pool drain hooks
-# ---------------------------------------------------------------------------
-
-class TestDrainHooks:
-    def test_hooks_fire_once_on_orderly_shutdown(self):
-        pool = WorkerPool(workers=1)
-        calls = []
-        pool.register_drain(lambda: calls.append("drained"))
-        pool.shutdown()
-        pool.shutdown()
-        assert calls == ["drained"]
-
-    def test_context_manager_drains(self):
-        calls = []
-        with WorkerPool(workers=1) as pool:
-            pool.register_drain(lambda: calls.append("drained"))
-        assert calls == ["drained"]
-
-    def test_internal_teardown_does_not_drain(self):
-        """Broken-pool/mid-run teardown is not a persistence boundary."""
-        pool = WorkerPool(workers=1)
-        calls = []
-        pool.register_drain(lambda: calls.append("drained"))
-        pool._stop_executor()
-        assert calls == []
-        pool.shutdown()
-        assert calls == ["drained"]
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +321,20 @@ class TestKillRejoin:
     def test_kill_with_precompute_pool(
         self, small_dl_group, small_schema, small_initiator_input, tmp_path
     ):
-        """The rebuilt party fast-forwards its randomness pool to the
-        dead party's cursor instead of re-drawing — same transcript."""
-        baseline, restored, framework = self._pair(
-            small_dl_group, small_schema, small_initiator_input, tmp_path,
-            [kill(FAULTY, "tau-sets")], precompute=8,
-        )
-        assert restored.rejoins >= 1
-        assert outcome_fingerprint(restored) == outcome_fingerprint(baseline)
-        assert wire_fingerprint(restored) == wire_fingerprint(baseline)
-        assert framework.check_result(restored) == []
+        """The rebuilt party rebuilds its randomness pool from the
+        keying-entry snapshot's RNG state (nothing is fast-forwarded or
+        journaled for the pool): the same pairs, the same transcript, at
+        either pool width."""
+        for workers in (1, 2):
+            baseline, restored, framework = self._pair(
+                small_dl_group, small_schema, small_initiator_input,
+                tmp_path / f"w{workers}", [kill(FAULTY, "tau-sets")],
+                precompute=8, workers=workers,
+            )
+            assert restored.rejoins >= 1
+            assert outcome_fingerprint(restored) == outcome_fingerprint(baseline)
+            assert wire_fingerprint(restored) == wire_fingerprint(baseline)
+            assert framework.check_result(restored) == []
 
     def test_same_seed_same_outcome(
         self, small_dl_group, small_schema, small_initiator_input, tmp_path
@@ -464,6 +397,23 @@ class TestKillRejoin:
         assert result.attempts == 2
         assert result.excluded == [FAULTY]
         assert result.rejoins == 0
+        assert framework.check_result(result) == []
+
+    def test_rejoins_count_over_every_attempt(
+        self, small_dl_group, small_schema, small_initiator_input, tmp_path
+    ):
+        """P2 is killed and rejoins in the first attempt, which P3's crash
+        then fails: the run reports that rejoin, not only the second
+        attempt's (none)."""
+        framework = build(
+            small_dl_group, small_schema, small_initiator_input, n=4,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        result = framework.run(faults=[
+            kill(2, "beta-bits"),
+            FaultSpec(kind="crash", party=3, tag="chain"),
+        ])
+        assert (result.attempts, result.excluded, result.rejoins) == (2, [3], 1)
         assert framework.check_result(result) == []
 
 

@@ -70,6 +70,21 @@ class TestDemo:
         with pytest.raises(SystemExit):
             run_cli(["demo", "-n", "3", "--streaming"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["demo", "-n", "6", "--transport", "tcp", "--shard-size", "2"],
+         "repro demo: error: transport='tcp' does not compose with the "
+         "sharded hierarchy yet; use shard_size=0"),
+        (["netsim", "-n", "3", "--shard-size", "2"],
+         "repro netsim: error: this shard plan ranks exactly 2 shard "
+         "champions"),
+    ], ids=["demo-tcp-sharded", "netsim-two-champions"])
+    def test_rejected_config_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), lines
+
 
 class TestOtherCommands:
     def test_games(self):

@@ -27,7 +27,7 @@ def full_chain(processor, ciphertexts, shares, owner_index, rng):
     for index, share in enumerate(shares):
         if index == owner_index:
             continue
-        current = processor.process_set(current, share.secret, rng)
+        current = processor.process_vector([current], -1, share.secret, rng)[0]
     return current
 
 

@@ -1,17 +1,28 @@
 """Tests for the parallel execution engine.
 
 The load-bearing property: for the same seed, a parallel run must be
-indistinguishable from the serial run — same ranks, same β values, and
-a byte-identical message transcript.
+indistinguishable from the serial run — same ranks, same β values, a
+byte-identical message transcript and the same per-party metrics.
 """
+
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.gain import InitiatorInput, ParticipantInput
+from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
 from repro.runtime.parallel import TauJob, WorkerPool, evaluate_tau_job
 from tests.conftest import make_participants
+
+
+def _time_out(job):
+    from repro.runtime.errors import PartyTimeout
+
+    raise PartyTimeout(5, phase="chain", round=4, waiting={1: "x"})
 
 
 def _run(group, schema, initiator_input, participants, seed=3, **config_kwargs):
@@ -142,6 +153,34 @@ class TestParallelEquivalence:
         assert fast.transcript.entries == serial.transcript.entries
         assert framework.check_result(fast) == []
 
+    @pytest.mark.parametrize("accelerated", [
+        dict(precompute=64), dict(multiexp=True, precompute=64),
+    ], ids=["precompute", "multiexp-precompute"])
+    def test_every_metric_matches_across_widths(
+        self, small_schema, small_initiator_input, accelerated
+    ):
+        """Under ``precompute`` the comparison jobs walk the party's
+        generator table at every width, so nothing a party meters
+        depends on how its jobs were spread over processes.  Each run
+        gets a fresh group: its membership memo (whose hits are metered)
+        would otherwise carry over from the run before."""
+        participants = make_participants(small_schema, 4, seed=18)
+        serial, pooled = (
+            _run(
+                DLGroup.random(48, rng=SeededRNG(101)), small_schema,
+                small_initiator_input, participants, workers=workers,
+                **accelerated,
+            )[1]
+            for workers in (1, 2)
+        )
+        assert pooled.ranks == serial.ranks
+        assert pooled.betas == serial.betas
+        assert (pooled.wire_stats.canonical_digest
+                == serial.wire_stats.canonical_digest)
+        assert pooled.transcript.entries == serial.transcript.entries
+        # Dataclass equality: every PartyMetrics and OperationCounter field.
+        assert pooled.metrics == serial.metrics
+
     def test_multiexp_serial_matches_plain_serial(
         self, small_dl_group, small_schema, small_initiator_input
     ):
@@ -197,9 +236,55 @@ class TestPoolCleanup:
             pool.map(explode, [1, 2, 3])
         assert pool._executor is None
 
+    def test_timeout_crosses_a_worker_intact(self):
+        """A sharded run's timeout leaves a worker process pickled; it
+        must arrive with its message and fields whole."""
+        from repro.runtime.errors import PartyTimeout
+
+        pool = WorkerPool(2)
+        with pytest.raises(PartyTimeout) as failure:
+            pool.map(_time_out, [1, 2])
+        want = PartyTimeout(5, phase="chain", round=4, waiting={1: "x"})
+        assert str(failure.value) == str(want)
+        assert (failure.value.blamed, failure.value.phase, failure.value.round,
+                failure.value.waiting) == (5, "chain", 4, {1: "x"})
+
     def test_shutdown_is_idempotent(self):
         pool = WorkerPool(2)
         pool.map(sorted, [[2, 1], [4, 3]])
         pool.shutdown()
         pool.shutdown()
         assert pool._executor is None
+
+
+class TestImports:
+    def test_default_run_imports_no_process_machinery(self):
+        """A pool imports its process machinery when it first fans out,
+        so a default in-process run never loads it."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.core.framework import FrameworkConfig, GroupRankingFramework
+            from repro.core.gain import (
+                AttributeSchema, InitiatorInput, ParticipantInput)
+            from repro.groups.dl import DLGroup
+            from repro.math.rng import SeededRNG
+
+            schema = AttributeSchema(names=("a", "b", "c", "d"), num_equal=2,
+                                     value_bits=6, weight_bits=4)
+            initiator = InitiatorInput.create(
+                schema, criterion=[35, 20, 0, 0], weights=[3, 5, 2, 7])
+            participants = [ParticipantInput.create(schema, [i, 2 * i, 3, 4])
+                            for i in range(1, 5)]
+            config = FrameworkConfig(
+                group=DLGroup.random(32, rng=SeededRNG(1)), schema=schema,
+                num_participants=4, k=2, rho_bits=6)
+            GroupRankingFramework(config, initiator, participants,
+                                  rng=SeededRNG(0)).run()
+            print(sorted(name for name in sys.modules if name in (
+                "multiprocessing", "concurrent.futures.process")))
+        """)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert completed.stdout.strip() == "[]"

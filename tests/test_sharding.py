@@ -25,7 +25,7 @@ import pytest
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.parties import TAG_AGGREGATE
 from repro.math.rng import SeededRNG
-from repro.runtime.errors import ProtocolError
+from repro.runtime.errors import ProtocolAbort, ProtocolError
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.sharding.aggregate import aggregation_prime, rank_champions
 from repro.sharding.hierarchy import HierarchicalResult
@@ -323,6 +323,20 @@ class TestFaults:
         assert 5 not in result.ranks
         assert set(result.ranks) == set(range(1, N + 1)) - {5}
         assert framework.check_result(result) == []
+
+    def test_shard_failure_blames_the_global_id_at_every_width(
+        self, small_dl_group, small_schema, small_initiator_input
+    ):
+        """P5 is local P2 of the shard [4, 5, 6]: its corrupt β broadcast
+        fails the run blaming P5, inline and through a worker pool."""
+        for workers in (1, 2):
+            framework = build(
+                small_dl_group, small_schema, small_initiator_input, n=6,
+                recovery=False, workers=workers,
+            )
+            with pytest.raises(ProtocolAbort, match=r"blamed=P5\b") as failure:
+                framework.run([FaultSpec(kind="corrupt", party=5, tag="beta-bits")])
+            assert failure.value.blamed == 5
 
     def test_submission_fault_routed_to_phase_three(
         self, small_dl_group, small_schema, small_initiator_input

@@ -44,6 +44,7 @@ from repro.core.parties import (
 )
 from repro.groups.params import make_test_group
 from repro.math.rng import SeededRNG
+from repro.runtime.faults import FaultSpec
 
 pytestmark = pytest.mark.perf
 
@@ -90,19 +91,23 @@ def _instance(seed: int = 7):
     return schema, initiator, participants
 
 
-def _run(schema, initiator, participants, *, coalesce: bool):
+#: A one-spec fault plan that never fires: the run frames every message
+#: alone, as a faulted run does, and is otherwise the fault-free run.
+NEVER_FIRES = [FaultSpec(kind="drop", party=1, tag="never-sent")]
+
+
+def _run(schema, initiator, participants, faults=None):
     config = FrameworkConfig(
         group=make_test_group(GROUP_BITS),
         schema=schema,
         num_participants=N,
         k=3,
         rho_bits=8,
-        coalesce=coalesce,
     )
     framework = GroupRankingFramework(
         config, initiator, participants, rng=SeededRNG(7)
     )
-    result = framework.run()
+    result = framework.run(faults)
     assert framework.check_result(result) == []
     return result
 
@@ -122,7 +127,7 @@ def _phase2_slice(stats):
 def test_wire_v2_coalesced_vs_v1_per_datum():
     schema, initiator, participants = _instance()
 
-    optimized = _run(schema, initiator, participants, coalesce=True)
+    optimized = _run(schema, initiator, participants)
     assert optimized.wire_stats.digest == BASELINE_DIGEST_V2
 
     opt_bits, opt_messages = _phase2_slice(optimized.wire_stats)
@@ -178,10 +183,15 @@ def test_wire_v2_coalesced_vs_v1_per_datum():
 
 def test_digest_stable_across_coalescing():
     """The batching must never change what is said — only how it is
-    framed.  Same instance, coalescing on vs off: identical payload
-    digests (and identical ranks, checked inside ``_run``)."""
+    framed.  Same instance, batched vs every message framed alone (the
+    framing of a faulted run): identical ranks and payload digests,
+    and transcripts that add up to their wire stats."""
     schema, initiator, participants = _instance(seed=11)
-    on = _run(schema, initiator, participants, coalesce=True)
-    off = _run(schema, initiator, participants, coalesce=False)
+    on = _run(schema, initiator, participants)
+    off = _run(schema, initiator, participants, NEVER_FIRES)
+    assert on.ranks == off.ranks
     assert on.wire_stats.digest == off.wire_stats.digest
-    assert on.wire_stats.wire_messages < off.wire_stats.wire_messages
+    assert on.wire_stats.wire_messages < off.wire_stats.wire_messages / 3
+    for result in (on, off):
+        assert result.transcript.total_bits == result.wire_stats.wire_bits
+        assert result.transcript.total_frames == result.wire_stats.wire_messages

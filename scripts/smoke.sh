@@ -1,5 +1,7 @@
 #!/usr/bin/env sh
-# Repo smoke check: tier-1 tests plus lint (when available).
+# Repo smoke check: tier-1 tests, demos, and lint (when available).
+# Tier-1 includes tests/test_examples.py, which runs every examples/*.py
+# script and fails on a non-zero exit or an empty output.
 # Usage: sh scripts/smoke.sh
 set -e
 cd "$(dirname "$0")/.."

@@ -18,23 +18,21 @@ sender requires corrupting *every* member (each honest hop re-shuffles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.anonmsg.encoding import decode_message, encode_message
-from repro.anonmsg.mixnet import DecryptionMixnet, StreamingMixHop
+from repro.anonmsg.mixnet import DecryptionMixnet
 from repro.groups.dl import DLGroup
 from repro.math import backend as arith_backend
 from repro.math.rng import RNG, SeededRNG
 from repro.runtime.channels import WireStats, WireTransport
 from repro.runtime.engine import Engine
-from repro.runtime.errors import ProtocolAbort
 from repro.runtime.party import Party
 from repro.runtime.transcript import Transcript
 
 TAG_SHARE = "anon-share"
 TAG_SUBMIT = "anon-submit"
 TAG_BATCH = "anon-batch"
-TAG_CHUNK = "anon-chunk"
 TAG_OUTPUT = "anon-output"
 
 
@@ -54,58 +52,14 @@ class CollectorParty(Party):
 
 
 class MemberParty(Party):
-    """One member: key share, submission, and a mix hop.
-
-    ``stream_chunk > 0`` turns on the streaming pipeline: each hop's
-    batch travels as ceil(n / stream_chunk)-many ``TAG_CHUNK`` messages,
-    emitted one per round, and the receiving member peels +
-    re-randomizes each chunk the round it arrives — so hop ``i+1`` is
-    already decrypting chunk 1 while hop ``i`` is still emitting chunk
-    2.  The permutation stays a whole-batch barrier (see
-    :class:`~repro.anonmsg.mixnet.StreamingMixHop`), and the collector's
-    multiset is identical to the one-shot pipeline's for the same seed.
-    """
+    """One member: key share, submission, and a mix hop."""
 
     def __init__(self, party_id: int, group: DLGroup, num_members: int,
-                 message: int, rng: RNG, stream_chunk: int = 0):
+                 message: int, rng: RNG):
         super().__init__(party_id, rng)
         self.group = group
         self.num_members = num_members
         self.message = message
-        self.stream_chunk = stream_chunk
-        # Engine round at each chunk absorption (pipeline-overlap tests).
-        self.absorb_rounds: List[int] = []
-
-    def _chunk_bounds(self, total: int) -> List[tuple]:
-        size = self.stream_chunk
-        return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-    def _send_stream(self, dst: int, batch):
-        """Emit ``batch`` as staggered chunks, one round apart."""
-        bounds = self._chunk_bounds(len(batch))
-        for index, (lo, hi) in enumerate(bounds):
-            chunk = batch[lo:hi]
-            self.send(dst, TAG_CHUNK, (index, chunk))
-            if index < len(bounds) - 1:
-                yield from self.pause()
-
-    def _recv_stream(self, hop: StreamingMixHop):
-        """Absorb the upstream hop's chunks as they arrive."""
-        src = self.party_id - 1
-        bounds = self._chunk_bounds(self.num_members)
-        for index in range(len(bounds)):
-            message = yield from self.recv(src, TAG_CHUNK)
-            payload = message.payload
-            if not (
-                isinstance(payload, tuple) and len(payload) == 2
-                and payload[0] == index and isinstance(payload[1], list)
-            ):
-                raise ProtocolAbort(
-                    f"mix stream from P{src} malformed or out of sequence",
-                    blamed=src, phase="mixing",
-                )
-            hop.absorb(payload[1], self.rng)
-            self.absorb_rounds.append(self._engine.round)
 
     def protocol(self):
         group = self.group
@@ -124,7 +78,6 @@ class MemberParty(Party):
         # 2. Encrypt and submit to the head of the chain.
         encoded = encode_message(self.message, group)
         ciphertext = mixnet.submit(encoded, self.rng)
-        streaming = self.stream_chunk > 0
         if self.party_id == 1:
             batch = [ciphertext]
             received = yield from self.recv_from_all(others, TAG_SUBMIT)
@@ -132,28 +85,15 @@ class MemberParty(Party):
                 batch.append(received[sender])
         else:
             self.send(1, TAG_SUBMIT, ciphertext)
-            if streaming:
-                hop = StreamingMixHop(
-                    mixnet, self.party_id, secret,
-                    validate_from=self.party_id - 1,
-                )
-                yield from self._recv_stream(hop)
-                batch = hop.emit(self.rng)
-            else:
-                upstream = yield from self.recv(self.party_id - 1, TAG_BATCH)
-                batch = upstream.payload
+            upstream = yield from self.recv(self.party_id - 1, TAG_BATCH)
+            batch = upstream.payload
 
-        # 3. This member's mix hop (the head always has the full batch,
-        #    so it processes one-shot even when streaming downstream).
-        if self.party_id == 1 or not streaming:
-            batch = mixnet.mix_hop(batch, self.party_id, secret, self.rng)
+        # 3. This member's mix hop.
+        batch = mixnet.mix_hop(batch, self.party_id, secret, self.rng)
 
         # 4. Forward — or open and deliver if last.
         if self.party_id < self.num_members:
-            if streaming:
-                yield from self._send_stream(self.party_id + 1, batch)
-            else:
-                self.send(self.party_id + 1, TAG_BATCH, batch)
+            self.send(self.party_id + 1, TAG_BATCH, batch)
         else:
             self.send(0, TAG_OUTPUT, mixnet.open_outputs(batch))
         self.output = "mixed"
@@ -171,15 +111,13 @@ class AnonymousCollection:
 
 def run_anonymous_collection(
     group: DLGroup, messages: List[int], rng: Optional[RNG] = None,
-    *, stream_chunk: int = 0, coalesce: bool = True, backend: str = "auto",
+    *, backend: str = "auto",
 ) -> AnonymousCollection:
     """Convenience one-call runner: returns the collector's view.
 
-    ``stream_chunk > 0`` streams each hop's batch in chunks of that many
-    ciphertexts (same multiset, pipelined hops).  Every message goes
-    through a :class:`~repro.runtime.channels.WireTransport` and is
-    accounted by its measured encoded bytes, with per-round batching per
-    ``coalesce`` (as in :class:`~repro.core.parties.FrameworkConfig`).
+    Every message goes through a
+    :class:`~repro.runtime.channels.WireTransport` and is accounted by
+    its measured encoded bytes, batched per (sender, receiver, round).
     ``backend`` scopes the run to an arithmetic backend
     (:mod:`repro.math.backend`; ``"auto"`` keeps the active one) —
     transcript-equivalent, so the collected multiset, round count, and
@@ -188,17 +126,14 @@ def run_anonymous_collection(
     n = len(messages)
     if n < 2:
         raise ValueError("anonymity needs at least two members")
-    if stream_chunk < 0:
-        raise ValueError("stream_chunk must be non-negative")
-    transport = WireTransport(group, coalesce=coalesce)
+    transport = WireTransport(group)
     with arith_backend.use_backend(backend):
         engine = Engine(metered_groups=[group], wire=transport)
         engine.add_party(CollectorParty(group, n, _fork(rng, "collector")))
         for member_id, message in enumerate(messages, start=1):
             engine.add_party(
                 MemberParty(member_id, group, n, message,
-                            _fork(rng, f"m{member_id}"),
-                            stream_chunk=stream_chunk)
+                            _fork(rng, f"m{member_id}"))
             )
         outputs = engine.run()
     return AnonymousCollection(

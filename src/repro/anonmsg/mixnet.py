@@ -104,40 +104,20 @@ class DecryptionMixnet:
         """
         if validate_from is not None:
             self.validate_batch(ciphertexts, validate_from)
-        processed = self.peel_and_rerandomize(
-            ciphertexts, member_id, secret, rng, pool=pool
-        )
-        rng.shuffle(processed)
-        return processed
-
-    def peel_and_rerandomize(
-        self,
-        ciphertexts: Sequence[Ciphertext],
-        member_id: int,
-        secret: int,
-        rng: RNG,
-        *,
-        pool: Optional["RandomnessPool"] = None,
-    ) -> List[Ciphertext]:
-        """The exponentiation-heavy part of a hop, without the permutation.
-
-        Safe to call incrementally on consecutive chunks of one batch
-        (:class:`StreamingMixHop` does exactly that): randomness is drawn
-        in ciphertext order, so chunked and whole-batch processing
-        consume the pool/RNG identically.
-        """
         remaining = self.remaining_key_after(member_id)
-        is_last = member_id == self.member_ids[-1]
         scheme = (
             ElGamal(self.group, pool=pool) if pool is not None else self.scheme
         )
-        # repro-lint: ignore[R-GUARD] -- hot hop path; batches are
-        # membership-checked at receipt (mix_hop validate_from /
-        # StreamingMixHop.absorb) before any peeling
+        # A batch is membership-checked before any peeling: the wire
+        # decoder checks every element it reads, and validate_from
+        # checks a batch handed over directly.
         processed = self._distkey.peel_layers(ciphertexts, secret)
-        if is_last:
-            return processed
-        return [scheme.rerandomize(peeled, remaining, rng) for peeled in processed]
+        if member_id != self.member_ids[-1]:
+            processed = [
+                scheme.rerandomize(peeled, remaining, rng) for peeled in processed
+            ]
+        rng.shuffle(processed)
+        return processed
 
     def open_outputs(self, ciphertexts: Sequence[Ciphertext]) -> List[Element]:
         """After every hop ran, the c1 components are the plaintexts."""
@@ -154,54 +134,3 @@ class DecryptionMixnet:
         for member_id in self.member_ids:
             current = self.mix_hop(current, member_id, secrets[member_id], rng)
         return self.open_outputs(current)
-
-
-class StreamingMixHop:
-    """One member's hop, fed chunk by chunk as the upstream hop emits.
-
-    The exponentiation-heavy peel + re-randomize runs per chunk in
-    :meth:`absorb`, so it overlaps the upstream member's (staggered)
-    emission; the permutation is a whole-batch barrier in :meth:`emit` —
-    shuffling chunk-locally would let an observer bound every output's
-    source to one chunk, gutting the unlinkability the hop exists for.
-
-    Randomness is consumed in global ciphertext order across chunks,
-    so a streamed hop produces exactly the ciphertexts (and the same
-    permutation) the one-shot :meth:`DecryptionMixnet.mix_hop` would.
-    """
-
-    def __init__(
-        self,
-        mixnet: DecryptionMixnet,
-        member_id: int,
-        secret: int,
-        *,
-        validate_from: Optional[int] = None,
-    ):
-        self.mixnet = mixnet
-        self.member_id = member_id
-        self.secret = secret
-        self.validate_from = validate_from
-        self.absorbed = 0
-        self._processed: List[Ciphertext] = []
-        self._emitted = False
-
-    def absorb(self, chunk: Sequence[Ciphertext], rng: RNG) -> None:
-        """Peel + re-randomize one arriving chunk (order-preserving)."""
-        if self._emitted:
-            raise ValueError("cannot absorb after emit")
-        if self.validate_from is not None:
-            self.mixnet.validate_batch(chunk, self.validate_from)
-        self._processed.extend(
-            self.mixnet.peel_and_rerandomize(
-                chunk, self.member_id, self.secret, rng
-            )
-        )
-        self.absorbed += len(chunk)
-
-    def emit(self, rng: RNG) -> List[Ciphertext]:
-        """Whole-batch permutation barrier; returns the hop's output."""
-        self._emitted = True
-        processed = self._processed
-        rng.shuffle(processed)
-        return processed

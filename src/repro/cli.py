@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--chunk-sets", type=int, default=0, metavar="C",
                       help="pipeline the shuffle chain in chunks of C "
                            "ciphertext sets (0 = send the whole vector)")
-    _add_wire_flags(demo)
     _add_backend_flag(demo)
     _add_checkpoint_flags(demo)
     demo.set_defaults(parser=demo)
@@ -75,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "of ~S members (0 = flat protocol; 'auto' picks "
                              "S = max(2, k), or flat where no such shard "
                              "plan runs)")
-    _add_wire_flags(netsim)
     _add_backend_flag(netsim)
     _add_checkpoint_flags(netsim)
     netsim.set_defaults(parser=netsim)
@@ -120,19 +118,9 @@ def _add_checkpoint_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_wire_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument("--coalesce", dest="coalesce", action="store_true",
-                         default=True,
-                         help="batch per-(sender,receiver,round) messages "
-                              "into one framed envelope (default)")
-    command.add_argument("--no-coalesce", dest="coalesce", action="store_false",
-                         help="one wire message per protocol datum")
-
-
 def _print_wire_stats(result, out) -> None:
     stats = result.wire_stats
-    print(f"wire: coalesce={stats.coalesce}   "
-          f"{stats.wire_messages} wire messages / "
+    print(f"wire: {stats.wire_messages} wire messages / "
           f"{stats.logical_messages} logical   "
           f"{stats.wire_bytes / 1e6:.3f} MB on the wire", file=out)
     # The canonical digest hashes per-channel payload streams, so it is
@@ -217,7 +205,6 @@ def cmd_demo(args, out) -> int:
         batch_verify=args.batch_verify,
         bit_proofs=args.bit_proofs,
         stream_chunk_sets=args.chunk_sets,
-        coalesce=args.coalesce,
         backend=args.backend,
         checkpoint_dir=args.checkpoint_dir,
         shard_size=shard_size,
@@ -349,7 +336,6 @@ def cmd_netsim(args, out) -> int:
     config = _config(
         args, group=group, schema=schema,
         num_participants=args.participants, k=2, rho_bits=8,
-        coalesce=args.coalesce,
         backend=args.backend, checkpoint_dir=args.checkpoint_dir,
         shard_size=_resolve_shard_size(args.shard_size, args.participants, 2),
     )

@@ -168,8 +168,13 @@ class GroupRankingFramework:
         ``config.backend``; the previous process-wide backend is
         restored on exit.  Backends are transcript-equivalent, so this
         scoping affects speed only.
+
+        Every run starts with the group's memos empty, as a worker or a
+        party process that unpickled the group does, so its membership
+        tallies depend on this run alone.
         """
         config = self.config
+        config.group.clear_memos()
         if config.transport == "tcp":
             from repro.runtime.transport import run_distributed
 
@@ -560,7 +565,7 @@ def make_checkpoints(config: FrameworkConfig, leaf: Optional[str] = None):
     directory = config.checkpoint_dir
     if leaf is not None:
         directory = os.path.join(directory, leaf)
-    return CheckpointManager(directory, sync_every=config.checkpoint_every)
+    return CheckpointManager(directory)
 
 
 def make_engine(config: FrameworkConfig, injector=None, manager=None,
@@ -576,7 +581,7 @@ def make_engine(config: FrameworkConfig, injector=None, manager=None,
             max_retries=config.max_retries,
             phase_of=phase_of_tag,
         ),
-        wire=WireTransport(config.group, coalesce=config.coalesce),
+        wire=WireTransport(config.group),
         checkpoints=manager,
     )
 

@@ -112,9 +112,11 @@ class FrameworkConfig:
 
     ``rerandomize``/``permute``/``naive_suffix`` are ablation switches
     (defaults reproduce the paper's protocol).  ``beta_bits`` (the
-    masked-gain width l) and ``dp_field_prime`` (the dot product's
-    field) are derived from the schema, ``rho_bits`` and ``beta_mode``;
-    they can be read but not passed in.
+    masked-gain width l, by the rigorous bound of
+    :func:`~repro.core.gain.beta_bit_length`) and ``dp_field_prime``
+    (the dot product's field) are derived from the schema and
+    ``rho_bits``; they can be read but not passed in.  Every party
+    verifies every other party's key-knowledge proof.
 
     Performance switches (all default-off; they change operation cost,
     never a rank; ``tests/test_config_space.py`` classes what each
@@ -172,15 +174,15 @@ class FrameworkConfig:
       the step-6 well-formedness check from structural (shape + group
       membership) to cryptographic (each plaintext provably in {0, 1}).
 
-    Wire-path switches (accounting only; ranks never change):
+    Wire path (accounting only; ranks never change):
 
     * ``wire`` — ``"measured"``, the only accounting: every message is
       encoded with the v2 wire codec (:mod:`repro.runtime.wire`) and
       accounted by its real encoded bytes (payload + secure-channel
       envelope).  The field stays so configs that name it keep working.
-    * ``coalesce`` — batch all messages one sender emits to one receiver
-      within an engine round into a single framed wire message (one
-      envelope per batch instead of one per bit/ciphertext).
+      A fault-free run batches all messages one sender emits to one
+      receiver within a round into a single framed wire message; a run
+      under a fault plan frames each message alone.
 
     Robustness switches:
 
@@ -193,9 +195,8 @@ class FrameworkConfig:
       a ``kill_restart`` fault rejoins the killed party from its durable
       state instead of excluding it, and a crashed *process* can resume
       a run with ``Framework.run(resume=True)``.  Secrets are encrypted
-      at rest (see :mod:`repro.runtime.checkpoint`).
-    * ``checkpoint_every`` — additionally fsync the journal every this
-      many engine rounds (``0`` = phase boundaries only).
+      at rest (see :mod:`repro.runtime.checkpoint`); journals are
+      fsynced at phase boundaries.
     * ``timeout_rounds``/``max_retries`` — the supervisor's per-receive
       deadline (in engine rounds; over tcp the transport's own
       wall-clock deadline applies) and retransmit budget per lost
@@ -210,11 +211,9 @@ class FrameworkConfig:
     num_participants: int
     k: int
     rho_bits: int = 15                     # paper's h
-    beta_mode: str = "safe"
     rerandomize: bool = True
     permute: bool = True
     naive_suffix: bool = False
-    verify_zkp: bool = True
     zkp_mode: str = "interactive"   # or "fiat-shamir" (NIZK, fewer rounds)
     multiexp: bool = False
     precompute: int = 0
@@ -226,10 +225,8 @@ class FrameworkConfig:
     timeout_rounds: int = 6
     max_retries: int = 2
     wire: str = "measured"          # the only accounting (kept for callers)
-    coalesce: bool = True           # batch per (sender, receiver, round)
     backend: str = "auto"           # arithmetic backend: "auto"/"gmp"/"gmpy2"/"python"
     checkpoint_dir: Optional[str] = None   # durable state directory (None = off)
-    checkpoint_every: int = 0       # extra journal fsync cadence, in rounds
     shard_size: int = 0             # 0 = flat run; ≥2 = hierarchical shards
     #: ``"inproc"`` (default) runs the lockstep engine in this process;
     #: ``"tcp"`` spawns each party as its own OS process talking asyncio
@@ -263,8 +260,6 @@ class FrameworkConfig:
             raise ValueError("timeout_rounds must be at least 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative")
         if self.shard_size < 0:
             raise ValueError("shard_size must be non-negative")
         if self.shard_size == 1:
@@ -310,7 +305,6 @@ class FrameworkConfig:
             self.schema.value_bits,
             self.schema.weight_bits,
             self.rho_bits,
-            mode=self.beta_mode,
         )
         # The dot product w'·v' equals the signed β, |β| < 2^(l-1);
         # +8 guard bits keep centered decoding unambiguous.
@@ -433,11 +427,10 @@ class InitiatorParty(Party):
         config = self.config
         participants = self.active_ids
         self.set_phase(PHASE_KEYING)
-        publics: Dict[int, Element] = {}
-        if config.verify_zkp and config.zkp_mode == "fiat-shamir":
-            proof_batch = ShareProofBatch(
-                config.group, batch=config.batch_verify, phase=PHASE_KEYING
-            )
+        proof_batch = ShareProofBatch(
+            config.group, batch=config.batch_verify, phase=PHASE_KEYING
+        )
+        if config.zkp_mode == "fiat-shamir":
             for j in participants:
                 message = yield from self.recv(j, TAG_ZKP_NIZK)
                 their_public, their_proof = message.payload
@@ -445,31 +438,29 @@ class InitiatorParty(Party):
                     config.group, context=b"repro-keying|" + str(j).encode()
                 )
                 proof_batch.add_nizk_claim(j, their_public, their_proof, nizk)
-            publics = proof_batch.verify_and_register()
-        elif config.verify_zkp:
-            commits: Dict[int, Element] = {}
-            for j in participants:
-                share_msg = yield from self.recv(j, TAG_PK_SHARE)
-                publics[j] = share_msg.payload
-                commit_msg = yield from self.recv(j, TAG_ZKP_COMMIT)
-                commits[j] = commit_msg.payload
-                challenge = self._zkp.challenge(self.rng)
-                self.send(j, TAG_ZKP_CHALLENGE, challenge)
-            proof_batch = ShareProofBatch(
-                config.group, batch=config.batch_verify, phase=PHASE_KEYING
-            )
-            for j in participants:
-                response_msg = yield from self.recv(j, TAG_ZKP_RESPONSE)
-                commitment, challenges, z = response_msg.payload
-                if not config.group.eq(commitment, commits[j]):
-                    raise ProtocolAbort(
-                        f"P{j} answered a different commitment",
-                        blamed=j, phase=PHASE_KEYING,
-                    )
-                proof_batch.add_transcript_claim(
-                    j, publics[j], commitment, challenges, z
-                )
             proof_batch.verify_and_register()
+            return
+        publics: Dict[int, Element] = {}
+        commits: Dict[int, Element] = {}
+        for j in participants:
+            share_msg = yield from self.recv(j, TAG_PK_SHARE)
+            publics[j] = share_msg.payload
+            commit_msg = yield from self.recv(j, TAG_ZKP_COMMIT)
+            commits[j] = commit_msg.payload
+            challenge = self._zkp.challenge(self.rng)
+            self.send(j, TAG_ZKP_CHALLENGE, challenge)
+        for j in participants:
+            response_msg = yield from self.recv(j, TAG_ZKP_RESPONSE)
+            commitment, challenges, z = response_msg.payload
+            if not config.group.eq(commitment, commits[j]):
+                raise ProtocolAbort(
+                    f"P{j} answered a different commitment",
+                    blamed=j, phase=PHASE_KEYING,
+                )
+            proof_batch.add_transcript_claim(
+                j, publics[j], commitment, challenges, z
+            )
+        proof_batch.verify_and_register()
 
     # -- Phase 3 -----------------------------------------------------------------
     def _phase_collect_submissions(self):
@@ -753,17 +744,6 @@ class ParticipantParty(Party):
                     blamed=blamed, phase=PHASE_KEYING,
                 )
 
-        publics: Dict[int, Element] = {}
-        if not config.verify_zkp:
-            # Keying without proofs (testing/ablation): exchange shares only.
-            self.broadcast(others, TAG_PK_SHARE, share.public)
-            for j in others:
-                share_msg = yield from self.recv(j, TAG_PK_SHARE)
-                require_element(share_msg.payload, j)
-                publics[j] = share_msg.payload
-                distkey.register_public(j, share_msg.payload)
-            return publics
-
         if config.zkp_mode == "fiat-shamir":
             # NIZK keying (extension): one broadcast carries share + proof,
             # no challenge round-trips — compare rounds in the ablations.
@@ -789,6 +769,7 @@ class ParticipantParty(Party):
         self.broadcast(verifiers, TAG_PK_SHARE, share.public)
         self.broadcast(verifiers, TAG_ZKP_COMMIT, commitment)
 
+        publics: Dict[int, Element] = {}
         commits: Dict[int, Element] = {}
         for j in others:
             share_msg = yield from self.recv(j, TAG_PK_SHARE)

@@ -132,6 +132,12 @@ class Group:
         self._deserialize_cache: dict = {}
         self._membership_cache: "OrderedDict" = OrderedDict()
 
+    def clear_memos(self) -> None:
+        """Empty the three memos, as an unpickled copy starts."""
+        self._serialize_cache.clear()
+        self._deserialize_cache.clear()
+        self._membership_cache.clear()
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         for name in self._TRANSIENT:

@@ -12,10 +12,12 @@ bytes carry (in process the sender transcodes, encode → decode; a
 transport that ships the bytes leaves that decode to its receiver), and
 accounted by *measured* size — payload bytes plus the secure-channel
 envelope a real deployment pays per wire message (AEAD nonce +
-authentication tag).  With coalescing enabled, all
-logical messages one sender emits to one receiver within one engine
-round share a single framed batch (one envelope), collapsing the
-phase-2 per-bit/per-ciphertext flood from O(n·l) wire messages to O(n).
+authentication tag).  In a fault-free run all logical messages one
+sender emits to one receiver within one engine round share a single
+framed batch (one envelope), collapsing the phase-2 per-bit/per-
+ciphertext flood from O(n·l) wire messages to O(n); under a fault plan
+each message is framed alone, since retransmits and duplicates need
+standalone envelopes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class WireInfo:
     """Wire-path annotations the transport attaches to a message."""
 
     payload_bits: int      # encoded payload + tag-dictionary bits
-    frames: int            # wire messages this payload costs uncoalesced
+    frames: int            # wire messages this payload costs framed alone
     encoded_len: int       # encoded payload bytes
     tag_id: int            # per-channel tag-dictionary id
     finalized: bool = False
@@ -150,7 +152,6 @@ BATCH_COUNT_BYTES = 2
 class WireStats:
     """Aggregate wire-path accounting for one run."""
 
-    coalesce: bool
     digest: str                      # sha256 over encoded payloads, send order
     wire_messages: int
     wire_bits: int
@@ -182,7 +183,6 @@ class WireStats:
             for tag, bits in part.bits_by_tag.items():
                 bits_by_tag[tag] = bits_by_tag.get(tag, 0) + bits
         return cls(
-            coalesce=parts[0].coalesce,
             digest=digest,
             wire_messages=sum(part.wire_messages for part in parts),
             wire_bits=sum(part.wire_bits for part in parts),
@@ -224,7 +224,7 @@ class WireTransport:
     transcode is the receiver's decode.
     """
 
-    def __init__(self, group, coalesce: bool = True, keep_bytes: bool = False):
+    def __init__(self, group, keep_bytes: bool = False):
         # Imported here, not at module level: this module is loaded by
         # ``repro.runtime.__init__`` while the crypto package (which the
         # codec depends on) may still be initializing.
@@ -232,7 +232,6 @@ class WireTransport:
 
         self._fmt = wire_format
         self.group = group
-        self.coalesce = coalesce
         self.keep_bytes = keep_bytes
         self._channels: Dict[Tuple[int, int], Any] = {}
         self._tag_ids: Dict[Tuple[int, int], Dict[str, int]] = {}
@@ -307,8 +306,8 @@ class WireTransport:
                  first_in_batch: bool = True) -> Message:
         """Assign the final measured wire size to a prepared message.
 
-        Uncoalesced, each of the payload's ``frames`` fragments pays its
-        own envelope and per-message header.  Coalesced, a logical
+        Framed alone, each of the payload's ``frames`` fragments pays its
+        own envelope and per-message header.  Batched, a logical
         message pays only a small per-record header; the batch header
         and single envelope are attributed to the first message of its
         (sender, receiver, round) group.
@@ -392,7 +391,6 @@ class WireTransport:
 
     def stats(self) -> WireStats:
         return WireStats(
-            coalesce=self.coalesce,
             digest=self.digest,
             wire_messages=self.wire_messages,
             wire_bits=self.wire_bits,

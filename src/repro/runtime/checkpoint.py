@@ -26,8 +26,8 @@ Durability discipline:
 * appends are length-framed and flushed per record; a torn tail (a
   crash mid-append) is detected and truncated on read, WAL-style;
 * snapshots are written atomically (tmp file, flush, fsync, rename);
-* journals are fsynced at phase boundaries and every ``sync_every``
-  rounds, so the window of unsynced state is bounded and configurable.
+* journals are fsynced at phase boundaries (each snapshot, and a
+  rejoin marker), so the unsynced window is at most one phase.
 
 Secrecy discipline: record *bodies* are sealed with
 :func:`seal_state` — encrypt-then-MAC under a per-(party, attempt) key
@@ -175,9 +175,8 @@ class CheckpointStore:
     the store never sees plaintext state.
     """
 
-    def __init__(self, root, *, fsync: bool = True) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.fsync = fsync
         self.root.mkdir(parents=True, exist_ok=True)
         self._journals: Dict[Tuple[int, int], Any] = {}
 
@@ -197,8 +196,7 @@ class CheckpointStore:
         with os.fdopen(fd, "wb") as handle:
             handle.write(material)
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
         return material
 
@@ -242,7 +240,7 @@ class CheckpointStore:
 
     def sync_journal(self, attempt: int, party_id: int) -> None:
         handle = self._journals.get((attempt, party_id))
-        if handle is not None and self.fsync:
+        if handle is not None:
             os.fsync(handle.fileno())
 
     def read_journal(self, attempt: int,
@@ -270,10 +268,9 @@ class CheckpointStore:
             handle.write(MAGIC)
             handle.write(_pack_record(header, sealed))
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
-        if self.fsync and hasattr(os, "O_DIRECTORY"):
+        if hasattr(os, "O_DIRECTORY"):
             dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
             try:
                 os.fsync(dir_fd)
@@ -335,11 +332,9 @@ class CheckpointManager:
     :func:`seal_state` is the registered sanitizer between them.
     """
 
-    def __init__(self, directory, *, sync_every: int = 0,
-                 fsync: bool = True) -> None:
-        self._store = CheckpointStore(directory, fsync=fsync)
+    def __init__(self, directory) -> None:
+        self._store = CheckpointStore(directory)
         self._master = self._store.master_key()
-        self.sync_every = sync_every
         self.attempt = 0
         self.rejoined: Dict[int, int] = {}
         self._factory: Optional[Callable[..., Any]] = None
@@ -521,11 +516,8 @@ class CheckpointManager:
         self._store.sync_journal(self.attempt, pid)
 
     def on_round(self, round: int) -> None:
-        """Round tick: periodic group fsync every ``sync_every`` rounds."""
+        """Round tick: the round a rejoin marker records."""
         self._round = round
-        if self.sync_every and round % self.sync_every == 0:
-            for pid in list(self._seq):
-                self._store.sync_journal(self.attempt, pid)
 
     # -- rejoin ------------------------------------------------------------
 

@@ -99,8 +99,6 @@ class Engine:
         self._finished: Dict[int, bool] = {}
         self._crashed: Dict[int, Optional[str]] = {}
         self._metered_groups = list(metered_groups or [])
-        if wire is not None:
-            self.transcript.meta["wire_coalesce"] = wire.coalesce
         # Future deliveries: (round, sequence, message) min-heap fed by
         # delay faults and supervisor retransmits.
         self._scheduled: List[Tuple[int, int, Message]] = []
@@ -192,8 +190,7 @@ class Engine:
                 )
             if self.wire is not None:
                 # Under injection every logical message frames alone:
-                # retransmits and duplicates need standalone envelopes,
-                # so coalescing is bypassed.
+                # retransmits and duplicates need standalone envelopes.
                 message = self.wire.finalize(message, batched=False)
             self._record_sent(message)
             if verdict.lost:
@@ -211,15 +208,11 @@ class Engine:
                 else:
                     self._schedule(copy, deliver_round)
             return
-        if self.wire is not None and self.wire.coalesce:
-            # Accounting is deferred to the round-boundary flush, where
-            # (sender, receiver) batches are known.
-            self._outbox.append(message)
-            return
-        if self.wire is not None:
-            message = self.wire.finalize(message, batched=False)
         self._outbox.append(message)
-        self._record_sent(message)
+        if self.wire is None:
+            self._record_sent(message)
+        # A wire accounts at the round-boundary flush instead, where
+        # (sender, receiver) batches are known.
 
     def _record_sent(self, message: Message) -> None:
         """Record one sent logical message (transcript + sender metrics)."""
@@ -317,8 +310,8 @@ class Engine:
         for message in self._outbox:
             if self.wire is not None:
                 if message.wire is not None and not message.wire.finalized:
-                    # Coalescing: this round's messages on one directed
-                    # channel share one framed batch; the envelope is
+                    # This round's messages on one directed channel
+                    # share one framed batch; the envelope is
                     # attributed to the first record of the batch.
                     channel = (message.src, message.dst)
                     message = self.wire.finalize(

@@ -49,11 +49,6 @@ class ProtocolAbort(ProtocolError):
             message = (message or "protocol abort") + suffix
         super().__init__(message)
 
-    def blaming(self, blamed: int) -> "ProtocolAbort":
-        """The same abort blaming ``blamed`` instead (a shard-local id
-        mapped to its global one)."""
-        return type(self)(self.reason, blamed=blamed, phase=self.phase)
-
 
 class PartyTimeout(ProtocolError):
     """A party missed its delivery deadline (crash, stall, lost channel).
@@ -86,12 +81,6 @@ class PartyTimeout(ProtocolError):
             + (f" in phase {phase!r}" if phase else "")
             + (f" at round {round}" if round is not None else "")
             + (f"; blocked: {blocked}" if blocked else "")
-        )
-
-    def blaming(self, blamed: int) -> "PartyTimeout":
-        """The same timeout blaming ``blamed`` instead."""
-        return PartyTimeout(
-            blamed, phase=self.phase, round=self.round, waiting=self.waiting
         )
 
     def __reduce__(self):

@@ -29,6 +29,7 @@ evaluators live at module level here.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from dataclasses import dataclass, field
 from pickle import PicklingError
@@ -111,7 +112,7 @@ class ShardJob:
     per-shard label, and the returned
     :class:`~repro.core.framework.FrameworkResult` carries the shard's
     own metered counters.  ``members`` are the shard's global ids, in
-    shard-local order: a failure leaves the job blaming a global id.
+    shard-local order: a failure leaves the job naming global ids.
     """
 
     config: object                       # shard-local FrameworkConfig
@@ -144,9 +145,30 @@ def evaluate_shard_job(job: ShardJob):
             list(job.fault_specs) or None, known_betas=dict(job.known_betas)
         )
     except (PartyTimeout, ProtocolAbort) as failure:
-        if not failure.blamed:  # nobody, or the shard's initiator (P_0)
-            raise
-        raise failure.blaming(job.members[failure.blamed - 1]) from failure
+        raise _globalized(failure, job.members) from failure
+
+
+def _globalized(failure, members: Tuple[int, ...]):
+    """A shard's failure in the run's ids: shard-local P_i is
+    ``members[i - 1]`` and the shard's P_0 is the run's initiator."""
+
+    def global_id(local: Optional[int]) -> Optional[int]:
+        return members[local - 1] if local else local
+
+    if isinstance(failure, PartyTimeout):
+        return PartyTimeout(
+            global_id(failure.blamed), phase=failure.phase,
+            round=failure.round,
+            waiting={
+                global_id(pid): dataclasses.replace(want, src=global_id(want.src))
+                for pid, want in failure.waiting.items()
+            },
+        )
+    ids = ", ".join(f"P{member}" for member in members)
+    return type(failure)(
+        f"in shard {ids} (local P1–P{len(members)}): {failure.reason}",
+        blamed=global_id(failure.blamed), phase=failure.phase,
+    )
 
 
 def _metered(

@@ -6,10 +6,11 @@ which replays the trace over a simulated topology (Fig. 3(b)).
 
 ``size_bits`` is the *measured* encoded size (payload bytes plus
 envelope/framing overhead) and ``frames`` counts the wire messages the
-entry contributed: uncoalesced, a bitwise-ciphertext broadcast costs one
-wire message per bit; coalesced, only the first entry of each (sender,
-receiver, round) batch carries the envelope and a ``frames`` of 1, the
-rest ride in the same batch with ``frames == 0``.  A protocol without a
+entry contributed: framed alone (under a fault plan), a bitwise-
+ciphertext broadcast costs one wire message per bit; batched, only the
+first entry of each (sender, receiver, round) batch carries the envelope
+and a ``frames`` of 1, the rest ride in the same batch with
+``frames == 0``.  A protocol without a
 group codec (the secret-sharing baseline) records declared sizes, one
 wire message per entry.
 """
@@ -17,7 +18,7 @@ wire message per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ class Transcript:
     """Ordered record of every message in a run."""
 
     entries: List[TranscriptEntry] = field(default_factory=list)
-    #: Wire-path annotations (coalescing; the socket transport adds
-    #: ``transport``) set by the scheduler that ran the wire transport;
-    #: empty for a run without one.
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     def record(
         self, round_sent: int, src: int, dst: int, tag: str, size_bits: int,

@@ -177,10 +177,6 @@ class _Attempt:
         self.supervisor = WallClockSupervisor(coordinator.settings.timeout_s)
         attempts.supervisor = self.supervisor
         self.transcript = Transcript()
-        self.transcript.meta.update({
-            "transport": "tcp",
-            "wire_coalesce": self.config.coalesce,
-        })
         self.connections: Dict[int, _Connection] = {}
         self.processes: Dict[int, PartyProcess] = {}
         self.incarnations: Dict[int, int] = {pid: 0 for pid in self.party_ids}
@@ -332,7 +328,7 @@ class _Attempt:
         for process in self.processes.values():
             try:
                 await asyncio.wait_for(
-                    process.wait(), timeout=2 * self.settings.tick_s + 1.0
+                    process.wait(), timeout=2 * frames.TICK_S + 1.0
                 )
             except asyncio.TimeoutError:
                 process.kill()
@@ -603,7 +599,7 @@ class _Attempt:
     async def _supervise(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.settings.tick_s)
+            await asyncio.sleep(frames.TICK_S)
             failure: Optional[ProtocolError] = self.supervisor.check(loop.time())
             if failure is None:
                 failure = self._check_processes()
@@ -615,7 +611,7 @@ class _Attempt:
                     if connection.pid != blamed:
                         connection.send(harvest)
                 await self._drain_all()
-                await asyncio.sleep(2 * self.settings.tick_s)
+                await asyncio.sleep(2 * frames.TICK_S)
                 self._fail(failure)
                 return
 

@@ -58,6 +58,11 @@ _HEADER = struct.Struct(">IB")
 #: Upper bound on a frame body; a 64-bit DL run at n=16 stays well under
 #: a megabyte per frame, so this only guards against stream corruption.
 MAX_FRAME = 256 * 1024 * 1024
+#: Coordinator supervision tick, in seconds.
+TICK_S = 0.25
+#: Wall-clock seconds one in-engine "delay round" maps to for the fault
+#: shim's ``delay`` kind.
+ROUND_S = 0.05
 
 
 class TransportError(ProtocolError):
@@ -118,16 +123,11 @@ def split_msg(body: bytes) -> Tuple[Dict[str, Any], bytes]:
 @dataclass
 class TransportSettings:
     """Wall-clock knobs for one distributed run (picklable, shipped in
-    every party's spec so both ends agree on pacing)."""
+    every party's spec so both ends agree on the deadline)."""
 
     #: Supervisor deadline in seconds without progress, the wall-clock
     #: counterpart of the in-process supervisor's ``timeout_rounds``.
     timeout_s: float = 10.0
-    #: Coordinator supervision tick.
-    tick_s: float = 0.25
-    #: Wall-clock seconds one in-engine "delay round" maps to for the
-    #: fault shim's ``delay`` kind.
-    round_s: float = 0.05
     #: Bind address for the coordinator listener.
     host: str = "127.0.0.1"
     port: int = 0

@@ -202,9 +202,7 @@ class PartyHost:
             self.pid, set(spec.active_ids) | {INITIATOR_ID}
         )
         self.manager: Optional[CheckpointManager] = None
-        self.wire = WireTransport(
-            self.group, coalesce=self.config.coalesce, keep_bytes=True
-        )
+        self.wire = WireTransport(self.group, keep_bytes=True)
         self.sender_faults: Optional[FaultInjector] = None
         if spec.sender_faults:
             self.sender_faults = FaultInjector(
@@ -273,7 +271,7 @@ class PartyHost:
         self._batch_seen.add((dst, self._round))
         message = self.wire.finalize(
             message,
-            batched=self.wire.coalesce and not self.spec.faulted,
+            batched=not self.spec.faulted,
             first_in_batch=first,
         )
         info = message.wire
@@ -364,7 +362,7 @@ class PartyHost:
                 # keep eating retries (as the in-process supervisor's
                 # bounded retransmits do).
                 backoff = max(
-                    self.settings.tick_s,
+                    frames.TICK_S,
                     self.settings.timeout_s / (2 * (self.config.max_retries + 1)),
                 )
                 asyncio.get_running_loop().call_later(
@@ -384,7 +382,7 @@ class PartyHost:
             else:
                 delta = max(1, deliver_round - message.round_sent)
                 asyncio.get_running_loop().call_later(
-                    delta * self.settings.round_s, self._deliver, copy
+                    delta * frames.ROUND_S, self._deliver, copy
                 )
 
     def _deliver(self, message: Message) -> None:

@@ -354,7 +354,7 @@ def _run_shards(
 
     Each shard is a self-contained sub-framework over shard-local ids
     with its own deterministic RNG fork, so every width produces
-    identical results; a shard failure re-raises blaming the global id.
+    identical results; a shard failure re-raises in global ids.
     """
     config = framework.config
     jobs = [
@@ -447,8 +447,6 @@ def _merge_transcripts(
                     dst=global_of[entry.dst],
                 )
             )
-        for key, value in result.transcript.meta.items():
-            merged.meta.setdefault(key, value)
     aggregate_round = phase1_rounds + shard_rounds
     pairs = [(a, b) for a in candidates for b in candidates if a != b]
     if pairs and aggregation.wire_bits:
@@ -467,8 +465,6 @@ def _merge_transcripts(
         merged.entries.append(
             dataclasses.replace(entry, round=entry.round + submission_offset)
         )
-    merged.meta["hierarchical"] = True
-    merged.meta["shards"] = len(shards)
     return merged
 
 

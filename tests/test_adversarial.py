@@ -88,18 +88,6 @@ class TestKeyKnowledgeEnforcement:
         with pytest.raises(ProtocolAbort, match="NIZK failed"):
             engine.run()
 
-    def test_cheater_slips_through_when_verification_disabled(
-        self, small_dl_group, small_schema, small_initiator_input
-    ):
-        """Negative control: with verify_zkp=False nobody checks, the
-        run completes — which is exactly why the proofs are mandatory."""
-        engine, _ = build_engine(
-            small_schema, small_initiator_input,
-            [ParticipantParty, CheatingProver, ParticipantParty],
-            small_dl_group, verify_zkp=False,
-        )
-        engine.run()  # no exception: the cheat goes unnoticed
-
 
 class TestStructuralValidation:
     def test_malformed_beta_bits_rejected(self, small_dl_group, small_schema,

@@ -310,9 +310,11 @@ class TestKillRejoin:
     def test_kill_with_periodic_sync(
         self, small_dl_group, small_schema, small_initiator_input, tmp_path
     ):
+        """A kill mid-comparison, between two phase-boundary fsyncs,
+        rejoins from the flushed journal."""
         baseline, restored, framework = self._pair(
             small_dl_group, small_schema, small_initiator_input, tmp_path,
-            [kill(FAULTY, "tau-sets")], checkpoint_every=2,
+            [kill(FAULTY, "tau-sets")],
         )
         assert restored.rejoins >= 1
         assert outcome_fingerprint(restored) == outcome_fingerprint(baseline)
@@ -595,17 +597,3 @@ class TestEncryptedAtRest:
         store.close()
         assert seen > 0
 
-
-# ---------------------------------------------------------------------------
-# Config plumbing
-# ---------------------------------------------------------------------------
-
-class TestConfig:
-    def test_negative_checkpoint_every_rejected(
-        self, small_dl_group, small_schema
-    ):
-        with pytest.raises(ValueError):
-            FrameworkConfig(
-                group=small_dl_group, schema=small_schema,
-                num_participants=N, k=2, rho_bits=6, checkpoint_every=-1,
-            )

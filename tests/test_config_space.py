@@ -51,11 +51,9 @@ FIELD_CLASS = {
     "num_participants": OUTCOME,
     "k": OUTCOME,
     "rho_bits": OUTCOME,
-    "beta_mode": OUTCOME,           # the masked-gain width l
     "rerandomize": OUTCOME,         # the paper's ablations
     "permute": OUTCOME,
     "naive_suffix": OPS,
-    "verify_zkp": OUTCOME,
     "zkp_mode": OUTCOME,
     "multiexp": OPS,
     "precompute": OUTCOME,          # a pool larger than the run needs draws ahead
@@ -67,10 +65,8 @@ FIELD_CLASS = {
     "timeout_rounds": NOTHING,
     "max_retries": NOTHING,
     "wire": NOTHING,                # "measured" is its only value
-    "coalesce": WIRE,
     "backend": NOTHING,
     "checkpoint_dir": NOTHING,
-    "checkpoint_every": NOTHING,
     "shard_size": OUTCOME,          # ranks below k become lower bounds
     "transport": WIRE,              # envelope attribution and round clocks
 }
@@ -84,7 +80,7 @@ ALLOWED = {
 }
 
 #: The aspects that differ between two tcp runs of one config: the round
-#: clocks and the coalesced framing follow the wall clock.
+#: clocks and the batched framing follow the wall clock.
 TCP_CLOCKED = frozenset({"wire", "rounds"})
 
 SCHEMA = AttributeSchema(
@@ -95,11 +91,9 @@ INITIATOR = InitiatorInput.create(SCHEMA, criterion=[35, 20, 0, 0], weights=[3, 
 
 #: Non-default values of every field a drawn config may move.
 SWITCHES = {
-    "beta_mode": ["paper"],
     "rerandomize": [False],
     "permute": [False],
     "naive_suffix": [True],
-    "verify_zkp": [False],
     "zkp_mode": ["fiat-shamir"],
     "multiexp": [True],
     "precompute": [4, 64],
@@ -110,10 +104,8 @@ SWITCHES = {
     "recovery": [True],
     "timeout_rounds": [1, 3, 12],
     "max_retries": [0, 4],
-    "coalesce": [False],
     "backend": backend.available_backends(),
     "checkpoint_dir": ["<tmp>"],
-    "checkpoint_every": [1, 3],
     "shard_size": [2, 3, 4],
     "transport": ["tcp"],
 }
@@ -216,7 +208,7 @@ def _profile():
 class TestConfigSpace:
     def test_table_classes_every_settable_field(self):
         settable = [f.name for f in dataclasses.fields(FrameworkConfig) if f.init]
-        assert len(settable) == 27
+        assert len(settable) == 23
         assert sorted(FIELD_CLASS) == sorted(settable)
         assert set(FIELD_CLASS.values()) <= set(ALLOWED)
         assert set(SWITCHES) <= set(FIELD_CLASS)

@@ -115,6 +115,25 @@ class TestCorrectness:
 
 
 class TestStructure:
+    def test_consecutive_runs_on_one_group_tally_alike(
+        self, small_schema, small_initiator_input
+    ):
+        """A run starts with the group's memos empty: a second run of
+        the same instance on the same group object checks and hits the
+        membership memo exactly as the first did."""
+        group = DLGroup.random(48, rng=SeededRNG(101))
+        participants = make_participants(small_schema, 4, seed=13)
+        tallies = [
+            {
+                pid: (m.ops.membership_checks, m.ops.membership_cache_hits)
+                for pid, m in run_framework(
+                    group, small_schema, small_initiator_input, participants
+                )[1].metrics.items()
+            }
+            for _ in range(2)
+        ]
+        assert tallies[0] == tallies[1]
+
     def test_rounds_grow_linearly(self, small_dl_group, small_schema,
                                   small_initiator_input):
         rounds = {}
@@ -168,15 +187,6 @@ class TestStructure:
         assert 0 < initiator_exps < min(
             result.metrics[pid].ops.exponentiations for pid in (1, 2, 3)
         )
-
-    def test_zkp_disabled_still_correct(self, small_dl_group, small_schema,
-                                        small_initiator_input):
-        participants = make_participants(small_schema, 3, seed=17)
-        framework, result = run_framework(
-            small_dl_group, small_schema, small_initiator_input,
-            participants, verify_zkp=False,
-        )
-        assert framework.check_result(result) == []
 
     def test_works_on_elliptic_curve_group(self, tiny_curve, small_schema,
                                            small_initiator_input):

@@ -197,16 +197,6 @@ class TestFullStackVariants:
         result = framework.run()
         assert framework.check_result(result) == []
 
-    def test_paper_beta_mode(self, small_dl_group, small_schema,
-                             small_initiator_input):
-        """mode='paper' uses the paper's (typo'd but larger-h) formula —
-        for these small widths it still bounds β, so the run is exact."""
-        framework, result = run_small_framework(
-            small_dl_group, small_schema, small_initiator_input,
-            n=3, beta_mode="paper",
-        )
-        assert framework.check_result(result) == []
-
     def test_naive_suffix_variant_correct_but_costlier(
         self, small_dl_group, small_schema, small_initiator_input
     ):

@@ -24,8 +24,10 @@ import pytest
 
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.parties import TAG_AGGREGATE
+from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
-from repro.runtime.errors import ProtocolAbort, ProtocolError
+from repro.runtime.channels import Recv
+from repro.runtime.errors import PartyTimeout, ProtocolAbort, ProtocolError
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.sharding.aggregate import aggregation_prime, rank_champions
 from repro.sharding.hierarchy import HierarchicalResult
@@ -192,8 +194,7 @@ class TestHierarchicalCorrectness:
 
     def test_merged_accounting(self, runs):
         _, sharded, _, _ = runs
-        assert sharded.transcript.meta["hierarchical"] is True
-        assert sharded.transcript.meta["shards"] == 3
+        assert len(sharded.shards) == 3
         assert sharded.rounds == sharded.transcript.rounds
         agg_entries = [
             e for e in sharded.transcript if e.tag == TAG_AGGREGATE
@@ -295,6 +296,27 @@ class TestDeterminism:
         assert outcome_fingerprint(pooled) == outcome_fingerprint(inline)
         assert pooled.betas == inline.betas
 
+    def test_membership_tallies_match_across_widths(
+        self, small_schema, small_initiator_input
+    ):
+        """Inline shards start from the same empty memos as shards a
+        worker unpickles, even on a group that already ran the same
+        instance flat (whose elements would otherwise hit its memos)."""
+        group = DLGroup.random(48, rng=SeededRNG(101))
+        build(group, small_schema, small_initiator_input, n=6,
+              shard_size=0).run()
+        tallies = [
+            {
+                pid: (m.ops.membership_checks, m.ops.membership_cache_hits)
+                for pid, m in build(
+                    group, small_schema, small_initiator_input, n=6,
+                    workers=workers,
+                ).run().metrics.items()
+            }
+            for workers in (1, 2)
+        ]
+        assert tallies[0] == tallies[1]
+
 
 # ---------------------------------------------------------------------------
 # Fault routing and recovery
@@ -328,7 +350,9 @@ class TestFaults:
         self, small_dl_group, small_schema, small_initiator_input
     ):
         """P5 is local P2 of the shard [4, 5, 6]: its corrupt β broadcast
-        fails the run blaming P5, inline and through a worker pool."""
+        fails the run blaming P5, inline and through a worker pool.  The
+        party that found it numbers its shard from 1, so the reason it
+        wrote is prefixed with the shard's id map."""
         for workers in (1, 2):
             framework = build(
                 small_dl_group, small_schema, small_initiator_input, n=6,
@@ -337,6 +361,33 @@ class TestFaults:
             with pytest.raises(ProtocolAbort, match=r"blamed=P5\b") as failure:
                 framework.run([FaultSpec(kind="corrupt", party=5, tag="beta-bits")])
             assert failure.value.blamed == 5
+            assert str(failure.value).startswith(
+                "in shard P4, P5, P6 (local P1–P3): "
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_timeout_names_global_ids(
+        self, small_dl_group, small_schema, small_initiator_input, workers
+    ):
+        """P5 crashes on its chain hop: the blocked parties and the
+        senders they wait on are named by their run-wide ids."""
+        framework = build(
+            small_dl_group, small_schema, small_initiator_input, n=6,
+            recovery=False, workers=workers,
+        )
+        with pytest.raises(PartyTimeout) as failure:
+            framework.run([FaultSpec(kind="crash", party=5, tag="chain")])
+        timeout = failure.value
+        assert timeout.blamed == 5
+        assert timeout.waiting == {
+            0: Recv(src=None, tag="submission"),
+            4: Recv(src=6, tag="final-set"),
+            6: Recv(src=5, tag="chain"),
+        }
+        assert str(timeout).endswith(
+            "party 4 on Recv(src=6, tag='final-set'), "
+            "party 6 on Recv(src=5, tag='chain')"
+        )
 
     def test_submission_fault_routed_to_phase_three(
         self, small_dl_group, small_schema, small_initiator_input

@@ -33,7 +33,7 @@ from repro.runtime.faults import FaultSpec
 from repro.runtime.transport import coordinator, frames
 from repro.runtime.transport.coordinator import run_distributed
 from repro.runtime.transport.deadlines import WallClockSupervisor
-from repro.runtime.transport.frames import TransportError, TransportSettings
+from repro.runtime.transport.frames import TICK_S, TransportError, TransportSettings
 from repro.runtime.transport.launcher import Launcher
 from tests.conftest import make_participants
 
@@ -450,10 +450,10 @@ def _lifecycle_probe(scenario):
     if scenario == "launcher-death":
         # The dead launcher's parties are orphans, no child of ours:
         # give them a few ticks to see the coordinator hang up.
-        give_up = time.monotonic() + 10 * settings.tick_s
+        give_up = time.monotonic() + 10 * TICK_S
         while (any(_running(pid) for pid in pids if pid is not None)
                and time.monotonic() < give_up):
-            time.sleep(settings.tick_s / 10)
+            time.sleep(TICK_S / 10)
     return {
         "outcome": outcome,
         "blamed": blamed,

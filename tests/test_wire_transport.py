@@ -2,8 +2,9 @@
 
 Covers the transport-level guarantees the codec unit tests cannot:
 measured per-participant traffic against the paper's closed form
-(Section VI-B), digest determinism across coalescing settings, and
-equality of protocol outcomes with and without coalescing.
+(Section VI-B), and digest determinism and equal protocol outcomes
+between the fault-free framing (one batch per sender, receiver and
+round) and the faulted-run framing (each message alone).
 """
 
 import pytest
@@ -18,8 +19,13 @@ from repro.runtime.metrics import PartyMetrics, merge_max
 from tests.conftest import make_participants
 
 
+#: A one-spec plan that never fires: it makes the run frame every
+#: message alone, as any faulted run does, and changes nothing else.
+NEVER_FIRES = [FaultSpec(kind="drop", party=1, tag="never-sent")]
+
+
 def run_wired(group, schema, initiator_input, participants, seed=21,
-              **config_kwargs):
+              faults=None, **config_kwargs):
     config = FrameworkConfig(
         group=group,
         schema=schema,
@@ -31,7 +37,7 @@ def run_wired(group, schema, initiator_input, participants, seed=21,
     framework = GroupRankingFramework(
         config, initiator_input, participants, rng=SeededRNG(seed)
     )
-    return framework, framework.run()
+    return framework, framework.run(faults)
 
 
 def _module_schema():
@@ -49,19 +55,16 @@ def _module_schema():
 
 @pytest.fixture(scope="module")
 def wired_runs(small_dl_group):
-    """One n=4 instance run with and without coalescing."""
+    """One n=4 instance, batched and under a plan that never fires."""
     small_schema, small_initiator_input = _module_schema()
     participants = make_participants(small_schema, 4, seed=41)
-    runs = {}
-    for key, kwargs in {
-        "measured": {},
-        "measured_uncoalesced": {"coalesce": False},
-    }.items():
-        runs[key] = run_wired(
+    return {
+        key: run_wired(
             small_dl_group, small_schema, small_initiator_input,
-            participants, **kwargs,
+            participants, faults=faults,
         )
-    return runs
+        for key, faults in (("measured", None), ("framed_alone", NEVER_FIRES))
+    }
 
 
 class TestOutcomeEquality:
@@ -104,8 +107,10 @@ class TestDeterminismDigest:
         """Acceptance criterion: the serialized payload stream is
         byte-identical whether or not messages are batched."""
         _, on = wired_runs["measured"]
-        _, off = wired_runs["measured_uncoalesced"]
+        _, off = wired_runs["framed_alone"]
+        assert on.ranks == off.ranks
         assert on.wire_stats.digest == off.wire_stats.digest
+        assert on.wire_stats.canonical_digest == off.wire_stats.canonical_digest
 
     def test_digest_stable_across_repeat_runs(self, small_dl_group,
                                               small_schema,
@@ -124,12 +129,12 @@ class TestDeterminismDigest:
 class TestCoalescingAccounting:
     def test_coalescing_cuts_wire_messages(self, wired_runs):
         _, on = wired_runs["measured"]
-        _, off = wired_runs["measured_uncoalesced"]
+        _, off = wired_runs["framed_alone"]
         assert on.wire_stats.wire_messages < off.wire_stats.wire_messages / 3
         assert on.wire_stats.wire_bits < off.wire_stats.wire_bits
 
     def test_transcript_totals_match_wire_stats(self, wired_runs):
-        for key in ("measured", "measured_uncoalesced"):
+        for key in ("measured", "framed_alone"):
             _, result = wired_runs[key]
             assert result.transcript.total_bits == result.wire_stats.wire_bits
             assert result.transcript.total_frames == result.wire_stats.wire_messages
@@ -142,16 +147,12 @@ class TestCoalescingAccounting:
             assert metrics.bits_sent == sent
             assert metrics.bits_received == received
 
-    def test_meta_annotations(self, wired_runs):
-        _, result = wired_runs["measured"]
-        assert result.transcript.meta == {"wire_coalesce": True}
-
 
 class TestFaultInterplay:
     def test_lost_message_under_measured_wire_recovers(
         self, small_dl_group, small_schema, small_initiator_input
     ):
-        """Retransmit path: coalescing is bypassed under injection, and
+        """Retransmit path: batching is bypassed under injection, and
         the supervisor's retry still completes the run."""
         participants = make_participants(small_schema, 3, seed=9)
         config = FrameworkConfig(
